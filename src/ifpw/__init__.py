@@ -7,6 +7,9 @@ the two together; analysis provides the asymptotic wave theory and
 measurement helpers; micro is a per-vehicle stochastic validation oracle.
 """
 
+# set before the submodules import it (coupling writes it into manifests)
+__version__ = "0.1.0"
+
 from . import analysis, coupling, kernel, lwr, micro, queueing, shre
 from .errors import (
     CalibrationError,
@@ -18,8 +21,6 @@ from .errors import (
     NumericalBlowupError,
     StabilityError,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "analysis",

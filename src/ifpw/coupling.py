@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time as _time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from . import kernel as kern
 from . import lwr, shre
 from .errors import ConfigurationError
@@ -40,8 +42,8 @@ __all__ = [
     "config_with_class_override",
 ]
 
-TOOL_VERSION = "0.1.0"
 FIELDS = ("s", "h", "r", "e")
+KERNEL_MODES = ("global", "table")
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,11 @@ class ClassConfig:
     a: float | None = None  # km, global mode
     b: float | None = None
     seeds: tuple = ()  # ((cell, density_veh_per_km), ...)
+
+    def __post_init__(self):
+        if self.kernel_mode not in KERNEL_MODES:
+            raise ConfigurationError(
+                f"unknown kernel mode {self.kernel_mode!r}; expected one of {KERNEL_MODES}")
 
     @property
     def params(self) -> ClassParams:
@@ -92,15 +99,28 @@ class ScenarioConfig:
     raw: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.boundary not in lwr.BOUNDARIES:
+            raise ConfigurationError(
+                f"unknown boundary mode {self.boundary!r}; expected one of {lwr.BOUNDARIES}")
         if not 0 < self.penetration <= 1:
             raise ConfigurationError(f"market penetration must be in (0,1], got {self.penetration}")
         if self.k0 < 0 or self.k0 > self.fd.k_jam:
             raise ConfigurationError(f"ambient density {self.k0} outside [0, k_jam]")
         self.fd.check_cfl(self.grid)
+        steps = self.horizon / self.grid.dt
+        if not (0 <= steps < math.inf
+                and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+            raise ConfigurationError(
+                f"horizon {self.horizon} s is not a non-negative whole number of "
+                f"dt={self.grid.dt} s steps")
+        n = self.grid.num_cells
         for c in self.classes:
             if not c.params.stable:
                 raise ConfigurationError(
                     f"class (lambda={c.lam}, n={c.n_servers}, mu={c.mu}) is unstable")
+            for cell, _density in c.seeds:
+                if not 0 <= cell < n:
+                    raise ConfigurationError(f"seed cell {cell} outside [0, {n})")
 
     @property
     def sigma(self) -> float:
@@ -161,11 +181,21 @@ def initialize(config: ScenarioConfig) -> WorldState:
     return WorldState(time=0.0, traffic=traffic, num_classes=len(config.classes))
 
 
-def _class_kernel(cc: ClassConfig, k_total: np.ndarray, grid: GridSpec):
-    if cc.kernel_mode == "table":
-        a, b = kern.interp_kernel_params(k_total)
-        return CellKernel(a, b, grid.dx)
-    return KernelParams(cc.a, cc.b)
+def _table_kernel(k_total: np.ndarray, grid: GridSpec) -> CellKernel:
+    """Density-dependent kernel; it depends only on k_total, so all table
+    classes of a step share it."""
+    a, b = kern.interp_kernel_params(k_total)
+    return CellKernel(a, b, grid.dx)
+
+
+def _add_context(exc: Exception, context: str):
+    """Prefix ``context`` to the message of ``exc`` in place.
+
+    The exception keeps its type, its other arguments and its payload
+    attributes (``NumericalBlowupError.cell``, ``ConvergenceError.best``).
+    """
+    msg = exc.args[0] if exc.args else ""
+    exc.args = (f"{context}: {msg}",) + exc.args[1:]
 
 
 def _inflow_fractions(config: ScenarioConfig) -> dict[str, float]:
@@ -192,17 +222,21 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
                                             _inflow_fractions(config))
         traffic = lwr.update_class_densities(world.traffic, k_new, class_flows, grid)
     except Exception as exc:
-        raise type(exc)(f"traffic layer failed at t={t}: {exc}") from exc
+        _add_context(exc, f"traffic layer failed at t={t}")
+        raise
 
     new_world = WorldState(time=t + grid.dt, traffic=traffic,
                            num_classes=world.num_classes)
+    table = (_table_kernel(traffic.k_total, grid)
+             if any(cc.kernel_mode == "table" for cc in config.classes) else None)
     for j, cc in enumerate(config.classes):
-        kobj = _class_kernel(cc, traffic.k_total, grid)
+        kobj = table if cc.kernel_mode == "table" else KernelParams(cc.a, cc.b)
         params = ShreParams(config.beta, cc.params, kobj, conv_mode=config.conv_mode)
         try:
             st = shre.rk4_step(new_world.class_state(j), params, grid)
         except Exception as exc:
-            raise type(exc)(f"SHRE step for class {j} failed at t={t}: {exc}") from exc
+            _add_context(exc, f"SHRE step for class {j} failed at t={t}")
+            raise
         new_world.set_class_state(j, st)
     return new_world
 
@@ -232,6 +266,9 @@ class RunOutput:
 
         layout 'wide': rows are snapshots, columns are cells.  layout
         'long': tidy time_s,cell_index,x_km,value rows (the CLI default).
+        Times and cell centres are written as ``%.6f``, field values as
+        ``%.9g``.  Each snapshot row is formatted by one ``%`` over
+        per-cell templates built once per call.
         """
         import os
 
@@ -240,19 +277,22 @@ class RunOutput:
         os.makedirs(out_dir, exist_ok=True)
         files = []
         centers = self.config.grid.centers
+        # ts + ts.join(cells) puts the time in front of each template: of
+        # every cell's line (long) or of the one row (wide)
+        if layout == "long":
+            header = "time_s,cell_index,x_km,value\n"
+            cells = [f",{i},{c:.6f},%.9g\n" for i, c in enumerate(centers)]
+        else:
+            header = "time_s," + ",".join(f"x_{c:.6f}" for c in centers) + "\n"
+            cells = [",%.9g" * centers.size + "\n"]
 
         def dump(name, rows):
             path = os.path.join(out_dir, name)
             with open(path, "w") as fh:
-                if layout == "long":
-                    fh.write("time_s,cell_index,x_km,value\n")
-                    for t, vec in rows:
-                        for i, v in enumerate(vec):
-                            fh.write(f"{t:.6f},{i},{centers[i]:.6f},{v:.9g}\n")
-                else:
-                    fh.write("time_s," + ",".join(f"x_{c:.6f}" for c in centers) + "\n")
-                    for t, vec in rows:
-                        fh.write(f"{t:.6f}," + ",".join(f"{v:.9g}" for v in vec) + "\n")
+                fh.write(header)
+                for t, vec in rows:
+                    ts = f"{t:.6f}"
+                    fh.write((ts + ts.join(cells)) % tuple(vec.tolist()))
             files.append(name)
 
         dump("traffic_k_total.csv", [(s.time, s.k_total) for s in self.snapshots])
@@ -265,7 +305,7 @@ class RunOutput:
             "config_sha256": self.config.digest(),
             "grid": {"dx_km": g.dx, "dt_s": g.dt, "num_cells": g.num_cells,
                      "origin_km": g.origin_km},
-            "tool_version": TOOL_VERSION,
+            "tool_version": __version__,
             "started_unix": self.started,
             "finished_unix": self.finished,
             "snapshot_times_s": [s.time for s in self.snapshots],

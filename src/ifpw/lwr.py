@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 EMPTY_TOL = 1e-12
+BOUNDARIES = ("periodic", "closed", "open")
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,16 @@ packets arrive at rate ``lambda``, are broadcast by one of ``n_servers``
 communication servers, and leave after an exponential service time with
 mean ``1/mu``.  Everything here is a pure function of the class
 parameters; factorial-sized terms are evaluated in log space so large
-server counts (n up to a few hundred) do not overflow.
+server counts (n up to a few hundred) do not overflow.  The Erlang-C
+delay probability is memoised per ``ClassParams``, because the coupled
+stepper asks for it once per class and step.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from scipy.special import gammaln, logsumexp
 
@@ -20,7 +23,6 @@ from .errors import StabilityError
 __all__ = [
     "ClassParams",
     "QueueMetrics",
-    "check_stability",
     "empty_system_probability",
     "wait_probability",
     "waiting_time_ccdf",
@@ -48,6 +50,7 @@ class ClassParams:
 
     @property
     def stable(self) -> bool:
+        """True iff lambda < n * mu (strict; equality is rejected)."""
         return self.lam < self.n_servers * self.mu
 
     @property
@@ -63,11 +66,6 @@ class QueueMetrics:
     p0: float
     xi: float
     mean_wait: float
-
-
-def check_stability(p: ClassParams) -> bool:
-    """True iff lambda < n * mu (strict; equality is rejected)."""
-    return p.stable
 
 
 def _require_stable(p: ClassParams):
@@ -92,8 +90,9 @@ def empty_system_probability(p: ClassParams) -> float:
     return float(math.exp(-logsumexp(log_terms)))
 
 
+@lru_cache(maxsize=256)
 def wait_probability(p: ClassParams) -> float:
-    """Erlang-C delay probability xi = r^n P0 / (n! (1-rho))."""
+    """Erlang-C delay probability xi = r^n P0 / (n! (1-rho)), memoised."""
     _require_stable(p)
     n = p.n_servers
     log_r = math.log(p.lam / p.mu)

@@ -124,11 +124,34 @@ class CellKernel:
         return self.dx * np.einsum("ij,ij->i", self.band, windows)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# The caches below hand one array to every caller, so they return it
+# read-only.
 @lru_cache(maxsize=64)
 def _sampled_kernel(a: float, b: float, dx: float) -> np.ndarray:
     m = int(math.ceil(8 * a / dx))
     offsets = np.arange(-m, m + 1) * dx
-    return (b / (a * SQRT_PI)) * np.exp(-(offsets / a) ** 2)
+    return _read_only((b / (a * SQRT_PI)) * np.exp(-(offsets / a) ** 2))
+
+
+@lru_cache(maxsize=64)
+def _fft_spectrum(a: float, b: float, dx: float, nfft: int) -> np.ndarray:
+    """rfft of the sampled kernel zero-padded to nfft (linear convolution)."""
+    return _read_only(np.fft.rfft(_sampled_kernel(a, b, dx), nfft))
+
+
+@lru_cache(maxsize=64)
+def _periodic_spectrum(a: float, b: float, dx: float, n: int) -> np.ndarray:
+    """rfft of the sampled kernel wrapped onto an n-cell ring."""
+    k = _sampled_kernel(a, b, dx)
+    m = k.size // 2
+    wrapped = np.zeros(n)  # kernels wider than the ring wrap multiple times
+    np.add.at(wrapped, (np.arange(k.size) - m) % n, k)
+    return _read_only(np.fft.rfft(wrapped))
 
 
 def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
@@ -154,13 +177,12 @@ def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
         return grid.dx * np.convolve(r_field, k)[m:m + n]
     if mode == "fft":
         nfft = int(2 ** math.ceil(math.log2(n + k.size)))
-        out = np.fft.irfft(np.fft.rfft(r_field, nfft) * np.fft.rfft(k, nfft), nfft)
+        spectrum = _fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
+        out = np.fft.irfft(np.fft.rfft(r_field, nfft) * spectrum, nfft)
         return grid.dx * out[m:m + n]
     if mode == "periodic":
-        wrapped = np.zeros(n)  # kernels wider than the ring wrap multiple times
-        idx = (np.arange(k.size) - m) % n
-        np.add.at(wrapped, idx, k)
-        return grid.dx * np.fft.irfft(np.fft.rfft(r_field) * np.fft.rfft(wrapped), n)
+        spectrum = _periodic_spectrum(kernel.a, kernel.b, grid.dx, n)
+        return grid.dx * np.fft.irfft(np.fft.rfft(r_field) * spectrum, n)
     raise ValueError(f"unknown convolution mode {mode!r}")
 
 

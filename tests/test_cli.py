@@ -69,6 +69,24 @@ class TestRun:
         assert main(["run", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("path, value", [
+        (("boundary",), "toroidal"),
+        (("classes", 0, "kernel", "mode"), "bogus"),
+        (("classes", 0, "seeds", 0, "cell"), -1),
+        (("horizon_s",), 10.3),
+    ])
+    def test_bad_scenario_is_config_error(self, tmp_path, capsys, path, value):
+        bad = json.loads(json.dumps(RUN_CONFIG))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_json(tmp_path, "bad.json", bad)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any step ran
+
     def test_unstable_class_is_config_error(self, tmp_path):
         bad = json.loads(json.dumps(RUN_CONFIG))
         bad["classes"][0]["lambda_per_s"] = 10.0

@@ -4,10 +4,14 @@ import json
 import numpy as np
 import pytest
 
+from ifpw import lwr, shre
 from ifpw.coupling import (
+    FIELDS,
     ClassConfig,
     IncidentProfile,
+    RunOutput,
     ScenarioConfig,
+    Snapshot,
     config_from_dict,
     config_with_class_override,
     initialize,
@@ -15,7 +19,7 @@ from ifpw.coupling import (
     run,
     step,
 )
-from ifpw.errors import ConfigurationError
+from ifpw.errors import ConfigurationError, ConvergenceError, NumericalBlowupError
 from ifpw.kernel import KernelParams
 from ifpw.lwr import FundamentalDiagram
 from ifpw.queueing import ClassParams
@@ -137,6 +141,40 @@ class TestStep:
         np.testing.assert_allclose(got.s, ref.s, atol=1e-9)
         np.testing.assert_allclose(got.r, ref.r, atol=1e-9)
 
+    def test_blowup_keeps_cell_and_adds_context(self):
+        # a huge beta on frozen (jammed) traffic makes RK4 blow up even
+        # with its sub-step fallback
+        cfg = make_config(k0=300.0, penetration=20.0 / 300.0, beta=1e9)
+        with pytest.raises(NumericalBlowupError) as info:
+            step(initialize(cfg), cfg)
+        assert isinstance(info.value.cell, int) and 0 <= info.value.cell < 64
+        assert "SHRE step for class 0 failed at t=0.0" in str(info.value)
+        assert "blew up" in str(info.value)
+
+    @pytest.mark.parametrize("target, context", [
+        ((shre, "rk4_step"), "SHRE step for class 0 failed at t=0.0"),
+        ((lwr, "advance_total"), "traffic layer failed at t=0.0"),
+    ])
+    def test_failure_keeps_type_and_payload(self, monkeypatch, target, context):
+        class TwoArgError(RuntimeError):
+            def __init__(self, message, code):
+                super().__init__(message, code)
+                self.code = code
+
+        cfg = make_config()
+        world = initialize(cfg)
+        for exc, payload in ((ConvergenceError("stalled", best=(1.0, 2.0)), "best"),
+                             (TwoArgError("bad", 7), "code")):
+            def fail(*args, **kwargs):
+                raise exc
+
+            monkeypatch.setattr(*target, fail)
+            with pytest.raises(type(exc)) as info:
+                step(world, cfg)
+            assert info.value is exc
+            assert getattr(info.value, payload) == getattr(exc, payload)
+            assert str(info.value.args[0]).startswith(context)
+
     def test_information_spreads_from_seed(self):
         cfg = make_config()
         world = initialize(cfg)
@@ -176,7 +214,85 @@ class TestRun:
         assert out.kernel_mass == [0.499]
 
 
+def three_table_classes():
+    return (ClassConfig(1.2, 5, 0.3, kernel_mode="table", seeds=((30, 5.0),)),
+            ClassConfig(1.2, 10, 0.3, kernel_mode="table", seeds=((40, 5.0),)),
+            ClassConfig(1.2, 10, 0.15, kernel_mode="table", seeds=((50, 4.0),)))
+
+
+class TestClassIndependence:
+    def test_table_classes_equal_single_class_runs(self):
+        # the table kernel is built once per step and shared by all table
+        # classes; every class must still evolve as if it ran alone
+        fd = FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=120.0)
+        base = dict(grid=GridSpec(0.05, 0.5, 120), fd=fd, boundary="open",
+                    k0=60.0, penetration=0.5, beta=0.04,
+                    incident=IncidentProfile(80, 85, 0.0, 20.0, 1.0 / 3.0),
+                    horizon=30.0, snapshot_every=5.0)
+        classes = three_table_classes()
+        joint = run(ScenarioConfig(classes=classes, **base))
+        for j, cc in enumerate(classes):
+            alone = run(ScenarioConfig(classes=(cc,), **base))
+            assert len(alone.snapshots) == len(joint.snapshots)
+            for sj, sa in zip(joint.snapshots, alone.snapshots):
+                np.testing.assert_array_equal(sj.k_total, sa.k_total)
+                for f in FIELDS:
+                    np.testing.assert_array_equal(getattr(sj.classes[j], f),
+                                                  getattr(sa.classes[0], f))
+
+
+def write_per_value(out, out_dir, layout):
+    """Reference writer: one f-string per value, as the CSV format defines."""
+    centers = out.config.grid.centers
+    rows = {"traffic_k_total.csv": [(s.time, s.k_total) for s in out.snapshots]}
+    for j in range(len(out.config.classes)):
+        for f in FIELDS:
+            rows[f"class{j}_{f}.csv"] = [(s.time, getattr(s.classes[j], f))
+                                         for s in out.snapshots]
+    for name, series in rows.items():
+        with open(out_dir / name, "w") as fh:
+            if layout == "long":
+                fh.write("time_s,cell_index,x_km,value\n")
+                for t, vec in series:
+                    for i, v in enumerate(vec):
+                        fh.write(f"{t:.6f},{i},{centers[i]:.6f},{v:.9g}\n")
+            else:
+                fh.write("time_s," + ",".join(f"x_{c:.6f}" for c in centers) + "\n")
+                for t, vec in series:
+                    fh.write(f"{t:.6f}," + ",".join(f"{v:.9g}" for v in vec) + "\n")
+    return sorted(rows)
+
+
 class TestOutputFiles:
+    @pytest.mark.parametrize("layout", ["wide", "long"])
+    def test_matches_per_value_formatting(self, tmp_path, layout):
+        rng = np.random.default_rng(7)
+        special = [-0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, 123456789.123, 2.5e-7]
+
+        def field():
+            v = rng.uniform(0.0, 300.0, 64)
+            v[:len(special)] = special
+            return rng.permutation(v)
+
+        snaps = [Snapshot(t, field(), [ClassState(field(), field(), field(), field())
+                                       for _ in range(2)])
+                 for t in (0.0, 0.1 + 0.2, 1.0 / 3.0, 1e5 / 7.0)]
+        cfg = make_config(classes=make_config().classes * 2)
+        out = RunOutput(config=cfg, snapshots=snaps, warnings=[], kernel_mass=[])
+        out.write(tmp_path / "new", layout)
+        (tmp_path / "ref").mkdir()
+        names = write_per_value(out, tmp_path / "ref", layout)
+        assert len(names) == 9
+        for name in names:
+            assert ((tmp_path / "new" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes()), name
+
+    def test_manifest_tool_version(self, tmp_path):
+        import ifpw
+
+        manifest = run(make_config(horizon=0.0)).write(tmp_path)
+        assert manifest["tool_version"] == ifpw.__version__ == "0.1.0"
+
     def test_wide_round_trip(self, tmp_path):
         out = run(make_config(), out_dir=tmp_path, layout="wide")
         times, vals = read_field_csv(tmp_path / "class0_s.csv")
@@ -250,6 +366,41 @@ class TestConfigParsing:
                                 "raw": None})
         with pytest.raises(ConfigurationError):
             config_with_class_override(two, n_servers=2, mu=0.1)
+
+
+class TestConfigValidation:
+    def test_unknown_boundary(self):
+        with pytest.raises(ConfigurationError, match="boundary"):
+            make_config(boundary="toroidal")
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["boundary"] = "toroidal"
+        with pytest.raises(ConfigurationError, match="boundary"):
+            config_from_dict(bad)
+
+    def test_unknown_kernel_mode(self):
+        with pytest.raises(ConfigurationError, match="kernel mode"):
+            ClassConfig(0.5, 11, 0.05, kernel_mode="bogus", a=0.292, b=0.499)
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["classes"][0]["kernel"]["mode"] = "bogus"
+        with pytest.raises(ConfigurationError, match="kernel mode"):
+            config_from_dict(bad)
+
+    @pytest.mark.parametrize("cell", [-1, 64, 1000])
+    def test_seed_cell_outside_grid(self, cell):
+        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
+                         a=0.292, b=0.499, seeds=((cell, 5.0),))
+        with pytest.raises(ConfigurationError, match="seed cell"):
+            make_config(classes=(cc,))
+
+    @pytest.mark.parametrize("horizon", [10.3, 0.25, -1.0, float("inf")])
+    def test_horizon_not_whole_steps(self, horizon):
+        with pytest.raises(ConfigurationError, match="horizon"):
+            make_config(horizon=horizon)
+
+    def test_whole_step_horizons_accepted(self):
+        make_config(horizon=0.0)
+        make_config(horizon=420.0)
+        make_config(grid=GridSpec(dx=0.05, dt=0.1, num_cells=64), horizon=0.3)
 
 
 class TestOperatorSplitting:

@@ -8,7 +8,6 @@ from scipy import integrate
 from ifpw.errors import StabilityError
 from ifpw.queueing import (
     ClassParams,
-    check_stability,
     empty_system_probability,
     mean_waiting_time,
     queue_metrics,
@@ -142,11 +141,19 @@ class TestMeanWait:
 
 class TestStability:
     def test_tight_margins(self):
-        assert check_stability(ClassParams(0.5, 11, 0.05))  # 0.55 > 0.5
-        assert check_stability(ClassParams(2.0, 20, 0.323))
+        assert ClassParams(0.5, 11, 0.05).stable  # 0.55 > 0.5
+        assert ClassParams(2.0, 20, 0.323).stable
 
     def test_equality_is_unstable(self):
-        assert not check_stability(ClassParams(1.0, 2, 0.5))
+        assert not ClassParams(1.0, 2, 0.5).stable
+
+    def test_wait_probability_memoised(self):
+        p = ClassParams(0.7, 9, 0.11)
+        first = wait_probability(p)
+        hits = wait_probability.cache_info().hits
+        assert wait_probability(ClassParams(0.7, 9, 0.11)) == first
+        assert wait_probability.cache_info().hits == hits + 1
+        assert first == wait_probability.__wrapped__(p)
 
     def test_metrics_bundle(self):
         m = queue_metrics(ClassParams(1.0, 2, 1.0))

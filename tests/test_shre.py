@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from ifpw import shre
 from ifpw.errors import NumericalBlowupError
 from ifpw.kernel import KernelParams, kernel_value
 from ifpw.queueing import ClassParams
@@ -71,6 +72,37 @@ class TestConvolution:
         out = convolve_relaying(r, KP, grid, mode="periodic")
         # a spike at cell 0 reaches the last cell across the wrap
         assert out[-1] == pytest.approx(out[1], rel=1e-9)
+
+    def test_cached_spectra_are_read_only(self):
+        a, b, dx = KP.a, KP.b, 0.015
+        for arr in (shre._sampled_kernel(a, b, dx), shre._fft_spectrum(a, b, dx, 1024),
+                    shre._periodic_spectrum(a, b, dx, 128)):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("n", [16, 128, 500, 4096])
+    def test_cached_spectra_equal_fresh_spectra(self, n):
+        # the reference transforms the kernel afresh; the cached spectrum
+        # must give the same bits, also on rings narrower than the kernel
+        # (wrapped several times)
+        grid = GridSpec(dx=0.015, dt=0.5, num_cells=n)
+        k = (KP.b / (KP.a * math.sqrt(math.pi))) * np.exp(
+            -((np.arange(-156, 157) * grid.dx) / KP.a) ** 2)
+        assert k.size == shre._sampled_kernel(KP.a, KP.b, grid.dx).size
+        m = k.size // 2
+        nfft = int(2 ** math.ceil(math.log2(n + k.size)))
+        wrapped = np.zeros(n)
+        np.add.at(wrapped, (np.arange(k.size) - m) % n, k)
+        r = np.random.default_rng(n).uniform(0, 20, n)
+        fft_ref = grid.dx * np.fft.irfft(
+            np.fft.rfft(r, nfft) * np.fft.rfft(k, nfft), nfft)[m:m + n]
+        periodic_ref = grid.dx * np.fft.irfft(np.fft.rfft(r) * np.fft.rfft(wrapped), n)
+        for _ in range(2):  # first call fills the cache, second reads it
+            np.testing.assert_array_equal(
+                convolve_relaying(r, KP, grid, mode="fft"), fft_ref)
+            np.testing.assert_array_equal(
+                convolve_relaying(r, KP, grid, mode="periodic"), periodic_ref)
 
     def test_cell_kernel_matches_uniform_case(self):
         n = 200
