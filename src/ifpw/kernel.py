@@ -209,23 +209,14 @@ def _table() -> list[DensityReferenceRow]:
     return _TABLE_CACHE
 
 
-def lookup_reference(k: float, interpolate: bool = False) -> DensityReferenceRow:
-    """Reference (a, b, n_max) at traffic density k (veh/km).
-
-    Nearest tabulated row by default; with ``interpolate`` the a and b
-    columns are linearly interpolated (n_max stays nearest-row).
-    """
+def lookup_reference(k: float) -> DensityReferenceRow:
+    """Nearest tabulated reference row (a, b, n_max) at traffic density k
+    (veh/km); ``interp_kernel_params`` interpolates a and b instead."""
     rows = _table()
     lo, hi = rows[0].density, rows[-1].density
     if not lo <= k <= hi:
         raise ValueError(f"density {k} outside tabulated range [{lo}, {hi}]")
-    nearest = min(rows, key=lambda r: abs(r.density - k))
-    if not interpolate:
-        return nearest
-    dens = np.array([r.density for r in rows])
-    a = float(np.interp(k, dens, [r.a for r in rows]))
-    b = float(np.interp(k, dens, [r.b for r in rows]))
-    return DensityReferenceRow(density=k, a=a, b=b, n_max=nearest.n_max)
+    return min(rows, key=lambda r: abs(r.density - k))
 
 
 def interp_kernel_params(k_values, rows=None):

@@ -5,8 +5,9 @@ jam density k_jam, derived backward wave speed w_c) drives sending /
 receiving flows per cell interface; total density advances by the
 conservation law and every tracked vehicle class (per information class
 S/H/R/E plus the unequipped class U) is advected proportionally to its
-share of the upstream cell.  A capacity factor field models incidents by
-scaling q_max in both the sending and receiving functions.
+share of the upstream cell, all layers (rows of one array) at once.  A
+capacity factor field models incidents by scaling q_max in both the
+sending and receiving functions.
 
 Units: densities veh/km, flows veh/h, speeds km/h, dt in seconds
 (converted internally).
@@ -66,18 +67,15 @@ class FundamentalDiagram:
 
 @dataclass
 class TrafficState:
-    """Total density plus named per-class density layers.
+    """Total density plus the stacked vehicle-class layers.
 
-    For each information class j the layers S_j/H_j/R_j/E_j together with
-    the shared unequipped layer U partition k_total cell by cell.
+    ``layers`` (L, num_cells) has one row per tracked vehicle class; the
+    rows partition k_total.  ``coupling`` puts the unequipped vehicles U
+    in row 0 and class j's S/H/R/E in rows 1+4j .. 4+4j.
     """
 
     k_total: np.ndarray
-    k_class: dict[str, np.ndarray]
-
-    def copy(self) -> "TrafficState":
-        return TrafficState(self.k_total.copy(),
-                            {z: v.copy() for z, v in self.k_class.items()})
+    layers: np.ndarray
 
 
 def _check_density(k, fd: FundamentalDiagram):
@@ -143,48 +141,41 @@ def advance_total(state: TrafficState, fd: FundamentalDiagram, grid: GridSpec,
 
 
 def split_class_flows(state: TrafficState, flows: np.ndarray, boundary: str,
-                      inflow_fractions: dict[str, float] | None = None
-                      ) -> dict[str, np.ndarray]:
-    """Split each interface flow by the upstream cell's class composition.
+                      inflow_fractions: np.ndarray | None = None) -> np.ndarray:
+    """Split each interface flow by the upstream cell's layer composition.
 
-    q_z = (k_z / k_total) * q; the per-class flows of one partition sum
-    to q exactly.  Empty upstream cells contribute zero (their q is 0).
-    For 'open' inflow the boundary composition comes from
-    ``inflow_fractions`` (default: all flow assigned pro rata to the
-    first cell's composition is wrong for fresh vehicles, so callers
-    pass the ambient composition explicitly).
+    Returns the (L, num_cells+1) layer flows q_z = (k_z / k_total) * q;
+    the rows of one partition sum to q.  Empty upstream cells contribute
+    zero (their q is 0).  Fresh vehicles entering an 'open' road carry
+    the (L,) composition ``inflow_fractions`` (default: none of them is
+    assigned to any layer), not that of the first cell.
     """
     k = state.k_total
-    n = k.size
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = {z: np.where(k > EMPTY_TOL, v / np.where(k > EMPTY_TOL, k, 1.0), 0.0)
-                for z, v in state.k_class.items()}
-    if np.any((k <= EMPTY_TOL) & (flows[1:n + 1] > 0)):
+    occupied = k > EMPTY_TOL
+    if np.any(~occupied & (flows[1:] > 0)):
         raise ValueError("positive outflow from an empty cell")
-    out: dict[str, np.ndarray] = {}
-    for z, f in frac.items():
-        qz = np.empty(n + 1)
-        qz[1:n + 1] = f * flows[1:n + 1]
-        if boundary == "periodic":
-            qz[0] = f[-1] * flows[0]
-        elif boundary == "closed":
-            qz[0] = 0.0
-        else:  # open
-            fin = 0.0 if inflow_fractions is None else inflow_fractions.get(z, 0.0)
-            qz[0] = fin * flows[0]
-        out[z] = qz
+    # in place: (L, N) temporaries past glibc's trim threshold fault every step
+    out = np.empty((len(state.layers), k.size + 1))
+    frac = out[:, 1:]
+    np.divide(state.layers, np.where(occupied, k, 1.0), out=frac)
+    frac[:, ~occupied] = 0.0
+    if boundary == "periodic":
+        out[:, 0] = frac[:, -1] * flows[0]
+    elif boundary == "closed":
+        out[:, 0] = 0.0
+    else:  # open
+        out[:, 0] = (0.0 if inflow_fractions is None else inflow_fractions) * flows[0]
+    frac *= flows[1:]  # the layer shares of the outflows
     return out
 
 
 def update_class_densities(state: TrafficState, new_k_total: np.ndarray,
-                           class_flows: dict[str, np.ndarray],
-                           grid: GridSpec) -> TrafficState:
-    """Advance every class layer by its own conservation law."""
+                           class_flows: np.ndarray, grid: GridSpec) -> TrafficState:
+    """Advance every layer by its own conservation law."""
     dt_h = grid.dt / 3600.0
-    k_class = {}
-    for z, qz in class_flows.items():
-        kz = state.k_class[z] + (dt_h / grid.dx) * (qz[:-1] - qz[1:])
-        if kz.min() < -1e-9:
-            raise ValueError(f"class {z} density went negative: {kz.min():.3e}")
-        k_class[z] = np.clip(kz, 0.0, None)
-    return TrafficState(new_k_total, k_class)
+    layers = state.layers + (dt_h / grid.dx) * (class_flows[:, :-1] - class_flows[:, 1:])
+    if layers.min() < -1e-9:
+        row, cell = np.unravel_index(np.argmin(layers), layers.shape)
+        raise ValueError(f"layer {row} density went negative in cell {cell}: "
+                         f"{layers[row, cell]:.3e}")
+    return TrafficState(new_k_total, np.clip(layers, 0.0, None, out=layers))

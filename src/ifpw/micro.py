@@ -153,7 +153,8 @@ def _queue_wait(rng, cp: ClassParams, now: float) -> float:
 
 def _set_state(states, v, new):
     old = int(states[v])
-    assert (old, new) in _LEGAL, f"illegal transition {old}->{new} for vehicle {v}"
+    if (old, new) not in _LEGAL:
+        raise RuntimeError(f"illegal transition {old}->{new} for vehicle {v}")
     states[v] = new
 
 

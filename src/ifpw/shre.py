@@ -68,27 +68,24 @@ class GridSpec:
 
 @dataclass
 class ClassState:
-    """Per-cell S/H/R/E densities (veh/km) of one information class."""
+    """Per-cell S/H/R/E densities (veh/km) of one information class: the
+    rows of one (4, num_cells) array; ``s``/``h``/``r``/``e`` are views."""
 
-    s: np.ndarray
-    h: np.ndarray
-    r: np.ndarray
-    e: np.ndarray
+    fields: np.ndarray
+
+    s = property(lambda self: self.fields[0])
+    h = property(lambda self: self.fields[1])
+    r = property(lambda self: self.fields[2])
+    e = property(lambda self: self.fields[3])
 
     @classmethod
     def all_susceptible(cls, sigma: float, num_cells: int) -> "ClassState":
-        z = np.zeros(num_cells)
-        return cls(np.full(num_cells, float(sigma)), z.copy(), z.copy(), z.copy())
-
-    def stack(self) -> np.ndarray:
-        return np.stack([self.s, self.h, self.r, self.e])
-
-    @classmethod
-    def from_stack(cls, arr: np.ndarray) -> "ClassState":
-        return cls(arr[0], arr[1], arr[2], arr[3])
+        fields = np.zeros((4, num_cells))
+        fields[0] = sigma
+        return cls(fields)
 
     def copy(self) -> "ClassState":
-        return ClassState(self.s.copy(), self.h.copy(), self.r.copy(), self.e.copy())
+        return ClassState(self.fields.copy())
 
     @property
     def total(self) -> np.ndarray:
@@ -201,17 +198,13 @@ class ShreParams:
         self.xi = queueing.wait_probability(self.class_params)
 
 
-def shre_rhs(state: ClassState, p: ShreParams, grid: GridSpec) -> ClassState:
-    """Time derivative of the four density fields (sums to zero per cell)."""
-    return ClassState.from_stack(_rhs_stacked(state.stack(), p, grid))
-
-
-def _rhs_stacked(arr: np.ndarray, p: ShreParams, grid: GridSpec) -> np.ndarray:
-    s, h, r = arr[0], arr[1], arr[2]
+def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec) -> np.ndarray:
+    """Time derivative of the (4, N) S/H/R/E fields (sums to zero per cell)."""
+    s, h, r = fields[0], fields[1], fields[2]
     cp = p.class_params
     omega = cp.slack
     phi = p.beta * s * convolve_relaying(r, p.kernel, grid, p.conv_mode)
-    out = np.empty_like(arr)
+    out = np.empty_like(fields)
     out[0] = -phi
     out[1] = p.xi * phi - omega * h
     out[2] = (1.0 - p.xi) * phi + omega * h - cp.mu * r
@@ -220,10 +213,10 @@ def _rhs_stacked(arr: np.ndarray, p: ShreParams, grid: GridSpec) -> np.ndarray:
 
 
 def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float) -> np.ndarray:
-    k1 = _rhs_stacked(arr, p, grid)
-    k2 = _rhs_stacked(arr + 0.5 * dt * k1, p, grid)
-    k3 = _rhs_stacked(arr + 0.5 * dt * k2, p, grid)
-    k4 = _rhs_stacked(arr + dt * k3, p, grid)
+    k1 = shre_rhs(arr, p, grid)
+    k2 = shre_rhs(arr + 0.5 * dt * k1, p, grid)
+    k3 = shre_rhs(arr + 0.5 * dt * k2, p, grid)
+    k4 = shre_rhs(arr + dt * k3, p, grid)
     return arr + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -233,11 +226,11 @@ def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec,
 
     If the step produces NaN/inf or densities below the -1e-9 tolerance,
     it is retried with 2, 4, 8, then 16 internal sub-steps before giving
-    up.  Values in (-1e-9, 0) are clamped to 0.
+    up.  Values in (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.
     """
     if dt is None:
         dt = grid.dt
-    arr0 = state.stack()
+    arr0 = state.fields
     for halving in range(MAX_HALVINGS + 1):
         nsub = 2 ** halving
         h = dt / nsub
@@ -250,7 +243,7 @@ def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec,
                 break
         if ok:
             np.clip(arr, 0.0, None, out=arr)
-            return ClassState.from_stack(arr)
+            return ClassState(arr)
     bad = np.argwhere(~np.isfinite(arr) | (arr < NEG_TOL))
     cell = int(bad[0][1]) if bad.size else None
     raise NumericalBlowupError(

@@ -193,22 +193,22 @@ def test_criterion_08_conservation_suite():
     # closed-boundary vehicle conservation over 1e4 CTM steps
     g3 = GridSpec(0.05, 1.0, 50)
     k = np.random.default_rng(2).uniform(0, 300, 50)
-    state = TrafficState(k, {"u": k.copy()})
+    state = TrafficState(k, k.copy()[None])
     veh0 = state.k_total.sum() * g3.dx
     for _ in range(10_000):
         k_new, _ = advance_total(state, FD, g3, boundary="closed")
-        state = TrafficState(k_new, state.k_class)
+        state = TrafficState(k_new, state.layers)
     lwr_err = abs(state.k_total.sum() * g3.dx - veh0)
 
     # Riemann shock speed vs Rankine-Hugoniot over 100 steps
     g4 = GridSpec(0.05, 1.0, 200)
     k = np.where(np.arange(200) < 120, FD.k_crit, FD.k_jam)
-    state = TrafficState(k, {"u": k.copy()})
+    state = TrafficState(k, k.copy()[None])
     thr = 0.5 * (FD.k_crit + FD.k_jam)
     x0 = int(np.argmax(state.k_total > thr))
     for _ in range(100):
         k_new, _ = advance_total(state, FD, g4, boundary="open", demand=FD.q_max)
-        state = TrafficState(k_new, state.k_class)
+        state = TrafficState(k_new, state.layers)
     moved = (int(np.argmax(state.k_total > thr)) - x0) * g4.dx
     rh = -FD.w_c * 100 * g4.dt / 3600.0
     shock_err = abs(moved - rh)

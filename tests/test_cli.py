@@ -74,6 +74,8 @@ class TestRun:
         (("classes", 0, "kernel", "mode"), "bogus"),
         (("classes", 0, "seeds", 0, "cell"), -1),
         (("horizon_s",), 10.3),
+        (("classes", 0, "kernel", "b"), 1.5),
+        (("classes", 0, "kernel"), "table"),
     ])
     def test_bad_scenario_is_config_error(self, tmp_path, capsys, path, value):
         bad = json.loads(json.dumps(RUN_CONFIG))

@@ -67,19 +67,29 @@ JSON_CONFIG = {
 class TestInitialize:
     def test_layer_partition(self):
         world = initialize(make_config())
-        kc = world.traffic.k_class
+        u = world.traffic.layers[0]  # row 0 holds the unequipped vehicles
+        st = world.class_state(0)
         np.testing.assert_allclose(world.traffic.k_total, 40.0)
-        np.testing.assert_allclose(kc["U"], 20.0)  # (1 - 0.5) * 40
-        np.testing.assert_allclose(kc["S0"] + kc["R0"], 20.0)  # W * k0
-        assert kc["R0"][32] == 5.0
-        assert kc["S0"][32] == 15.0
-        np.testing.assert_array_equal(kc["H0"], 0.0)
+        np.testing.assert_allclose(u, 20.0)  # (1 - 0.5) * 40
+        np.testing.assert_allclose(st.s + st.r, 20.0)  # W * k0
+        assert st.r[32] == 5.0
+        assert st.s[32] == 15.0
+        np.testing.assert_array_equal(st.h, 0.0)
+
+    def test_layer_rows(self):
+        cfg = make_config(classes=make_config().classes * 3)
+        world = initialize(cfg)
+        assert world.traffic.layers.shape == (13, 64)
+        for j in range(3):
+            st = world.class_state(j)
+            assert np.shares_memory(st.fields, world.traffic.layers)
+            np.testing.assert_array_equal(st.fields, world.traffic.layers[1 + 4 * j:5 + 4 * j])
 
     def test_full_penetration_has_no_unequipped(self):
         world = initialize(make_config(penetration=1.0))
-        np.testing.assert_array_equal(world.traffic.k_class["U"], 0.0)
-        np.testing.assert_allclose(world.traffic.k_class["S0"] +
-                                   world.traffic.k_class["R0"], 40.0)
+        st = world.class_state(0)
+        np.testing.assert_array_equal(world.traffic.layers[0], 0.0)
+        np.testing.assert_allclose(st.s + st.r, 40.0)
 
     def test_seed_exceeding_equipped_density(self):
         cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
@@ -115,7 +125,7 @@ class TestStep:
             world = step(world, cfg)
         assert world.traffic.k_total.sum() == pytest.approx(total0, abs=1e-8)
         # the class layers still partition the total
-        np.testing.assert_allclose(sum(world.traffic.k_class.values()),
+        np.testing.assert_allclose(world.traffic.layers.sum(axis=0),
                                    world.traffic.k_total, atol=1e-8)
 
     def test_no_seed_is_stationary_information(self):
@@ -124,8 +134,8 @@ class TestStep:
         world = initialize(cfg)
         for _ in range(20):
             world = step(world, cfg)
-        np.testing.assert_array_equal(world.traffic.k_class["R0"], 0.0)
-        np.testing.assert_allclose(world.traffic.k_class["S0"], 20.0, atol=1e-9)
+        np.testing.assert_array_equal(world.class_state(0).r, 0.0)
+        np.testing.assert_allclose(world.class_state(0).s, 20.0, atol=1e-9)
 
     def test_frozen_traffic_reduces_to_pure_reaction(self):
         # at jam density on a ring no vehicle moves, so the coupled step
@@ -274,7 +284,7 @@ class TestOutputFiles:
             v[:len(special)] = special
             return rng.permutation(v)
 
-        snaps = [Snapshot(t, field(), [ClassState(field(), field(), field(), field())
+        snaps = [Snapshot(t, field(), [ClassState(np.array([field() for _ in range(4)]))
                                        for _ in range(2)])
                  for t in (0.0, 0.1 + 0.2, 1.0 / 3.0, 1e5 / 7.0)]
         cfg = make_config(classes=make_config().classes * 2)
@@ -396,6 +406,34 @@ class TestConfigValidation:
     def test_horizon_not_whole_steps(self, horizon):
         with pytest.raises(ConfigurationError, match="horizon"):
             make_config(horizon=horizon)
+
+    @pytest.mark.parametrize("a, b, match", [
+        (None, None, "NoneType"), (0.292, None, "NoneType"),
+        (0.292, 1.5, "mass b"), (-0.1, 0.1, "decay scale")])
+    def test_bad_global_kernel(self, a, b, match):
+        with pytest.raises(ConfigurationError, match="global kernel needs valid a and b"):
+            ClassConfig(0.5, 11, 0.05, a=a, b=b)
+        with pytest.raises(ConfigurationError, match=match):
+            ClassConfig(0.5, 11, 0.05, a=a, b=b)
+        ClassConfig(0.5, 11, 0.05, kernel_mode="table")  # table mode needs neither
+
+    def test_kernel_mode_default(self):
+        # a kernel block without "mode" is global if it gives a_km or b,
+        # and a class without a kernel block is table
+        d = copy.deepcopy(JSON_CONFIG)
+        del d["classes"][0]["kernel"]["mode"]
+        cc = config_from_dict(d).classes[0]
+        assert (cc.kernel_mode, cc.a, cc.b) == ("global", 0.292, 0.499)
+        del d["classes"][0]["kernel"]["b"]
+        with pytest.raises(ConfigurationError, match="'b'"):
+            config_from_dict(d)
+        for kernel in ({}, None):
+            if kernel is None:
+                del d["classes"][0]["kernel"]
+            else:
+                d["classes"][0]["kernel"] = kernel
+            cc = config_from_dict(d).classes[0]
+            assert (cc.kernel_mode, cc.a, cc.b) == ("table", None, None)
 
     def test_whole_step_horizons_accepted(self):
         make_config(horizon=0.0)

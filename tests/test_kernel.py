@@ -127,10 +127,10 @@ class TestReferenceTable:
         assert (row.a, row.b, row.n_max) == (0.258, 0.392, 21)
 
     def test_interpolated_at_exact_row(self):
-        row = lookup_reference(50, interpolate=True)
-        assert row.a == pytest.approx(0.267)
-        assert row.b == pytest.approx(0.434)
-        assert row.n_max == 25
+        (a,), (b,) = interp_kernel_params([50])
+        assert a == pytest.approx(0.267)
+        assert b == pytest.approx(0.434)
+        assert lookup_reference(50).n_max == 25
 
     def test_range_errors(self):
         for k in (5, 101, -3):

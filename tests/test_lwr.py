@@ -3,6 +3,7 @@ import pytest
 
 from ifpw.errors import ConfigurationError
 from ifpw.lwr import (
+    EMPTY_TOL,
     FundamentalDiagram,
     TrafficState,
     advance_total,
@@ -19,9 +20,9 @@ FD = FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=300.0)
 
 
 def make_state(k_total, shares):
-    """Partition k_total into class layers by fixed shares."""
+    """Partition k_total into class layers (rows) by fixed shares."""
     k_total = np.asarray(k_total, dtype=float)
-    return TrafficState(k_total, {z: w * k_total for z, w in shares.items()})
+    return TrafficState(k_total, np.array([w * k_total for w in shares]))
 
 
 class TestFundamentalDiagram:
@@ -78,7 +79,7 @@ class TestAdvanceTotal:
     def test_uniform_free_flow_is_stationary(self):
         # CFL = 1: uniform subcritical density translates onto itself
         grid = GridSpec(dx=0.015, dt=0.5, num_cells=64)
-        state = make_state(np.full(64, 30.0), {"u": 1.0})
+        state = make_state(np.full(64, 30.0), (1.0,))
         k_new, q = advance_total(state, FD, grid, boundary="periodic")
         np.testing.assert_allclose(k_new, 30.0, atol=1e-12)
         np.testing.assert_allclose(q, 108.0 * 30.0)
@@ -86,26 +87,26 @@ class TestAdvanceTotal:
     def test_closed_boundary_conserves_mass(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=50)
         rng = np.random.default_rng(2)
-        state = make_state(rng.uniform(0, 300, 50), {"u": 1.0})
+        state = make_state(rng.uniform(0, 300, 50), (1.0,))
         total0 = state.k_total.sum()
         for _ in range(2000):
             k_new, _ = advance_total(state, FD, grid, boundary="closed")
-            state = TrafficState(k_new, state.k_class)
+            state = TrafficState(k_new, state.layers)
         assert state.k_total.sum() == pytest.approx(total0, abs=1e-9)
 
     def test_periodic_boundary_conserves_mass(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=50)
         rng = np.random.default_rng(3)
-        state = make_state(rng.uniform(0, 300, 50), {"u": 1.0})
+        state = make_state(rng.uniform(0, 300, 50), (1.0,))
         total0 = state.k_total.sum()
         for _ in range(2000):
             k_new, _ = advance_total(state, FD, grid, boundary="periodic")
-            state = TrafficState(k_new, state.k_class)
+            state = TrafficState(k_new, state.layers)
         assert state.k_total.sum() == pytest.approx(total0, abs=1e-9)
 
     def test_open_inflow_fills_empty_road(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=20)
-        state = make_state(np.zeros(20), {"u": 1.0})
+        state = make_state(np.zeros(20), (1.0,))
         k_new, q = advance_total(state, FD, grid, boundary="open", demand=3600.0)
         assert q[0] == pytest.approx(3600.0)
         assert k_new[0] > 0
@@ -115,7 +116,7 @@ class TestAdvanceTotal:
         # queue tail of a jam recedes at the backward wave speed -w_c
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=200)
         k0 = np.where(np.arange(200) < 120, FD.k_crit, FD.k_jam)
-        state = make_state(k0, {"u": 1.0})
+        state = make_state(k0, (1.0,))
         threshold = 0.5 * (FD.k_crit + FD.k_jam)
 
         def front(k):
@@ -126,20 +127,20 @@ class TestAdvanceTotal:
         for _ in range(steps):
             k_new, _ = advance_total(state, FD, grid, boundary="open",
                                      demand=FD.q_max)
-            state = TrafficState(k_new, state.k_class)
+            state = TrafficState(k_new, state.layers)
         moved_km = (front(state.k_total) - x_start) * grid.dx
         expected = -FD.w_c * steps * grid.dt / 3600.0  # Rankine-Hugoniot
         assert abs(moved_km - expected) <= grid.dx  # within one cell
 
     def test_unknown_boundary(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=20)
-        state = make_state(np.full(20, 10.0), {"u": 1.0})
+        state = make_state(np.full(20, 10.0), (1.0,))
         with pytest.raises(ConfigurationError):
             advance_total(state, FD, grid, boundary="reflecting")
 
 
 class TestClassSplit:
-    SHARES = {"s0": 0.25, "r0": 0.25, "u": 0.5}
+    SHARES = (0.25, 0.25, 0.5)  # rows s0, r0, u
 
     def test_class_flows_sum_to_total(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=40)
@@ -147,7 +148,7 @@ class TestClassSplit:
         state = make_state(rng.uniform(1, 290, 40), self.SHARES)
         _, q = advance_total(state, FD, grid, boundary="periodic")
         class_q = split_class_flows(state, q, boundary="periodic")
-        np.testing.assert_allclose(sum(class_q.values()), q, rtol=1e-12)
+        np.testing.assert_allclose(class_q.sum(axis=0), q, rtol=1e-12)
 
     def test_layers_partition_after_update(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=40)
@@ -158,7 +159,7 @@ class TestClassSplit:
             class_q = split_class_flows(state, q, boundary="periodic")
             state = update_class_densities(state, k_new, class_q, grid)
         np.testing.assert_allclose(
-            sum(state.k_class.values()), state.k_total, atol=1e-9)
+            state.layers.sum(axis=0), state.k_total, atol=1e-9)
 
     def test_empty_cells_contribute_zero(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
@@ -167,18 +168,18 @@ class TestClassSplit:
         state = make_state(k, self.SHARES)
         _, q = advance_total(state, FD, grid, boundary="closed")
         class_q = split_class_flows(state, q, boundary="closed")
-        for qz in class_q.values():
+        for qz in class_q:
             assert np.all(np.isfinite(qz))
-        np.testing.assert_allclose(sum(class_q.values()), q, atol=1e-12)
+        np.testing.assert_allclose(class_q.sum(axis=0), q, atol=1e-12)
 
     def test_open_inflow_uses_ambient_composition(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
         state = make_state(np.full(10, 20.0), self.SHARES)
         q = interface_flows(state.k_total, FD, "open", demand=1800.0)
         class_q = split_class_flows(state, q, "open",
-                                    inflow_fractions={"u": 1.0})
-        assert class_q["u"][0] == pytest.approx(q[0])
-        assert class_q["s0"][0] == 0.0
+                                    inflow_fractions=np.array([0.0, 0.0, 1.0]))
+        assert class_q[2][0] == pytest.approx(q[0])
+        assert class_q[0][0] == 0.0
 
     def test_inconsistent_flow_rejected(self):
         state = make_state(np.zeros(10), self.SHARES)
@@ -187,13 +188,71 @@ class TestClassSplit:
         with pytest.raises(ValueError):
             split_class_flows(state, q, boundary="closed")
 
+    def test_negative_layer_names_row_and_cell(self):
+        grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
+        state = make_state(np.full(10, 20.0), self.SHARES)
+        class_q = np.zeros((3, 11))
+        class_q[1, 5] = 1e6  # drains row 1 out of cell 4
+        with pytest.raises(ValueError, match="layer 1 density went negative in cell 4"):
+            update_class_densities(state, state.k_total, class_q, grid)
+
+
+def split_per_layer(state, flows, boundary, inflow_fractions=None):
+    """One layer at a time: the reference for the broadcast split."""
+    k = state.k_total
+    out = []
+    for z, kz in enumerate(state.layers):
+        f = np.where(k > EMPTY_TOL, kz / np.where(k > EMPTY_TOL, k, 1.0), 0.0)
+        qz = np.empty(k.size + 1)
+        qz[1:] = f * flows[1:]
+        if boundary == "periodic":
+            qz[0] = f[-1] * flows[0]
+        elif boundary == "closed":
+            qz[0] = 0.0
+        else:
+            qz[0] = (0.0 if inflow_fractions is None else inflow_fractions[z]) * flows[0]
+        out.append(qz)
+    return np.array(out)
+
+
+def update_per_layer(state, class_flows, grid):
+    """One layer at a time: the reference for the broadcast update."""
+    dt_h = grid.dt / 3600.0
+    return np.array([np.clip(kz + (dt_h / grid.dx) * (qz[:-1] - qz[1:]), 0.0, None)
+                     for kz, qz in zip(state.layers, class_flows)])
+
+
+class TestBroadcastMatchesPerLayer:
+    @pytest.mark.parametrize("boundary, inflow", [
+        ("periodic", None), ("closed", None), ("open", None),
+        ("open", np.array([0.3, 0.7, 0.0, 0.0, 0.0]))])
+    def test_bit_for_bit(self, boundary, inflow):
+        grid = GridSpec(dx=0.05, dt=1.0, num_cells=60)
+        rng = np.random.default_rng(11)
+        k = rng.uniform(0, 290, 60)
+        k[20:26] = 0.0  # empty cells take the zero-share branch
+        shares = rng.dirichlet(np.ones(5), 60).T
+        state = TrafficState(k, shares * k)
+        factor = np.ones(60)
+        factor[40:45] = 1 / 3
+        # 30 steps: a closed road's first cell drains by 0.4 per step and
+        # reaches the empty-cell tolerance after ~34
+        for _ in range(30):
+            k_new, q = advance_total(state, FD, grid, boundary, factor, demand=2000.0)
+            class_q = split_class_flows(state, q, boundary, inflow)
+            want_q = split_per_layer(state, q, boundary, inflow)
+            assert class_q.tobytes() == want_q.tobytes()
+            new = update_class_densities(state, k_new, class_q, grid)
+            assert new.layers.tobytes() == update_per_layer(state, want_q, grid).tobytes()
+            state = new
+
 
 class TestIncident:
     def test_capacity_cut_throttles_interface(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=30)
         factor = np.ones(30)
         factor[10:15] = 1 / 3
-        state = make_state(np.full(30, FD.k_crit), {"u": 1.0})
+        state = make_state(np.full(30, FD.k_crit), (1.0,))
         _, q = advance_total(state, FD, grid, boundary="periodic",
                              capacity_factor=factor)
         assert q[11] == pytest.approx(7200.0 / 3)
@@ -203,7 +262,7 @@ class TestIncident:
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=60)
         factor = np.ones(60)
         factor[40:45] = 1 / 3
-        state = make_state(np.full(60, 50.0), {"u": 1.0})
+        state = make_state(np.full(60, 50.0), (1.0,))
         for _ in range(120):
             k_new, q = advance_total(state, FD, grid, boundary="periodic",
                                      capacity_factor=factor)

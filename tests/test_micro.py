@@ -4,7 +4,10 @@ import pytest
 from ifpw.errors import ConfigurationError
 from ifpw.kernel import KernelParams
 from ifpw.micro import (
+    E,
+    S,
     MicroConfig,
+    _set_state,
     make_positions,
     queue_validation,
     simulate,
@@ -118,6 +121,17 @@ class TestSimulate:
         header = (tmp_path / "informed_fraction.csv").read_text().splitlines()[0]
         assert header == "time_s,informed_fraction_mean,informed_fraction_se"
         assert len(files) == 2
+
+
+class TestTransitions:
+    def test_illegal_transition_raises(self):
+        # an explicit error, not an assert that python -O strips
+        states = np.array([S, E], dtype=np.int8)
+        with pytest.raises(RuntimeError, match="illegal transition"):
+            _set_state(states, 0, E)
+        with pytest.raises(RuntimeError, match="for vehicle 1"):
+            _set_state(states, 1, S)
+        np.testing.assert_array_equal(states, [S, E])
 
 
 class TestQueueValidation:

@@ -122,15 +122,15 @@ PARAMS = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
 class TestRhs:
     def test_all_quiet(self):
         state = ClassState.all_susceptible(20.0, GRID.num_cells)
-        d = shre_rhs(state, PARAMS, GRID)
+        d = ClassState(shre_rhs(state.fields, PARAMS, GRID))
         for f in (d.s, d.h, d.r, d.e):
             np.testing.assert_array_equal(f, 0.0)
 
     def test_pure_decay(self):
         z = np.zeros(GRID.num_cells)
         r = np.full(GRID.num_cells, 4.0)
-        state = ClassState(z.copy(), z.copy(), r, z.copy())
-        d = shre_rhs(state, PARAMS, GRID)
+        state = ClassState(np.array([z, z, r, z]))
+        d = ClassState(shre_rhs(state.fields, PARAMS, GRID))
         np.testing.assert_allclose(d.e, 0.05 * 4.0)
         np.testing.assert_allclose(d.r, -0.05 * 4.0)
         np.testing.assert_array_equal(d.s, 0.0)
@@ -138,8 +138,8 @@ class TestRhs:
 
     def test_sums_to_zero(self):
         rng = np.random.default_rng(8)
-        state = ClassState(*(rng.uniform(0, 5, (4, GRID.num_cells))))
-        d = shre_rhs(state, PARAMS, GRID)
+        state = ClassState(rng.uniform(0, 5, (4, GRID.num_cells)))
+        d = ClassState(shre_rhs(state.fields, PARAMS, GRID))
         np.testing.assert_allclose(d.s + d.h + d.r + d.e, 0.0, atol=1e-12)
 
     def test_vanishing_queue_matches_three_compartment_model(self):
@@ -176,7 +176,7 @@ class TestRk4:
 
     def test_pure_decay_is_exponential(self):
         z = np.zeros(GRID.num_cells)
-        state = ClassState(z.copy(), z.copy(), np.full(GRID.num_cells, 4.0), z.copy())
+        state = ClassState(np.array([z, z, np.full(GRID.num_cells, 4.0), z]))
         out = rk4_step(state, PARAMS, GRID)
         exact = 4.0 * math.exp(-0.05 * GRID.dt)
         # one RK4 step of a linear decay: error O(dt^5)
@@ -194,9 +194,9 @@ class TestRk4:
                 cur = rk4_step(cur, p, grid, dt=dt)
             return cur
 
-        ref = err(2.0 / 2048, 2048).stack()
-        e1 = np.abs(err(2.0 / 32, 32).stack() - ref).max()
-        e2 = np.abs(err(2.0 / 64, 64).stack() - ref).max()
+        ref = err(2.0 / 2048, 2048).fields
+        e1 = np.abs(err(2.0 / 32, 32).fields - ref).max()
+        e2 = np.abs(err(2.0 / 64, 64).fields - ref).max()
         assert e1 / e2 > 10  # ~16x for a 4th-order scheme
 
     def test_conservation_long_run(self):
