@@ -145,13 +145,15 @@ def split_class_flows(state: TrafficState, flows: np.ndarray, boundary: str,
     """Split each interface flow by the upstream cell's layer composition.
 
     Returns the (L, num_cells+1) layer flows q_z = (k_z / k_total) * q;
-    the rows of one partition sum to q.  Empty upstream cells contribute
-    zero (their q is 0).  Fresh vehicles entering an 'open' road carry
+    the rows of one partition sum to q.  Only a cell with no vehicles at
+    all counts as empty: it must send nothing, and its shares are zero.  A
+    draining cell keeps sending ``v_f * k`` however small ``k`` gets, split
+    by its own composition.  Fresh vehicles entering an 'open' road carry
     the (L,) composition ``inflow_fractions`` (default: none of them is
     assigned to any layer), not that of the first cell.
     """
     k = state.k_total
-    occupied = k > EMPTY_TOL
+    occupied = k > 0.0
     if np.any(~occupied & (flows[1:] > 0)):
         raise ValueError("positive outflow from an empty cell")
     # in place: (L, N) temporaries past glibc's trim threshold fault every step

@@ -9,16 +9,29 @@ the vehicle holds the packet while it waits, relays while it is in
 service, and is excluded once service completes.  Allowed transitions
 are S->H, S->R, H->R, R->E only.
 
-Replications use independent RNG streams spawned from the master seed,
-so results are reproducible and aggregation is order-independent.
+All replications of a batch advance together as (replications, vehicles)
+state arrays, with one matrix product per tick for the receptions.
+
+RNG streams: replication i draws from its own generator, spawned by
+index from the master seed, in an order fixed by its own trajectory
+alone: first one service time per vehicle, then one uniform per vehicle
+and tick, drawn a block of ``_BLOCK_TICKS`` ticks at a time, with the
+background-queue draws of each reception (in tick, then vehicle order)
+between the blocks.  A tick's uniform gives a relaying vehicle its
+Poisson shot count (by inverse CDF) and decides a susceptible vehicle's
+reception.  So replication i's curve does not depend on the replication
+count, on ``workers`` or on the other replications.
 """
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import pdtr
 
 from .errors import ConfigurationError
 from .kernel import KernelParams, kernel_value
@@ -33,7 +46,19 @@ __all__ = [
 ]
 
 S, H, R, E = 0, 1, 2, 3
-_LEGAL = {(S, H), (S, R), (H, R), (R, E)}
+_LEGAL = np.zeros((4, 4), dtype=bool)  # [old, new]
+_LEGAL[S, H] = _LEGAL[S, R] = _LEGAL[H, R] = _LEGAL[R, E] = True
+
+_BLOCK_TICKS = 4  # ticks of uniforms drawn at once per replication
+# replications per batch: a batch runs until its last replication dies out
+# and its reception matmul grows with it, so 500 replications ran ~20 %
+# faster as 64-replication batches than as one
+_MAX_BATCH = 64
+# the tick bound keeps beta*tick <= 0.1, where P(16 or more shots) < 1e-29
+_MAX_SHOTS = 16
+# log(1 - P) for certain reception (P = 1): finite, so a zero shot count
+# adds 0 (not 0 * -inf = NaN), and any shot still makes exp() exactly 0
+_LOG_CERTAIN = -1e3
 
 
 @dataclass(frozen=True)
@@ -64,6 +89,8 @@ class MicroConfig:
         n = len(self.positions)
         if any(not 0 <= i < n for i in self.seeds):
             raise ConfigurationError("seed index out of range")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigurationError("seed index repeated")
         if self.ring_length is not None and max(self.positions) > self.ring_length:
             raise ConfigurationError("vehicle position beyond ring length")
 
@@ -137,109 +164,157 @@ def _queue_wait(rng, cp: ClassParams, now: float) -> float:
     The queue's background history is reconstructed over a warmup window
     long enough (50 relaxation times) that the state at `now` is
     effectively stationary, using the standard multi-server recursion on
-    server-free times.
+    server-free times.  The window's Poisson arrivals are drawn as a
+    Poisson count of uniform times, each with an exponential service.
     """
     warm = 50.0 / cp.slack
-    tau = now - warm
-    free = np.full(cp.n_servers, tau)  # all servers idle at the window start
-    while True:
-        tau += rng.exponential(1.0 / cp.lam)
-        if tau >= now:
-            break
-        i = int(np.argmin(free))
-        free[i] = max(tau, free[i]) + rng.exponential(1.0 / cp.mu)
-    return max(0.0, float(free.min()) - now)
+    count = rng.poisson(cp.lam * warm)
+    arrivals = np.sort(rng.uniform(now - warm, now, count)).tolist()
+    services = rng.exponential(1.0 / cp.mu, count).tolist()
+    free = [now - warm] * cp.n_servers  # all servers idle at the window start
+    for arrival, service in zip(arrivals, services):
+        i = free.index(min(free))
+        free[i] = max(arrival, free[i]) + service
+    return max(0.0, min(free) - now)
 
 
-def _set_state(states, v, new):
-    old = int(states[v])
-    if (old, new) not in _LEGAL:
-        raise RuntimeError(f"illegal transition {old}->{new} for vehicle {v}")
-    states[v] = new
+def _transition(states, where, new):
+    """Move the vehicles at ``where`` (replication and vehicle index
+    arrays, as from ``np.nonzero``) to state ``new``, all at once."""
+    old = states[where]
+    legal = _LEGAL[old, new]
+    if not legal.all():
+        i = int(np.argmin(legal))
+        raise RuntimeError(f"illegal transition {old[i]}->{new} for vehicle "
+                           f"{where[1][i]} in replication {where[0][i]}")
+    states[where] = new
 
 
-def _one_replication(args):
-    config, seed_seq = args
-    rng = np.random.default_rng(seed_seq)
+def _num_ticks(config: MicroConfig) -> int:
+    return int(round(config.horizon / config.tick))
+
+
+def _bin_edges(config: MicroConfig) -> np.ndarray:
+    return np.linspace(0.0, config.ring_length or max(config.positions),
+                       config.num_bins + 1)
+
+
+def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
+    """Advance one replication per stream, all as one (reps, N) state.
+
+    Returns the (reps, records) informed-fraction curves and the end-state
+    histograms summed over the replications.
+    """
+    rngs = [np.random.default_rng(s) for s in streams]
     cp = config.class_params
     n = len(config.positions)
-    pair = _pair_probs(config)
-    states = np.full(n, S, dtype=np.int8)
-    t_relay = np.full(n, np.inf)  # when a holding vehicle starts relaying
-    t_exclude = np.full(n, np.inf)
-    for v in config.seeds:
-        _set_state(states, v, R)
-        t_exclude[v] = rng.exponential(1.0 / cp.mu)
+    log_keep = _pair_probs(config)  # becomes log P(one shot misses), per pair
+    certain = log_keep == 1.0
+    np.log1p(-log_keep, out=log_keep, where=~certain)
+    log_keep[certain] = _LOG_CERTAIN
+    shots_cdf = pdtr(np.arange(_MAX_SHOTS), config.beta * config.tick)
+    service = np.stack([rng.exponential(1.0 / cp.mu, n) for rng in rngs])
+    states = np.full(service.shape, S, dtype=np.int8)
+    t_relay = np.full(service.shape, np.inf)  # when a holding vehicle starts relaying
+    t_exclude = np.full(service.shape, np.inf)
+    seeds = list(config.seeds)
+    states[:, seeds] = R
+    t_exclude[:, seeds] = service[:, seeds]
+    next_relay, next_exclude = np.inf, t_exclude.min()  # next scheduled transitions
 
-    num_ticks = int(round(config.horizon / config.tick))
-    rec_idx = range(0, num_ticks + 1, config.record_every)
-    informed = np.empty(len(rec_idx))
-    informed[0] = np.mean(states != S)
+    num_ticks = _num_ticks(config)
+    informed = np.empty((len(rngs), num_ticks // config.record_every + 1))
+    informed[:, 0] = np.mean(states != S, axis=1)
     rec_pos = 1
+    uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))  # per vehicle and tick
 
     for tick in range(num_ticks):
+        k = tick % _BLOCK_TICKS
+        if k == 0:
+            for rng, u in zip(rngs, uniforms):
+                rng.random(out=u)
         t = tick * config.tick
         t_next = t + config.tick
         # scheduled transitions due inside this tick
-        for v in np.flatnonzero(t_relay <= t_next):
-            _set_state(states, v, R)
-            t_exclude[v] = t_relay[v] + rng.exponential(1.0 / cp.mu)
-            t_relay[v] = np.inf
-        for v in np.flatnonzero(t_exclude <= t_next):
-            if t_exclude[v] >= t_relay[v]:
-                continue  # relaying hasn't started yet (stale entry)
-            _set_state(states, v, E)
-            t_exclude[v] = np.inf
+        if next_relay <= t_next:
+            due = np.nonzero(t_relay <= t_next)
+            _transition(states, due, R)
+            t_exclude[due] = t_relay[due] + service[due]
+            t_relay[due] = np.inf
+            next_relay, next_exclude = t_relay.min(), t_exclude.min()
+        if next_exclude <= t_next:
+            due = np.nonzero(t_exclude <= t_next)
+            _transition(states, due, E)
+            t_exclude[due] = np.inf
+            next_exclude = t_exclude.min()
+        if next_relay == next_exclude == np.inf:
+            break  # no vehicle holds a packet or relays: nothing changes any more
 
-        relayers = np.flatnonzero(states == R)
-        sus = np.flatnonzero(states == S)
-        if relayers.size and sus.size:
-            shots = rng.poisson(config.beta * config.tick, relayers.size)
-            active = relayers[shots > 0]
-            if active.size:
-                # P(at least one reception) per susceptible across all shots
-                miss = np.prod((1.0 - pair[np.ix_(active, sus)])
-                               ** shots[shots > 0][:, None], axis=0)
-                hit = sus[rng.random(sus.size) < 1.0 - miss]
-                for v in hit:
-                    w = _queue_wait(rng, cp, t)
-                    if w > 0.0:
-                        _set_state(states, v, H)
-                        t_relay[v] = t + w
-                    else:
-                        _set_state(states, v, R)
-                        t_exclude[v] = t + rng.exponential(1.0 / cp.mu)
+        # a relayer's uniform gives its shot count, a susceptible's its reception
+        u = uniforms[:, k]
+        fired = (states == R) & (u >= shots_cdf[0])
+        cols = np.flatnonzero(fired.any(axis=0))
+        if cols.size:
+            # Poisson shot counts by inverse CDF, then P(at least one
+            # reception) per vehicle across all shots of all relayers
+            sub = fired[:, cols]
+            shots = np.zeros(sub.shape)
+            shots[sub] = np.searchsorted(shots_cdf, u[:, cols][sub], side="right")
+            p_hit = -np.expm1(shots @ log_keep[cols])
+            rows, vehicles = np.nonzero((states == S) & (u < p_hit))
+            if rows.size:
+                waits = np.array([_queue_wait(rngs[r], cp, t) for r in rows])
+                held = waits > 0.0
+                hold = rows[held], vehicles[held]
+                _transition(states, hold, H)
+                t_relay[hold] = t + waits[held]
+                relay = rows[~held], vehicles[~held]
+                _transition(states, relay, R)
+                t_exclude[relay] = t + service[relay]
+                next_relay, next_exclude = t_relay.min(), t_exclude.min()
 
-        if (tick + 1) % config.record_every == 0 and rec_pos < informed.size:
-            informed[rec_pos] = np.mean(states != S)
+        if (tick + 1) % config.record_every == 0 and rec_pos < informed.shape[1]:
+            informed[:, rec_pos] = np.mean(states != S, axis=1)
             rec_pos += 1
+    informed[:, rec_pos:] = np.mean(states != S, axis=1)[:, None]
 
-    edges = np.linspace(0.0, config.ring_length or max(config.positions),
-                        config.num_bins + 1)
-    x = np.asarray(config.positions)
-    hists = {name: np.histogram(x[states == st], bins=edges)[0]
+    x = np.broadcast_to(np.asarray(config.positions, dtype=float), states.shape)
+    hists = {name: np.histogram(x[states == st], bins=_bin_edges(config))[0]
              for name, st in (("s", S), ("h", H), ("r", R), ("e", E))}
-    times = np.array([i * config.tick for i in rec_idx])
-    return times, informed, hists
+    return informed, hists
+
+
+def _one_replication(args) -> tuple[np.ndarray, dict]:
+    """One replication alone, from a ``(config, seed sequence)`` pair: its
+    curve and end-state histograms, the same as its row of any batch."""
+    config, stream = args
+    curves, hists = _run_batch(config, [stream])
+    return curves[0], hists
 
 
 def simulate(config: MicroConfig, workers: int | None = None) -> MicroResult:
-    """Ensemble of replications; returns averaged trajectories and histograms."""
-    streams = np.random.SeedSequence(config.rng_seed).spawn(config.replications)
-    jobs = [(config, s) for s in streams]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_one_replication, jobs))
-    else:
-        results = [_one_replication(j) for j in jobs]
+    """Ensemble of replications; returns averaged trajectories and histograms.
 
-    times = results[0][0]
-    curves = np.stack([r[1] for r in results])
-    reps = curves.shape[0]
+    The replications run in contiguous chunks of at most ``_MAX_BATCH``,
+    each advanced as one batch; with ``workers`` > 1 the chunks (at least
+    one per worker) run in a pool of that many processes.  The result
+    does not depend on the split.
+    """
+    streams = np.random.SeedSequence(config.rng_seed).spawn(config.replications)
+    reps = len(streams)
+    size = min(_MAX_BATCH, math.ceil(reps / max(workers or 1, 1)))
+    chunks = [streams[i:i + size] for i in range(0, reps, size)]
+    if workers is not None and workers > 1 and len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            results = list(pool.map(_run_batch, [config] * len(chunks), chunks))
+    else:
+        results = [_run_batch(config, chunk) for chunk in chunks]
+
+    curves = np.concatenate([r[0] for r in results])
+    times = np.arange(0, _num_ticks(config) + 1, config.record_every) * config.tick
     se = curves.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(times)
-    edges = np.linspace(0.0, config.ring_length or max(config.positions),
-                        config.num_bins + 1)
-    hists = {name: np.mean([r[2][name] for r in results], axis=0)
+    hists = {name: sum(r[1][name] for r in results) / reps
              for name in ("s", "h", "r", "e")}
     return MicroResult(
         times=times,
@@ -247,7 +322,7 @@ def simulate(config: MicroConfig, workers: int | None = None) -> MicroResult:
         informed_mean=curves.mean(axis=0),
         informed_se=se,
         final_fractions=curves[:, -1],
-        bin_edges=edges,
+        bin_edges=_bin_edges(config),
         state_histograms=hists,
     )
 

@@ -231,6 +231,15 @@ class TestOracle:
         assert code == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["rng_seed"] == 99
 
+    def test_threads_write_identical_csvs(self, tmp_path):
+        cfg = write_json(tmp_path, "oracle.json", dict(ORACLE_CONFIG, replications=3))
+        for threads in ("1", "2"):
+            code = main(["oracle", "--config", cfg, "--out", str(tmp_path / threads),
+                         "--threads", threads])
+            assert code == EXIT_OK
+        for name in ("informed_fraction.csv", "state_histograms.csv"):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
     def test_bad_oracle_config(self, tmp_path):
         bad = dict(ORACLE_CONFIG)
         del bad["beta_hz"]

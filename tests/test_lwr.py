@@ -3,7 +3,6 @@ import pytest
 
 from ifpw.errors import ConfigurationError
 from ifpw.lwr import (
-    EMPTY_TOL,
     FundamentalDiagram,
     TrafficState,
     advance_total,
@@ -188,6 +187,23 @@ class TestClassSplit:
         with pytest.raises(ValueError):
             split_class_flows(state, q, boundary="closed")
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_draining_cell_keeps_sending(self, seed):
+        # the first cell of a closed road only drains: its density falls
+        # through (0, 1e-12] while it still sends v_f * k > 0
+        grid = GridSpec(dx=0.05, dt=1.0, num_cells=60)
+        rng = np.random.default_rng(seed)
+        k = rng.uniform(0, 290, 60)
+        state = TrafficState(k, rng.dirichlet(np.ones(3), 60).T * k)
+        for _ in range(200):
+            k_new, q = advance_total(state, FD, grid, boundary="closed")
+            class_q = split_class_flows(state, q, boundary="closed")
+            np.testing.assert_allclose(class_q.sum(axis=0), q, rtol=1e-12)
+            state = update_class_densities(state, k_new, class_q, grid)
+        assert 0.0 < state.k_total[0] < 1e-30
+        np.testing.assert_allclose(state.layers.sum(axis=0), state.k_total,
+                                   rtol=1e-9, atol=1e-9)
+
     def test_negative_layer_names_row_and_cell(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
         state = make_state(np.full(10, 20.0), self.SHARES)
@@ -202,7 +218,7 @@ def split_per_layer(state, flows, boundary, inflow_fractions=None):
     k = state.k_total
     out = []
     for z, kz in enumerate(state.layers):
-        f = np.where(k > EMPTY_TOL, kz / np.where(k > EMPTY_TOL, k, 1.0), 0.0)
+        f = np.where(k > 0.0, kz / np.where(k > 0.0, k, 1.0), 0.0)
         qz = np.empty(k.size + 1)
         qz[1:] = f * flows[1:]
         if boundary == "periodic":
@@ -235,9 +251,9 @@ class TestBroadcastMatchesPerLayer:
         state = TrafficState(k, shares * k)
         factor = np.ones(60)
         factor[40:45] = 1 / 3
-        # 30 steps: a closed road's first cell drains by 0.4 per step and
-        # reaches the empty-cell tolerance after ~34
-        for _ in range(30):
+        # 60 steps: a closed road's first cell keeps 0.4 of its density per
+        # step and falls below 1e-12 veh/km after ~34
+        for _ in range(60):
             k_new, q = advance_total(state, FD, grid, boundary, factor, demand=2000.0)
             class_q = split_class_flows(state, q, boundary, inflow)
             want_q = split_per_layer(state, q, boundary, inflow)

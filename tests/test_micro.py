@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+from ifpw import micro
 from ifpw.errors import ConfigurationError
 from ifpw.kernel import KernelParams
 from ifpw.micro import (
     E,
+    R,
     S,
     MicroConfig,
-    _set_state,
+    _one_replication,
+    _pair_probs,
+    _queue_wait,
+    _transition,
     make_positions,
     queue_validation,
     simulate,
@@ -63,6 +68,10 @@ class TestConfig:
     def test_seed_out_of_range(self):
         with pytest.raises(ConfigurationError):
             tiny_config(seeds=(99,))
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="repeated"):
+            tiny_config(seeds=(3, 5, 3))
 
     def test_position_beyond_ring(self):
         with pytest.raises(ConfigurationError):
@@ -126,12 +135,74 @@ class TestSimulate:
 class TestTransitions:
     def test_illegal_transition_raises(self):
         # an explicit error, not an assert that python -O strips
-        states = np.array([S, E], dtype=np.int8)
+        states = np.array([[S, E]], dtype=np.int8)
         with pytest.raises(RuntimeError, match="illegal transition"):
-            _set_state(states, 0, E)
-        with pytest.raises(RuntimeError, match="for vehicle 1"):
-            _set_state(states, 1, S)
-        np.testing.assert_array_equal(states, [S, E])
+            _transition(states, np.nonzero([[True, False]]), E)
+        with pytest.raises(RuntimeError, match="for vehicle 1 in replication 0"):
+            _transition(states, np.nonzero([[False, True]]), S)
+        np.testing.assert_array_equal(states, [[S, E]])
+
+    def test_batch_moves_all_or_nothing(self):
+        states = np.array([[S, S], [S, E]], dtype=np.int8)
+        with pytest.raises(RuntimeError, match="vehicle 1 in replication 1"):
+            _transition(states, np.nonzero([[True, False], [False, True]]), R)
+        np.testing.assert_array_equal(states, [[S, S], [S, E]])
+        _transition(states, np.nonzero([[True, True], [True, False]]), R)
+        np.testing.assert_array_equal(states, [[R, R], [R, E]])
+
+
+class TestRngStreams:
+    """Replication i draws only from its own stream, spawned by index."""
+
+    def test_fewer_replications_are_a_prefix(self):
+        few = simulate(tiny_config(replications=3))
+        many = simulate(tiny_config(replications=7))
+        np.testing.assert_array_equal(few.curves, many.curves[:3])
+
+    def test_replication_alone_equals_its_row(self):
+        cfg = tiny_config(replications=4)
+        batch = simulate(cfg)
+        streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
+        for i in (0, 3):
+            curve, _ = _one_replication((cfg, streams[i]))
+            np.testing.assert_array_equal(curve, batch.curves[i])
+
+    def test_batch_size_does_not_matter(self, monkeypatch):
+        cfg = tiny_config(replications=5)
+        whole = simulate(cfg)
+        monkeypatch.setattr(micro, "_MAX_BATCH", 2)
+        split = simulate(cfg)
+        np.testing.assert_array_equal(split.curves, whole.curves)
+        for name, counts in whole.state_histograms.items():
+            np.testing.assert_array_equal(split.state_histograms[name], counts)
+
+    def test_workers_match_one_batch(self):
+        cfg = tiny_config(replications=5)
+        serial = simulate(cfg)
+        pooled = simulate(cfg, workers=2)
+        np.testing.assert_array_equal(pooled.curves, serial.curves)
+        for name, counts in serial.state_histograms.items():
+            np.testing.assert_array_equal(pooled.state_histograms[name], counts)
+
+
+class TestCertainReception:
+    # a 0.1 km ring under a 0.3 km kernel: the periodized kernel sums to
+    # ~b/L = 5, clipped to a reception probability of exactly 1
+    def config(self):
+        return tiny_config(positions=tuple(make_positions(0.1, 8)), ring_length=0.1,
+                           seeds=(0,), horizon=10.0, record_every=1, replications=6)
+
+    def test_probability_clipped_to_one(self):
+        p = _pair_probs(self.config())
+        np.testing.assert_array_equal(p[~np.eye(8, dtype=bool)], 1.0)
+
+    def test_first_shot_informs_everyone(self):
+        res = simulate(self.config())
+        assert not np.isnan(res.curves).any()
+        # one shot reaches every susceptible vehicle at once: the fraction
+        # jumps from the seed alone to all, never in between
+        assert set(np.unique(res.curves)) <= {1 / 8, 1.0}
+        assert np.any(res.final_fractions == 1.0)
 
 
 class TestQueueValidation:
@@ -146,6 +217,15 @@ class TestQueueValidation:
         waits = queue_validation(p, 40_000, rng_seed=2)
         assert float(np.mean(waits > 0)) == pytest.approx(
             wait_probability(p), abs=0.02)
+
+    def test_oracle_reconstruction_matches_erlang_c(self):
+        # each reception's rebuilt background queue sees the stationary
+        # M/M/n law: P(wait > 0) = xi and the mean wait
+        p = ClassParams(1.0, 2, 1.0)
+        rng = np.random.default_rng(4)
+        waits = np.array([_queue_wait(rng, p, 100.0) for _ in range(10_000)])
+        assert float(np.mean(waits > 0)) == pytest.approx(wait_probability(p), abs=0.02)
+        assert float(waits.mean()) == pytest.approx(mean_waiting_time(p), abs=0.03)
 
     def test_mean_wait(self):
         p = ClassParams(1.0, 2, 1.0)
