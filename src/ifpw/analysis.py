@@ -221,13 +221,14 @@ def _sweep_point(args):
     from . import coupling  # local import keeps worker pickling simple
 
     base_cfg, n, mu, t1, t2, reference = args
-    cfg = coupling.config_with_class_override(base_cfg, n_servers=n, mu=mu)
-    cp = ClassParams(cfg.classes[0].lam, n, mu)
+    # an unstable class is rejected by the config, so test it first
+    cp = ClassParams(base_cfg.classes[0].lam, n, mu)
     if not cp.stable:
         return SweepRow(n_servers=n, mu=mu, stable=False)
+    cfg = coupling.config_with_class_override(base_cfg, n_servers=n, mu=mu)
     try:
         out = coupling.run(cfg)
-        sigma = cfg.penetration * cfg.k0
+        sigma = cfg.sigma
         g = gamma(cfg.beta, out.kernel_mass[0], sigma, mu)
         snap1 = out.snapshot_at(t1)
         snap2 = out.snapshot_at(t2)

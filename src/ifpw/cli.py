@@ -91,8 +91,11 @@ def cmd_calibrate(args) -> int:
     print(f"b = {kp.b:.6f}")
     print(f"r_squared = {r2:.6f}")
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump({"a_km": kp.a, "b": kp.b, "r_squared": r2}, fh, indent=2)
+        try:
+            with open(args.out, "w") as fh:
+                json.dump({"a_km": kp.a, "b": kp.b, "r_squared": r2}, fh, indent=2)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc}", EXIT_DOMAIN)
         print(f"saved to {args.out}")
     return EXIT_OK
 
@@ -156,16 +159,21 @@ def cmd_sweep(args) -> int:
         return _fail(str(exc), EXIT_DOMAIN)
     if all(not r.stable for r in rows):
         return _fail("all sweep points are unstable", EXIT_DOMAIN)
-    with open(args.out, "w") as fh:
-        fh.write("n_servers,mu_per_s,stable,gamma,alpha_star,spread,"
-                 "c_forward_km_h,c_backward_km_h,mean_wait_s,error\n")
-        for r in rows:
-            def fmt(v):
-                return "" if v is None else f"{v:.9g}"
-            fh.write(f"{r.n_servers},{r.mu:.9g},{int(r.stable)},{fmt(r.gamma)},"
-                     f"{fmt(r.alpha_star)},{fmt(r.spread)},{fmt(r.c_forward)},"
-                     f"{fmt(r.c_backward)},{fmt(r.mean_wait)},"
-                     f"{r.error or ''}\n")
+
+    def fmt(v):
+        return "" if v is None else f"{v:.9g}"
+
+    try:
+        with open(args.out, "w") as fh:
+            fh.write("n_servers,mu_per_s,stable,gamma,alpha_star,spread,"
+                     "c_forward_km_h,c_backward_km_h,mean_wait_s,error\n")
+            for r in rows:
+                fh.write(f"{r.n_servers},{r.mu:.9g},{int(r.stable)},{fmt(r.gamma)},"
+                         f"{fmt(r.alpha_star)},{fmt(r.spread)},{fmt(r.c_forward)},"
+                         f"{fmt(r.c_backward)},{fmt(r.mean_wait)},"
+                         f"{r.error or ''}\n")
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", EXIT_DOMAIN)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
 
@@ -210,16 +218,18 @@ def cmd_oracle(args) -> int:
         result = micro.simulate(cfg, workers=args.threads)
     except Exception as exc:
         return _fail(str(exc), EXIT_DOMAIN)
-    files = micro.write_result_csv(result, args.out)
-    manifest = {
-        "replications": cfg.replications,
-        "rng_seed": cfg.rng_seed,
-        "final_informed_fraction_mean": result.final_mean,
-        "final_informed_fraction_se": result.final_se,
-        "files": [os.path.basename(f) for f in files],
-    }
-    with open(os.path.join(args.out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2)
+    try:
+        files = micro.write_result_csv(result, args.out)
+        with open(os.path.join(args.out, "manifest.json"), "w") as fh:
+            json.dump({
+                "replications": cfg.replications,
+                "rng_seed": cfg.rng_seed,
+                "final_informed_fraction_mean": result.final_mean,
+                "final_informed_fraction_se": result.final_se,
+                "files": [os.path.basename(f) for f in files],
+            }, fh, indent=2)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", EXIT_DOMAIN)
     print(f"final informed fraction {result.final_mean:.4f} "
           f"+- {result.final_se:.4f} ({cfg.replications} replications)")
     return EXIT_OK

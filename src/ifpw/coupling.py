@@ -4,10 +4,10 @@ Each step (i) advances the total traffic density by cell transmission,
 (ii) splits the interface flows by the upstream class composition,
 (iii) advects every class layer with its share, and (iv) applies one RK4
 step of the SHRE reaction per information class on the post-advection
-densities.  The class layers inside the traffic state are the single
-source of truth: ``TrafficState.layers`` is one (1 + 4C, N) array whose
-row 0 holds the unequipped vehicles (U) and rows 1+4j .. 4+4j the S/H/R/E
-densities of information class j; the SHRE step reads a class's rows.
+densities.  The state is two arrays: the total density ``k_total`` (N,)
+and ``layers`` (4C, N), whose rows 4j .. 4j+3 hold the S/H/R/E densities
+of information class j.  They are the single source of truth: the traffic
+step advects every row, and the SHRE step reads a class's four rows.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from . import kernel as kern
 from . import lwr, shre
 from .errors import ConfigurationError
 from .kernel import KernelParams
-from .lwr import FundamentalDiagram, TrafficState
+from .lwr import FundamentalDiagram
 from .queueing import ClassParams
 from .shre import CellKernel, ClassState, GridSpec, ShreParams
 
@@ -121,13 +121,24 @@ class ScenarioConfig:
                 f"horizon {self.horizon} s is not a non-negative whole number of "
                 f"dt={self.grid.dt} s steps")
         n = self.grid.num_cells
+        sigma = self.sigma
         for c in self.classes:
             if not c.params.stable:
                 raise ConfigurationError(
                     f"class (lambda={c.lam}, n={c.n_servers}, mu={c.mu}) is unstable")
-            for cell, _density in c.seeds:
+            seeded = {}  # cell -> density seeded so far
+            for cell, density in c.seeds:
                 if not 0 <= cell < n:
                     raise ConfigurationError(f"seed cell {cell} outside [0, {n})")
+                if not density >= 0:  # also rejects NaN
+                    raise ConfigurationError(
+                        f"seed density {density} veh/km in cell {cell} is not a "
+                        f"non-negative number")
+                seeded[cell] = seeded.get(cell, 0.0) + density
+                if seeded[cell] > sigma + 1e-12:
+                    raise ConfigurationError(
+                        f"seeds total {seeded[cell]} veh/km in cell {cell}, more than "
+                        f"the equipped density {sigma}")
 
     @property
     def sigma(self) -> float:
@@ -153,33 +164,29 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-# The row layout of TrafficState.layers is written only in these three functions.
+# The row layout of WorldState.layers is written only in these two functions.
 def _fresh_layers(config: ScenarioConfig, num_cells: int, density: float) -> np.ndarray:
-    """Layers of ``density`` veh/km of uninformed traffic."""
-    layers = np.zeros((1 + 4 * len(config.classes), num_cells))
-    layers[0] = (1 - config.penetration) * density
+    """Layers of ``density`` veh/km of uninformed traffic: each class's
+    equipped share in its S row."""
+    layers = np.zeros((4 * len(config.classes), num_cells))
     _class_fields(layers)[:, 0] = config.penetration * density
     return layers
 
 
 def _class_fields(layers: np.ndarray) -> np.ndarray:
-    """(C, 4, N) view of the information-class rows of ``layers``."""
-    return layers[1:].reshape(-1, 4, layers.shape[1])
-
-
-def _stack_layers(u: np.ndarray, fields: list) -> np.ndarray:
-    """Layers from the U row and each class's (4, N) S/H/R/E fields."""
-    return np.concatenate([u[None], *fields])
+    """(C, 4, N) view of ``layers``."""
+    return layers.reshape(-1, 4, layers.shape[1])
 
 
 @dataclass
 class WorldState:
     time: float
-    traffic: TrafficState
+    k_total: np.ndarray  # (N,) veh/km
+    layers: np.ndarray  # (4C, N) S/H/R/E of each class, veh/km
 
     def class_state(self, j: int) -> ClassState:
         """View (shared array) of class j's S/H/R/E layers."""
-        return ClassState(_class_fields(self.traffic.layers)[j])
+        return ClassState(_class_fields(self.layers)[j])
 
 
 def initialize(config: ScenarioConfig) -> WorldState:
@@ -187,13 +194,10 @@ def initialize(config: ScenarioConfig) -> WorldState:
     layers = _fresh_layers(config, n, config.k0)
     for cc, fields in zip(config.classes, _class_fields(layers)):
         for cell, density in cc.seeds:
-            if density > fields[0, cell] + 1e-12:
-                raise ConfigurationError(f"seed {density} veh/km exceeds equipped "
-                                         f"density {config.sigma} in cell {cell}")
             # seed the cell's S/H/R/E column in place
             column = ClassState(fields[:, cell:cell + 1])
             fields[:, cell:cell + 1] = shre.seed_information(column, 0, float(density)).fields
-    return WorldState(0.0, TrafficState(np.full(n, float(config.k0)), layers))
+    return WorldState(0.0, np.full(n, float(config.k0)), layers)
 
 
 def _table_kernel(k_total: np.ndarray, grid: GridSpec) -> CellKernel:
@@ -223,20 +227,21 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
         demand = config.fd.v_f * config.k0
 
     try:
-        k_new, flows = lwr.advance_total(world.traffic, config.fd, grid,
+        k_new, flows = lwr.advance_total(world.k_total, config.fd, grid,
                                          config.boundary, factors, demand)
         # vehicles entering an open road are uninformed
-        class_flows = lwr.split_class_flows(world.traffic, flows, config.boundary,
-                                            _fresh_layers(config, 1, 1.0)[:, 0])
-        traffic = lwr.update_class_densities(world.traffic, k_new, class_flows, grid)
+        inflow = _fresh_layers(config, 1, 1.0)[:, 0]
+        class_flows = lwr.split_class_flows(world.k_total, world.layers, flows,
+                                            config.boundary, inflow)
+        advected = lwr.update_class_densities(world.layers, class_flows, grid)
     except Exception as exc:
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
-    table = (_table_kernel(traffic.k_total, grid)
+    table = (_table_kernel(k_new, grid)
              if any(cc.kernel_mode == "table" for cc in config.classes) else None)
     fields = []
-    for j, (cc, st) in enumerate(zip(config.classes, _class_fields(traffic.layers))):
+    for j, (cc, st) in enumerate(zip(config.classes, _class_fields(advected))):
         kobj = table if cc.kernel_mode == "table" else KernelParams(cc.a, cc.b)
         params = ShreParams(config.beta, cc.params, kobj, conv_mode=config.conv_mode)
         try:
@@ -247,8 +252,9 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     # Allocated after the reaction steps, the new layers keep glibc from handing
     # their freed temporaries back to the OS: writing the results into the
     # advected layers faulted 43 % more pages per step on an 8192-cell ring.
-    layers = _stack_layers(traffic.layers[0], fields)
-    return WorldState(t + grid.dt, TrafficState(traffic.k_total, layers))
+    # A traffic-only scenario has no class rows to join.
+    layers = np.concatenate(fields) if fields else advected
+    return WorldState(t + grid.dt, k_new, layers)
 
 
 @dataclass
@@ -344,8 +350,8 @@ def run(config: ScenarioConfig, out_dir=None, layout: str = "wide") -> RunOutput
              for cc in config.classes]
 
     def snap(w: WorldState) -> Snapshot:
-        return Snapshot(w.time, w.traffic.k_total.copy(),
-                        [ClassState(f) for f in _class_fields(w.traffic.layers).copy()])
+        return Snapshot(w.time, w.k_total.copy(),
+                        [ClassState(f) for f in _class_fields(w.layers).copy()])
 
     out = RunOutput(config=config, snapshots=[snap(world)],
                     warnings=config.warnings(), kernel_mass=kmass, started=started)
@@ -461,5 +467,4 @@ def config_with_class_override(cfg: ScenarioConfig, n_servers: int,
     if len(cfg.classes) != 1:
         raise ConfigurationError("sweeps require a single-class base config")
     cc = replace(cfg.classes[0], n_servers=n_servers, mu=mu)
-    new = replace(cfg, classes=(cc,), raw=None)
-    return new
+    return replace(cfg, classes=(cc,), raw=None)

@@ -3,11 +3,11 @@
 A triangular fundamental diagram (free-flow speed v_f, capacity q_max,
 jam density k_jam, derived backward wave speed w_c) drives sending /
 receiving flows per cell interface; total density advances by the
-conservation law and every tracked vehicle class (per information class
-S/H/R/E plus the unequipped class U) is advected proportionally to its
-share of the upstream cell, all layers (rows of one array) at once.  A
-capacity factor field models incidents by scaling q_max in both the
-sending and receiving functions.
+conservation law and every tracked layer (a row of one (L, N) array;
+``coupling`` tracks the S/H/R/E densities of each information class) is
+advected proportionally to its share of the upstream cell, all layers at
+once.  A capacity factor field models incidents by scaling q_max in both
+the sending and receiving functions.
 
 Units: densities veh/km, flows veh/h, speeds km/h, dt in seconds
 (converted internally).
@@ -24,7 +24,6 @@ from .shre import GridSpec
 
 __all__ = [
     "FundamentalDiagram",
-    "TrafficState",
     "sending_flow",
     "receiving_flow",
     "advance_total",
@@ -63,19 +62,6 @@ class FundamentalDiagram:
             raise ConfigurationError(
                 f"CFL violated: v_f*dt = {self.v_f * grid.dt / 3600.0:.6f} km "
                 f"exceeds dx = {grid.dx} km")
-
-
-@dataclass
-class TrafficState:
-    """Total density plus the stacked vehicle-class layers.
-
-    ``layers`` (L, num_cells) has one row per tracked vehicle class; the
-    rows partition k_total.  ``coupling`` puts the unequipped vehicles U
-    in row 0 and class j's S/H/R/E in rows 1+4j .. 4+4j.
-    """
-
-    k_total: np.ndarray
-    layers: np.ndarray
 
 
 def _check_density(k, fd: FundamentalDiagram):
@@ -125,7 +111,7 @@ def interface_flows(k: np.ndarray, fd: FundamentalDiagram, boundary: str,
     return q
 
 
-def advance_total(state: TrafficState, fd: FundamentalDiagram, grid: GridSpec,
+def advance_total(k_total: np.ndarray, fd: FundamentalDiagram, grid: GridSpec,
                   boundary: str = "periodic", capacity_factor=1.0,
                   demand: float | None = None) -> tuple[np.ndarray, np.ndarray]:
     """One cell-transmission step of the total density.
@@ -134,32 +120,31 @@ def advance_total(state: TrafficState, fd: FundamentalDiagram, grid: GridSpec,
     exactly on closed/periodic boundaries.
     """
     fd.check_cfl(grid)
-    q = interface_flows(state.k_total, fd, boundary, capacity_factor, demand)
+    q = interface_flows(k_total, fd, boundary, capacity_factor, demand)
     dt_h = grid.dt / 3600.0
-    k_new = state.k_total + (dt_h / grid.dx) * (q[:-1] - q[1:])
+    k_new = k_total + (dt_h / grid.dx) * (q[:-1] - q[1:])
     return np.clip(k_new, 0.0, fd.k_jam), q
 
 
-def split_class_flows(state: TrafficState, flows: np.ndarray, boundary: str,
-                      inflow_fractions: np.ndarray | None = None) -> np.ndarray:
+def split_class_flows(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
+                      boundary: str, inflow_fractions: np.ndarray | None = None) -> np.ndarray:
     """Split each interface flow by the upstream cell's layer composition.
 
-    Returns the (L, num_cells+1) layer flows q_z = (k_z / k_total) * q;
-    the rows of one partition sum to q.  Only a cell with no vehicles at
-    all counts as empty: it must send nothing, and its shares are zero.  A
-    draining cell keeps sending ``v_f * k`` however small ``k`` gets, split
-    by its own composition.  Fresh vehicles entering an 'open' road carry
-    the (L,) composition ``inflow_fractions`` (default: none of them is
-    assigned to any layer), not that of the first cell.
+    Returns the (L, num_cells+1) flows q_z = (k_z / k_total) * q of the
+    (L, num_cells) ``layers``; rows that partition k_total sum to q.  Only a
+    cell with no vehicles at all counts as empty: it must send nothing, and
+    its shares are zero.  A draining cell keeps sending ``v_f * k`` however
+    small ``k`` gets, split by its own composition.  Fresh vehicles entering
+    an 'open' road carry the (L,) composition ``inflow_fractions`` (default:
+    none of them is assigned to any layer), not that of the first cell.
     """
-    k = state.k_total
-    occupied = k > 0.0
+    occupied = k_total > 0.0
     if np.any(~occupied & (flows[1:] > 0)):
         raise ValueError("positive outflow from an empty cell")
     # in place: (L, N) temporaries past glibc's trim threshold fault every step
-    out = np.empty((len(state.layers), k.size + 1))
+    out = np.empty((len(layers), k_total.size + 1))
     frac = out[:, 1:]
-    np.divide(state.layers, np.where(occupied, k, 1.0), out=frac)
+    np.divide(layers, np.where(occupied, k_total, 1.0), out=frac)
     frac[:, ~occupied] = 0.0
     if boundary == "periodic":
         out[:, 0] = frac[:, -1] * flows[0]
@@ -171,13 +156,13 @@ def split_class_flows(state: TrafficState, flows: np.ndarray, boundary: str,
     return out
 
 
-def update_class_densities(state: TrafficState, new_k_total: np.ndarray,
-                           class_flows: np.ndarray, grid: GridSpec) -> TrafficState:
-    """Advance every layer by its own conservation law."""
+def update_class_densities(layers: np.ndarray, class_flows: np.ndarray,
+                           grid: GridSpec) -> np.ndarray:
+    """Advance every layer by its own conservation law; returns the new layers."""
     dt_h = grid.dt / 3600.0
-    layers = state.layers + (dt_h / grid.dx) * (class_flows[:, :-1] - class_flows[:, 1:])
-    if layers.min() < -1e-9:
+    layers = layers + (dt_h / grid.dx) * (class_flows[:, :-1] - class_flows[:, 1:])
+    if layers.min(initial=0.0) < -1e-9:  # initial: a traffic-only run has no layers
         row, cell = np.unravel_index(np.argmin(layers), layers.shape)
         raise ValueError(f"layer {row} density went negative in cell {cell}: "
                          f"{layers[row, cell]:.3e}")
-    return TrafficState(new_k_total, np.clip(layers, 0.0, None, out=layers))
+    return np.clip(layers, 0.0, None, out=layers)

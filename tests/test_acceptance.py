@@ -21,7 +21,7 @@ from ifpw.analysis import (
 )
 from ifpw.coupling import ClassConfig, IncidentProfile, ScenarioConfig
 from ifpw.kernel import KernelParams
-from ifpw.lwr import FundamentalDiagram, TrafficState, advance_total
+from ifpw.lwr import FundamentalDiagram, advance_total
 from ifpw.micro import MicroConfig, make_positions, queue_validation, simulate
 from ifpw.queueing import ClassParams, wait_probability
 from ifpw.shre import ClassState, GridSpec, ShreParams, convolve_relaying, rk4_step
@@ -193,23 +193,19 @@ def test_criterion_08_conservation_suite():
     # closed-boundary vehicle conservation over 1e4 CTM steps
     g3 = GridSpec(0.05, 1.0, 50)
     k = np.random.default_rng(2).uniform(0, 300, 50)
-    state = TrafficState(k, k.copy()[None])
-    veh0 = state.k_total.sum() * g3.dx
+    veh0 = k.sum() * g3.dx
     for _ in range(10_000):
-        k_new, _ = advance_total(state, FD, g3, boundary="closed")
-        state = TrafficState(k_new, state.layers)
-    lwr_err = abs(state.k_total.sum() * g3.dx - veh0)
+        k, _ = advance_total(k, FD, g3, boundary="closed")
+    lwr_err = abs(k.sum() * g3.dx - veh0)
 
     # Riemann shock speed vs Rankine-Hugoniot over 100 steps
     g4 = GridSpec(0.05, 1.0, 200)
     k = np.where(np.arange(200) < 120, FD.k_crit, FD.k_jam)
-    state = TrafficState(k, k.copy()[None])
     thr = 0.5 * (FD.k_crit + FD.k_jam)
-    x0 = int(np.argmax(state.k_total > thr))
+    x0 = int(np.argmax(k > thr))
     for _ in range(100):
-        k_new, _ = advance_total(state, FD, g4, boundary="open", demand=FD.q_max)
-        state = TrafficState(k_new, state.layers)
-    moved = (int(np.argmax(state.k_total > thr)) - x0) * g4.dx
+        k, _ = advance_total(k, FD, g4, boundary="open", demand=FD.q_max)
+    moved = (int(np.argmax(k > thr)) - x0) * g4.dx
     rh = -FD.w_c * 100 * g4.dt / 3600.0
     shock_err = abs(moved - rh)
 

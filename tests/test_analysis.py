@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ifpw import coupling, queueing
 from ifpw.analysis import (
+    SweepRow,
     asymptotic_informed_density,
     asymptotic_spread,
     asymptotics,
@@ -13,8 +16,12 @@ from ifpw.analysis import (
     ifpw_exists,
     measured_spread,
     propagation_extent,
+    sweep,
 )
+from ifpw.coupling import ClassConfig, ScenarioConfig
 from ifpw.errors import FrontNotFoundError, InsufficientRunError
+from ifpw.lwr import FundamentalDiagram
+from ifpw.shre import GridSpec
 
 
 def bisect_root(g, lo=1e-15, hi=1.0, iters=200):
@@ -204,3 +211,58 @@ class TestPropagationExtent:
 
     def test_never_above_threshold(self):
         assert propagation_extent([np.zeros(40)], 20, 0.1, 0.1) == (0.0, 0.0)
+
+
+def jammed_ring():
+    """A 128-cell jammed ring (no traffic flow): the fronts of the stable
+    points below stay inside the ring up to t = 60 s."""
+    return ScenarioConfig(
+        grid=GridSpec(0.05, 0.5, 128),
+        fd=FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=300.0),
+        boundary="periodic", k0=300.0, penetration=20.0 / 300.0, beta=0.04,
+        classes=(ClassConfig(0.15, 1, 0.2, kernel_mode="global",
+                             a=0.292, b=0.499, seeds=((64, 5.0),)),),
+        horizon=120.0, snapshot_every=10.0, conv_mode="periodic")
+
+
+def point_row(cfg, t1, t2, reference):
+    """The sweep metrics of one (n, mu) point, from its own coupling.run."""
+    cc = cfg.classes[0]
+    out = coupling.run(cfg)
+    sigma = cfg.sigma
+    try:
+        first, second = out.snapshot_at(t1), out.snapshot_at(t2)
+        speeds = estimate_wave_speeds(sigma - first.classes[0].s, sigma - second.classes[0].s,
+                                      first.time, second.time, reference * sigma,
+                                      cc.seeds[0][0], cfg.grid.dx)
+        spread = measured_spread(out.snapshots[-1].classes[0].s,
+                                 np.full(cfg.grid.num_cells, sigma))
+    except FrontNotFoundError as exc:
+        return SweepRow(cc.n_servers, cc.mu, stable=True, error=str(exc))
+    g = gamma(cfg.beta, cc.b, sigma, cc.mu)
+    return SweepRow(cc.n_servers, cc.mu, stable=True, gamma=g, alpha_star=asymptotic_spread(g),
+                    spread=spread, c_forward=speeds.c_forward, c_backward=speeds.c_backward,
+                    mean_wait=queueing.mean_waiting_time(cc.params))
+
+
+class TestSweep:
+    def test_unstable_point_does_not_abort(self):
+        # lambda = 0.15 with one server at mu = 0.1 is unstable; two are not
+        rows = sweep(jammed_ring(), [1, 2], [0.1], 30.0, 60.0, reference_fraction=0.1)
+        assert rows[0] == SweepRow(1, 0.1, stable=False)
+        assert rows[1].stable and rows[1].error is None
+        assert rows[1].spread > 0.9
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_rows_equal_per_point_runs(self, workers):
+        cfg = jammed_ring()
+        rows = sweep(cfg, [1, 2], [0.1, 0.2, 0.32], 30.0, 60.0, reference_fraction=0.1,
+                     workers=workers)
+        assert [(r.n_servers, r.mu) for r in rows] == [
+            (n, mu) for mu in (0.1, 0.2, 0.32) for n in (1, 2)]
+        assert rows[0] == SweepRow(1, 0.1, stable=False)
+        for r in rows[1:]:
+            cc = replace(cfg.classes[0], n_servers=r.n_servers, mu=r.mu)
+            assert r == point_row(replace(cfg, classes=(cc,)), 30.0, 60.0, 0.1)
+        # (2, 0.2) fails to find its front, the other four are measured
+        assert [r.error is None for r in rows[1:]] == [True, True, False, True, True]

@@ -76,6 +76,11 @@ class TestRun:
         (("horizon_s",), 10.3),
         (("classes", 0, "kernel", "b"), 1.5),
         (("classes", 0, "kernel"), "table"),
+        (("classes", 0, "seeds", 0, "density_veh_per_km"), -1.0),
+        (("classes", 0, "seeds", 0, "density_veh_per_km"), 25.0),  # sigma is 20
+        (("classes", 0, "seeds", 0, "density_veh_per_km"), float("nan")),
+        (("classes", 0, "seeds"), [{"cell": 32, "density_veh_per_km": 15.0},
+                                   {"cell": 32, "density_veh_per_km": 10.0}]),
     ])
     def test_bad_scenario_is_config_error(self, tmp_path, capsys, path, value):
         bad = json.loads(json.dumps(RUN_CONFIG))
@@ -153,6 +158,17 @@ class TestCalibrate:
         code = main(["calibrate", "--samples", str(tmp_path / "nope.csv")])
         assert code == EXIT_DOMAIN
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        d = np.linspace(0, 0.9, 30)
+        vals = (0.5 / (0.3 * np.sqrt(np.pi))) * np.exp(-(d / 0.3) ** 2)
+        path = tmp_path / "samples.csv"
+        path.write_text("distance_km,success_rate\n" +
+                        "\n".join(f"{x:.6f},{v:.9f}" for x, v in zip(d, vals)))
+        code = main(["calibrate", "--samples", str(path),
+                     "--out", str(tmp_path / "nodir" / "fit.json")])
+        assert code == EXIT_DOMAIN
+        assert "error: cannot write" in capsys.readouterr().err
+
 
 class TestSpeed:
     @pytest.fixture()
@@ -204,12 +220,33 @@ class TestSweep:
         assert lines[0].startswith("n_servers,mu_per_s,stable")
         assert len(lines) == 2
 
-    def test_all_unstable(self, tmp_path):
+    def test_all_unstable(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
         out = tmp_path / "sweep.csv"
         code = main(["sweep", "--config", cfg, "--n", "1", "--mu", "0.05",
                      "--t1", "5", "--t2", "10", "--out", str(out)])
         assert code == EXIT_DOMAIN
+        assert "all sweep points are unstable" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unstable_point_gets_its_row(self, tmp_path):
+        # lambda = 0.5 with one server at mu = 0.05 is unstable; 11 servers are not
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", cfg, "--n", "1", "11", "--mu", "0.05",
+                     "--t1", "5", "--t2", "10", "--out", str(out)])
+        assert code == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(r[0], r[2]) for r in rows] == [("1", "0"), ("11", "1")]
+        assert rows[0][3:] == [""] * 7  # nothing computed for the unstable point
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        code = main(["sweep", "--config", cfg, "--n", "11", "--mu", "0.05",
+                     "--t1", "5", "--t2", "10",
+                     "--out", str(tmp_path / "nodir" / "sweep.csv")])
+        assert code == EXIT_DOMAIN
+        assert "error: cannot write" in capsys.readouterr().err
 
 
 class TestOracle:
@@ -239,6 +276,14 @@ class TestOracle:
             assert code == EXIT_OK
         for name in ("informed_fraction.csv", "state_histograms.csv"):
             assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "oracle.json", ORACLE_CONFIG)
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        code = main(["oracle", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_DOMAIN
+        assert "error: cannot write" in capsys.readouterr().err
 
     def test_bad_oracle_config(self, tmp_path):
         bad = dict(ORACLE_CONFIG)

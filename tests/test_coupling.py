@@ -67,10 +67,8 @@ JSON_CONFIG = {
 class TestInitialize:
     def test_layer_partition(self):
         world = initialize(make_config())
-        u = world.traffic.layers[0]  # row 0 holds the unequipped vehicles
         st = world.class_state(0)
-        np.testing.assert_allclose(world.traffic.k_total, 40.0)
-        np.testing.assert_allclose(u, 20.0)  # (1 - 0.5) * 40
+        np.testing.assert_allclose(world.k_total, 40.0)
         np.testing.assert_allclose(st.s + st.r, 20.0)  # W * k0
         assert st.r[32] == 5.0
         assert st.s[32] == 15.0
@@ -79,23 +77,41 @@ class TestInitialize:
     def test_layer_rows(self):
         cfg = make_config(classes=make_config().classes * 3)
         world = initialize(cfg)
-        assert world.traffic.layers.shape == (13, 64)
+        assert world.layers.shape == (12, 64)
         for j in range(3):
             st = world.class_state(j)
-            assert np.shares_memory(st.fields, world.traffic.layers)
-            np.testing.assert_array_equal(st.fields, world.traffic.layers[1 + 4 * j:5 + 4 * j])
+            assert np.shares_memory(st.fields, world.layers)
+            np.testing.assert_array_equal(st.fields, world.layers[4 * j:4 * j + 4])
 
     def test_full_penetration_has_no_unequipped(self):
         world = initialize(make_config(penetration=1.0))
         st = world.class_state(0)
-        np.testing.assert_array_equal(world.traffic.layers[0], 0.0)
+        np.testing.assert_array_equal(world.layers.sum(axis=0), world.k_total)
         np.testing.assert_allclose(st.s + st.r, 40.0)
 
     def test_seed_exceeding_equipped_density(self):
         cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
                          a=0.292, b=0.499, seeds=((32, 25.0),))
-        with pytest.raises(ConfigurationError):
-            initialize(make_config(classes=(cc,)))
+        # sigma = 0.5 * 40 = 20 veh/km of equipped vehicles per cell
+        with pytest.raises(ConfigurationError, match="seeds total 25.0 veh/km in cell 32"):
+            make_config(classes=(cc,))
+
+    @pytest.mark.parametrize("seeds, message", [
+        (((32, -1.0),), "seed density -1.0 veh/km in cell 32"),
+        (((32, float("nan")),), "seed density nan veh/km in cell 32"),
+        (((32, 15.0), (10, 15.0), (32, 10.0)), "seeds total 25.0 veh/km in cell 32"),
+    ])
+    def test_bad_seed_density_rejected_at_config_time(self, seeds, message):
+        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global", a=0.292, b=0.499, seeds=seeds)
+        with pytest.raises(ConfigurationError, match=message):
+            make_config(classes=(cc,))
+
+    def test_seeds_may_fill_a_cell(self):
+        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
+                         a=0.292, b=0.499, seeds=((32, 12.5), (32, 7.5)))
+        st = initialize(make_config(classes=(cc,))).class_state(0)
+        assert st.r[32] == 20.0
+        assert st.s[32] == 0.0
 
     def test_unstable_class_rejected(self):
         cc = ClassConfig(2.0, 1, 0.05, kernel_mode="global", a=0.292, b=0.499)
@@ -120,13 +136,13 @@ class TestStep:
     def test_conserves_total_vehicles(self):
         cfg = make_config()
         world = initialize(cfg)
-        total0 = world.traffic.k_total.sum()
+        total0 = world.k_total.sum()
         for _ in range(100):
             world = step(world, cfg)
-        assert world.traffic.k_total.sum() == pytest.approx(total0, abs=1e-8)
-        # the class layers still partition the total
-        np.testing.assert_allclose(world.traffic.layers.sum(axis=0),
-                                   world.traffic.k_total, atol=1e-8)
+        assert world.k_total.sum() == pytest.approx(total0, abs=1e-8)
+        # the class layers still partition the equipped share of the total
+        np.testing.assert_allclose(world.layers.sum(axis=0),
+                                   cfg.penetration * world.k_total, atol=1e-8)
 
     def test_no_seed_is_stationary_information(self):
         cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global", a=0.292, b=0.499)
@@ -222,6 +238,15 @@ class TestRun:
     def test_kernel_mass_reported(self):
         out = run(make_config(horizon=0.0))
         assert out.kernel_mass == [0.499]
+
+    def test_traffic_only_scenario(self):
+        # no information class: the state is k_total and an empty (0, N) layers array
+        cfg = make_config(classes=(), boundary="open", demand=1800.0)
+        world = initialize(cfg)
+        assert world.layers.shape == (0, 64)
+        out = run(cfg)
+        assert [s.classes for s in out.snapshots] == [[]] * 6
+        assert out.snapshots[-1].k_total[0] < 40.0  # 1800 veh/h enter, 4320 leave
 
 
 def three_table_classes():

@@ -4,7 +4,6 @@ import pytest
 from ifpw.errors import ConfigurationError
 from ifpw.lwr import (
     FundamentalDiagram,
-    TrafficState,
     advance_total,
     interface_flows,
     receiving_flow,
@@ -19,9 +18,9 @@ FD = FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=300.0)
 
 
 def make_state(k_total, shares):
-    """Partition k_total into class layers (rows) by fixed shares."""
+    """k_total and its partition into layers (rows) by fixed shares."""
     k_total = np.asarray(k_total, dtype=float)
-    return TrafficState(k_total, np.array([w * k_total for w in shares]))
+    return k_total, np.array([w * k_total for w in shares])
 
 
 class TestFundamentalDiagram:
@@ -78,35 +77,31 @@ class TestAdvanceTotal:
     def test_uniform_free_flow_is_stationary(self):
         # CFL = 1: uniform subcritical density translates onto itself
         grid = GridSpec(dx=0.015, dt=0.5, num_cells=64)
-        state = make_state(np.full(64, 30.0), (1.0,))
-        k_new, q = advance_total(state, FD, grid, boundary="periodic")
+        k_new, q = advance_total(np.full(64, 30.0), FD, grid, boundary="periodic")
         np.testing.assert_allclose(k_new, 30.0, atol=1e-12)
         np.testing.assert_allclose(q, 108.0 * 30.0)
 
     def test_closed_boundary_conserves_mass(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=50)
         rng = np.random.default_rng(2)
-        state = make_state(rng.uniform(0, 300, 50), (1.0,))
-        total0 = state.k_total.sum()
+        k = rng.uniform(0, 300, 50)
+        total0 = k.sum()
         for _ in range(2000):
-            k_new, _ = advance_total(state, FD, grid, boundary="closed")
-            state = TrafficState(k_new, state.layers)
-        assert state.k_total.sum() == pytest.approx(total0, abs=1e-9)
+            k, _ = advance_total(k, FD, grid, boundary="closed")
+        assert k.sum() == pytest.approx(total0, abs=1e-9)
 
     def test_periodic_boundary_conserves_mass(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=50)
         rng = np.random.default_rng(3)
-        state = make_state(rng.uniform(0, 300, 50), (1.0,))
-        total0 = state.k_total.sum()
+        k = rng.uniform(0, 300, 50)
+        total0 = k.sum()
         for _ in range(2000):
-            k_new, _ = advance_total(state, FD, grid, boundary="periodic")
-            state = TrafficState(k_new, state.layers)
-        assert state.k_total.sum() == pytest.approx(total0, abs=1e-9)
+            k, _ = advance_total(k, FD, grid, boundary="periodic")
+        assert k.sum() == pytest.approx(total0, abs=1e-9)
 
     def test_open_inflow_fills_empty_road(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=20)
-        state = make_state(np.zeros(20), (1.0,))
-        k_new, q = advance_total(state, FD, grid, boundary="open", demand=3600.0)
+        k_new, q = advance_total(np.zeros(20), FD, grid, boundary="open", demand=3600.0)
         assert q[0] == pytest.approx(3600.0)
         assert k_new[0] > 0
         np.testing.assert_array_equal(k_new[1:], 0.0)
@@ -114,78 +109,73 @@ class TestAdvanceTotal:
     def test_backward_shock_speed(self):
         # queue tail of a jam recedes at the backward wave speed -w_c
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=200)
-        k0 = np.where(np.arange(200) < 120, FD.k_crit, FD.k_jam)
-        state = make_state(k0, (1.0,))
+        k = np.where(np.arange(200) < 120, FD.k_crit, FD.k_jam)
         threshold = 0.5 * (FD.k_crit + FD.k_jam)
 
         def front(k):
             return int(np.argmax(k > threshold))
 
-        x_start = front(state.k_total)
+        x_start = front(k)
         steps = 100
         for _ in range(steps):
-            k_new, _ = advance_total(state, FD, grid, boundary="open",
-                                     demand=FD.q_max)
-            state = TrafficState(k_new, state.layers)
-        moved_km = (front(state.k_total) - x_start) * grid.dx
+            k, _ = advance_total(k, FD, grid, boundary="open", demand=FD.q_max)
+        moved_km = (front(k) - x_start) * grid.dx
         expected = -FD.w_c * steps * grid.dt / 3600.0  # Rankine-Hugoniot
         assert abs(moved_km - expected) <= grid.dx  # within one cell
 
     def test_unknown_boundary(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=20)
-        state = make_state(np.full(20, 10.0), (1.0,))
         with pytest.raises(ConfigurationError):
-            advance_total(state, FD, grid, boundary="reflecting")
+            advance_total(np.full(20, 10.0), FD, grid, boundary="reflecting")
 
 
 class TestClassSplit:
-    SHARES = (0.25, 0.25, 0.5)  # rows s0, r0, u
+    SHARES = (0.25, 0.25, 0.5)  # three layers partitioning k_total
 
     def test_class_flows_sum_to_total(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=40)
         rng = np.random.default_rng(5)
-        state = make_state(rng.uniform(1, 290, 40), self.SHARES)
-        _, q = advance_total(state, FD, grid, boundary="periodic")
-        class_q = split_class_flows(state, q, boundary="periodic")
+        k, layers = make_state(rng.uniform(1, 290, 40), self.SHARES)
+        _, q = advance_total(k, FD, grid, boundary="periodic")
+        class_q = split_class_flows(k, layers, q, boundary="periodic")
         np.testing.assert_allclose(class_q.sum(axis=0), q, rtol=1e-12)
 
     def test_layers_partition_after_update(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=40)
         rng = np.random.default_rng(6)
-        state = make_state(rng.uniform(1, 290, 40), self.SHARES)
+        k, layers = make_state(rng.uniform(1, 290, 40), self.SHARES)
         for _ in range(200):
-            k_new, q = advance_total(state, FD, grid, boundary="periodic")
-            class_q = split_class_flows(state, q, boundary="periodic")
-            state = update_class_densities(state, k_new, class_q, grid)
-        np.testing.assert_allclose(
-            state.layers.sum(axis=0), state.k_total, atol=1e-9)
+            k_new, q = advance_total(k, FD, grid, boundary="periodic")
+            class_q = split_class_flows(k, layers, q, boundary="periodic")
+            k, layers = k_new, update_class_densities(layers, class_q, grid)
+        np.testing.assert_allclose(layers.sum(axis=0), k, atol=1e-9)
 
     def test_empty_cells_contribute_zero(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
         k = np.zeros(10)
         k[4] = 50.0
-        state = make_state(k, self.SHARES)
-        _, q = advance_total(state, FD, grid, boundary="closed")
-        class_q = split_class_flows(state, q, boundary="closed")
+        k, layers = make_state(k, self.SHARES)
+        _, q = advance_total(k, FD, grid, boundary="closed")
+        class_q = split_class_flows(k, layers, q, boundary="closed")
         for qz in class_q:
             assert np.all(np.isfinite(qz))
         np.testing.assert_allclose(class_q.sum(axis=0), q, atol=1e-12)
 
     def test_open_inflow_uses_ambient_composition(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
-        state = make_state(np.full(10, 20.0), self.SHARES)
-        q = interface_flows(state.k_total, FD, "open", demand=1800.0)
-        class_q = split_class_flows(state, q, "open",
+        k, layers = make_state(np.full(10, 20.0), self.SHARES)
+        q = interface_flows(k, FD, "open", demand=1800.0)
+        class_q = split_class_flows(k, layers, q, "open",
                                     inflow_fractions=np.array([0.0, 0.0, 1.0]))
         assert class_q[2][0] == pytest.approx(q[0])
         assert class_q[0][0] == 0.0
 
     def test_inconsistent_flow_rejected(self):
-        state = make_state(np.zeros(10), self.SHARES)
+        k, layers = make_state(np.zeros(10), self.SHARES)
         q = np.zeros(11)
         q[5] = 100.0  # claims outflow from an empty cell
         with pytest.raises(ValueError):
-            split_class_flows(state, q, boundary="closed")
+            split_class_flows(k, layers, q, boundary="closed")
 
     @pytest.mark.parametrize("seed", range(5))
     def test_draining_cell_keeps_sending(self, seed):
@@ -194,30 +184,28 @@ class TestClassSplit:
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=60)
         rng = np.random.default_rng(seed)
         k = rng.uniform(0, 290, 60)
-        state = TrafficState(k, rng.dirichlet(np.ones(3), 60).T * k)
+        layers = rng.dirichlet(np.ones(3), 60).T * k
         for _ in range(200):
-            k_new, q = advance_total(state, FD, grid, boundary="closed")
-            class_q = split_class_flows(state, q, boundary="closed")
+            k_new, q = advance_total(k, FD, grid, boundary="closed")
+            class_q = split_class_flows(k, layers, q, boundary="closed")
             np.testing.assert_allclose(class_q.sum(axis=0), q, rtol=1e-12)
-            state = update_class_densities(state, k_new, class_q, grid)
-        assert 0.0 < state.k_total[0] < 1e-30
-        np.testing.assert_allclose(state.layers.sum(axis=0), state.k_total,
-                                   rtol=1e-9, atol=1e-9)
+            k, layers = k_new, update_class_densities(layers, class_q, grid)
+        assert 0.0 < k[0] < 1e-30
+        np.testing.assert_allclose(layers.sum(axis=0), k, rtol=1e-9, atol=1e-9)
 
     def test_negative_layer_names_row_and_cell(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
-        state = make_state(np.full(10, 20.0), self.SHARES)
+        _, layers = make_state(np.full(10, 20.0), self.SHARES)
         class_q = np.zeros((3, 11))
         class_q[1, 5] = 1e6  # drains row 1 out of cell 4
         with pytest.raises(ValueError, match="layer 1 density went negative in cell 4"):
-            update_class_densities(state, state.k_total, class_q, grid)
+            update_class_densities(layers, class_q, grid)
 
 
-def split_per_layer(state, flows, boundary, inflow_fractions=None):
+def split_per_layer(k, layers, flows, boundary, inflow_fractions=None):
     """One layer at a time: the reference for the broadcast split."""
-    k = state.k_total
     out = []
-    for z, kz in enumerate(state.layers):
+    for z, kz in enumerate(layers):
         f = np.where(k > 0.0, kz / np.where(k > 0.0, k, 1.0), 0.0)
         qz = np.empty(k.size + 1)
         qz[1:] = f * flows[1:]
@@ -231,11 +219,11 @@ def split_per_layer(state, flows, boundary, inflow_fractions=None):
     return np.array(out)
 
 
-def update_per_layer(state, class_flows, grid):
+def update_per_layer(layers, class_flows, grid):
     """One layer at a time: the reference for the broadcast update."""
     dt_h = grid.dt / 3600.0
     return np.array([np.clip(kz + (dt_h / grid.dx) * (qz[:-1] - qz[1:]), 0.0, None)
-                     for kz, qz in zip(state.layers, class_flows)])
+                     for kz, qz in zip(layers, class_flows)])
 
 
 class TestBroadcastMatchesPerLayer:
@@ -247,20 +235,19 @@ class TestBroadcastMatchesPerLayer:
         rng = np.random.default_rng(11)
         k = rng.uniform(0, 290, 60)
         k[20:26] = 0.0  # empty cells take the zero-share branch
-        shares = rng.dirichlet(np.ones(5), 60).T
-        state = TrafficState(k, shares * k)
+        layers = rng.dirichlet(np.ones(5), 60).T * k
         factor = np.ones(60)
         factor[40:45] = 1 / 3
         # 60 steps: a closed road's first cell keeps 0.4 of its density per
         # step and falls below 1e-12 veh/km after ~34
         for _ in range(60):
-            k_new, q = advance_total(state, FD, grid, boundary, factor, demand=2000.0)
-            class_q = split_class_flows(state, q, boundary, inflow)
-            want_q = split_per_layer(state, q, boundary, inflow)
+            k_new, q = advance_total(k, FD, grid, boundary, factor, demand=2000.0)
+            class_q = split_class_flows(k, layers, q, boundary, inflow)
+            want_q = split_per_layer(k, layers, q, boundary, inflow)
             assert class_q.tobytes() == want_q.tobytes()
-            new = update_class_densities(state, k_new, class_q, grid)
-            assert new.layers.tobytes() == update_per_layer(state, want_q, grid).tobytes()
-            state = new
+            new = update_class_densities(layers, class_q, grid)
+            assert new.tobytes() == update_per_layer(layers, want_q, grid).tobytes()
+            k, layers = k_new, new
 
 
 class TestIncident:
@@ -268,8 +255,7 @@ class TestIncident:
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=30)
         factor = np.ones(30)
         factor[10:15] = 1 / 3
-        state = make_state(np.full(30, FD.k_crit), (1.0,))
-        _, q = advance_total(state, FD, grid, boundary="periodic",
+        _, q = advance_total(np.full(30, FD.k_crit), FD, grid, boundary="periodic",
                              capacity_factor=factor)
         assert q[11] == pytest.approx(7200.0 / 3)
         assert q[5] == pytest.approx(7200.0)
@@ -278,11 +264,11 @@ class TestIncident:
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=60)
         factor = np.ones(60)
         factor[40:45] = 1 / 3
-        state = make_state(np.full(60, 50.0), (1.0,))
+        k, layers = make_state(np.full(60, 50.0), (1.0,))
         for _ in range(120):
-            k_new, q = advance_total(state, FD, grid, boundary="periodic",
+            k_new, q = advance_total(k, FD, grid, boundary="periodic",
                                      capacity_factor=factor)
-            class_q = split_class_flows(state, q, boundary="periodic")
-            state = update_class_densities(state, k_new, class_q, grid)
-        assert state.k_total[35:40].mean() > 50.0  # congestion upstream
-        assert state.k_total[46:52].mean() < 50.0  # starvation downstream
+            class_q = split_class_flows(k, layers, q, boundary="periodic")
+            k, layers = k_new, update_class_densities(layers, class_q, grid)
+        assert k[35:40].mean() > 50.0  # congestion upstream
+        assert k[46:52].mean() < 50.0  # starvation downstream

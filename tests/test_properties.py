@@ -1,5 +1,7 @@
 """Property tests of the model's invariants on small random inputs."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -63,7 +65,7 @@ class TestOracleProperties:
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, num_classes=st.integers(1, 3)):
     num_cells = draw(st.integers(8, 32))
     boundary = draw(st.sampled_from(["periodic", "closed", "open"]))
     k0 = draw(st.floats(1.0, 200.0))
@@ -86,7 +88,7 @@ def scenarios(draw):
     return ScenarioConfig(
         grid=GridSpec(dx=0.05, dt=0.5, num_cells=num_cells),
         fd=FD, boundary=boundary, k0=k0, penetration=penetration, beta=2.0,
-        classes=tuple(info_class() for _ in range(draw(st.integers(1, 3)))),
+        classes=tuple(info_class() for _ in range(draw(num_classes))),
         incident=incident, horizon=draw(st.sampled_from([10.0, 60.0])), snapshot_every=10.0,
         demand=draw(st.one_of(st.none(), st.floats(0.0, 7200.0))),
     )
@@ -99,12 +101,24 @@ class TestContinuumProperties:
         world = initialize(cfg)
         for _ in range(round(cfg.horizon / cfg.grid.dt)):
             world = step(world, cfg)
-            k = world.traffic.k_total
+            k = world.k_total
             assert np.all(k >= 0.0)
-            assert np.all(world.traffic.layers >= 0.0)
-            np.testing.assert_allclose(world.traffic.layers[0], (1 - cfg.penetration) * k,
-                                       rtol=1e-9, atol=1e-9 * cfg.k0)
+            assert np.all(world.layers >= 0.0)
             for j in range(len(cfg.classes)):
                 informed_sum = world.class_state(j).fields.sum(axis=0)
                 np.testing.assert_allclose(informed_sum, cfg.penetration * k,
                                            rtol=1e-9, atol=1e-9 * cfg.k0)
+
+    @PROPERTY
+    @given(scenarios(num_classes=st.just(2)))
+    def test_classes_are_independent(self, cfg):
+        # given the traffic, a class evolves exactly as if it ran alone
+        joint = initialize(cfg)
+        single = [replace(cfg, classes=(cc,)) for cc in cfg.classes]
+        alone = [initialize(c) for c in single]
+        for _ in range(round(cfg.horizon / cfg.grid.dt)):
+            joint = step(joint, cfg)
+            alone = [step(w, c) for w, c in zip(alone, single)]
+            for j, w in enumerate(alone):
+                assert w.k_total.tobytes() == joint.k_total.tobytes()
+                assert w.layers.tobytes() == joint.class_state(j).fields.tobytes()
