@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analysis, coupling, kernel, micro, queueing
-from .errors import ConfigurationError, StabilityError
+from .errors import ConfigurationError, StabilityError, whole_number
 from .kernel import KernelParams
 from .queueing import ClassParams
 
@@ -180,15 +180,16 @@ def cmd_sweep(args) -> int:
 
 def _micro_config_from_dict(d: dict, seed_override=None) -> micro.MicroConfig:
     c = d["class"]
-    cp = ClassParams(float(c["lambda_per_s"]), int(c["n_servers"]),
+    cp = ClassParams(float(c["lambda_per_s"]), whole_number(c["n_servers"], "n_servers"),
                      float(c["mu_per_s"]))
     kp = KernelParams(float(d["kernel"]["a_km"]), float(d["kernel"]["b"]))
-    seed = seed_override if seed_override is not None else int(d.get("rng_seed", 0))
+    seed = (seed_override if seed_override is not None
+            else whole_number(d.get("rng_seed", 0), "rng_seed"))
     if "positions_km" in d:
         positions = tuple(float(x) for x in d["positions_km"])
     else:
         positions = tuple(micro.make_positions(
-            float(d["length_km"]), int(d["num_vehicles"]),
+            float(d["length_km"]), whole_number(d["num_vehicles"], "num_vehicles"),
             d.get("placement", "equal"), rng=seed))
     return micro.MicroConfig(
         positions=positions,
@@ -197,12 +198,12 @@ def _micro_config_from_dict(d: dict, seed_override=None) -> micro.MicroConfig:
         beta=float(d["beta_hz"]),
         horizon=float(d["horizon_s"]),
         tick=float(d["tick_s"]),
-        replications=int(d.get("replications", 1)),
+        replications=whole_number(d.get("replications", 1), "replications"),
         rng_seed=seed,
-        seeds=tuple(int(i) for i in d.get("seed_vehicles", (0,))),
+        seeds=tuple(d.get("seed_vehicles", (0,))),
         ring_length=float(d["ring_length_km"]) if "ring_length_km" in d else None,
-        record_every=int(d.get("record_every", 1)),
-        num_bins=int(d.get("num_bins", 20)),
+        record_every=whole_number(d.get("record_every", 1), "record_every"),
+        num_bins=whole_number(d.get("num_bins", 20), "num_bins"),
     )
 
 

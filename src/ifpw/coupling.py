@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import kernel as kern
 from . import lwr, shre
-from .errors import ConfigurationError
+from .errors import ConfigurationError, whole_number
 from .kernel import KernelParams
 from .lwr import FundamentalDiagram
 from .queueing import ClassParams
@@ -59,6 +59,9 @@ class ClassConfig:
     seeds: tuple = ()  # ((cell, density_veh_per_km), ...)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_servers", whole_number(self.n_servers, "n_servers"))
+        object.__setattr__(self, "seeds", tuple((whole_number(cell, "seed cell"), density)
+                                                for cell, density in self.seeds))
         if self.kernel_mode not in KERNEL_MODES:
             raise ConfigurationError(
                 f"unknown kernel mode {self.kernel_mode!r}; expected one of {KERNEL_MODES}")
@@ -414,7 +417,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     try:
         g = d["grid"]
         grid = GridSpec(dx=float(g["dx_km"]), dt=float(g["dt_s"]),
-                        num_cells=int(g["num_cells"]),
+                        num_cells=whole_number(g["num_cells"], "num_cells"),
                         origin_km=float(g.get("origin_km", 0.0)))
         f = d["fundamental_diagram"]
         fd = FundamentalDiagram(v_f=float(f["v_f_km_h"]),
@@ -427,19 +430,20 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             mode = kcfg.get("mode", "global" if {"a_km", "b"} & kcfg.keys() else "table")
             classes.append(ClassConfig(
                 lam=float(c["lambda_per_s"]),
-                n_servers=int(c["n_servers"]),
+                n_servers=c["n_servers"],
                 mu=float(c["mu_per_s"]),
                 kernel_mode=mode,
                 a=float(kcfg["a_km"]) if mode == "global" else None,
                 b=float(kcfg["b"]) if mode == "global" else None,
-                seeds=tuple((int(s["cell"]), float(s["density_veh_per_km"]))
+                seeds=tuple((s["cell"], float(s["density_veh_per_km"]))
                             for s in c.get("seeds", ())),
             ))
         incident = None
         if "incident" in d and d["incident"] is not None:
             i = d["incident"]
             incident = IncidentProfile(
-                cell_start=int(i["cell_start"]), cell_end=int(i["cell_end"]),
+                cell_start=whole_number(i["cell_start"], "incident cell_start"),
+                cell_end=whole_number(i["cell_end"], "incident cell_end"),
                 t_start=float(i["t_start_s"]), t_end=float(i["t_end_s"]),
                 capacity_factor=float(i["capacity_factor"]))
         return ScenarioConfig(

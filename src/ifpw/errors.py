@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number check
+that configurations apply to their integer inputs."""
 
 
 class StabilityError(ValueError):
@@ -23,6 +24,18 @@ class DegenerateDataError(ValueError):
 
 class ConfigurationError(ValueError):
     """Scenario configuration is inconsistent or violates a precondition."""
+
+
+def whole_number(value, what: str) -> int:
+    """``value`` as an int, or ConfigurationError if it is not a whole
+    number: a whole-valued float such as 32.0 passes, 32.7 does not."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ConfigurationError(f"{what} must be a whole number, got {value!r}")
+    return whole
 
 
 class NumericalBlowupError(RuntimeError):

@@ -3,39 +3,40 @@
 Explicit vehicles sit at fixed positions (optionally on a ring).  Each
 relaying vehicle emits transmissions as a Poisson stream of rate beta;
 a susceptible vehicle at distance d receives one with probability equal
-to the kernel value at d.  A received packet joins the vehicle's own
-multi-server background queue (Poisson arrivals, exponential services):
-the vehicle holds the packet while it waits, relays while it is in
-service, and is excluded once service completes.  Allowed transitions
-are S->H, S->R, H->R, R->E only.
+to the kernel value at d.  A received packet waits the stationary wait
+of the vehicle's own M/M/n background queue (0 with probability 1 - xi,
+else Exp(n*mu - lambda)): the vehicle holds the packet while it waits,
+relays while it is in service, and is excluded once service completes.
+Allowed transitions are S->H, S->R, H->R, R->E only.
 
 All replications of a batch advance together as (replications, vehicles)
-state arrays, with one matrix product per tick for the receptions.
+state arrays, with one matrix product per tick for the receptions; a
+replication leaves the batch once it can no longer change.
 
 RNG streams: replication i draws from its own generator, spawned by
-index from the master seed, in an order fixed by its own trajectory
-alone: first one service time per vehicle, then one uniform per vehicle
-and tick, drawn a block of ``_BLOCK_TICKS`` ticks at a time, with the
-background-queue draws of each reception (in tick, then vehicle order)
-between the blocks.  A tick's uniform gives a relaying vehicle its
+index from the master seed: first one service time per vehicle, then one
+uniform per vehicle and tick, drawn a block of ``_BLOCK_TICKS`` ticks at
+a time, and nothing else.  A tick's uniform gives a relaying vehicle its
 Poisson shot count (by inverse CDF) and decides a susceptible vehicle's
-reception.  So replication i's curve does not depend on the replication
-count, on ``workers`` or on the other replications.
+reception; given a reception, the same uniform, rescaled, draws its queue
+wait.  So replication i's curve does not depend on the replication count,
+on ``workers`` or on the other replications.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import pdtr
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, whole_number
 from .kernel import KernelParams, kernel_value
-from .queueing import ClassParams
+from .queueing import ClassParams, wait_probability
 
 __all__ = [
     "MicroConfig",
@@ -50,10 +51,6 @@ _LEGAL = np.zeros((4, 4), dtype=bool)  # [old, new]
 _LEGAL[S, H] = _LEGAL[S, R] = _LEGAL[H, R] = _LEGAL[R, E] = True
 
 _BLOCK_TICKS = 4  # ticks of uniforms drawn at once per replication
-# replications per batch: a batch runs until its last replication dies out
-# and its reception matmul grows with it, so 500 replications ran ~20 %
-# faster as 64-replication batches than as one
-_MAX_BATCH = 64
 # the tick bound keeps beta*tick <= 0.1, where P(16 or more shots) < 1e-29
 _MAX_SHOTS = 16
 # log(1 - P) for certain reception (P = 1): finite, so a zero shot count
@@ -77,6 +74,7 @@ class MicroConfig:
     num_bins: int = 20  # spatial histogram bins
 
     def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(whole_number(i, "seed index") for i in self.seeds))
         cp = self.class_params
         bound = 0.1 * min(1.0 / cp.mu, 1.0 / cp.lam, 1.0 / self.beta)
         if self.tick > bound * (1 + 1e-12):
@@ -119,11 +117,8 @@ class MicroResult:
         its own final value (NaN for replications that never grow)."""
         out = np.full(self.curves.shape[0], np.nan)
         for i, c in enumerate(self.curves):
-            if c[-1] <= 0:
-                continue
-            idx = np.flatnonzero(c >= 0.5 * c[-1])
-            if idx.size:
-                out[i] = self.times[idx[0]]
+            if c[-1] > 0:
+                out[i] = self.times[np.argmax(c >= 0.5 * c[-1])]
         return out
 
 
@@ -158,24 +153,15 @@ def _pair_probs(config: MicroConfig) -> np.ndarray:
     return np.minimum(p, 1.0)
 
 
-def _queue_wait(rng, cp: ClassParams, now: float) -> float:
-    """Waiting time a packet arriving at `now` sees in the background queue.
+def _queue_waits(u, p_hit, xi: float, slack: float) -> np.ndarray:
+    """Stationary M/M/n queue waits of packets received with tick uniforms
+    ``u < p_hit``: 0 with probability ``1 - xi``, else Exp(slack) (Erlang C).
 
-    The queue's background history is reconstructed over a warmup window
-    long enough (50 relaxation times) that the state at `now` is
-    effectively stationary, using the standard multi-server recursion on
-    server-free times.  The window's Poisson arrivals are drawn as a
-    Poisson count of uniform times, each with an exponential service.
+    Given a reception, ``v = u / p_hit`` is a fresh uniform; a packet with
+    ``v < xi`` waits ``log(xi / v) / slack``, as ``v / xi`` is then uniform.
     """
-    warm = 50.0 / cp.slack
-    count = rng.poisson(cp.lam * warm)
-    arrivals = np.sort(rng.uniform(now - warm, now, count)).tolist()
-    services = rng.exponential(1.0 / cp.mu, count).tolist()
-    free = [now - warm] * cp.n_servers  # all servers idle at the window start
-    for arrival, service in zip(arrivals, services):
-        i = free.index(min(free))
-        free[i] = max(arrival, free[i]) + service
-    return max(0.0, min(free) - now)
+    v = np.maximum(u / p_hit, np.finfo(float).tiny)  # v = 0 would wait forever
+    return np.where(v < xi, np.log(xi / v) / slack, 0.0)
 
 
 def _transition(states, where, new):
@@ -207,6 +193,7 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     """
     rngs = [np.random.default_rng(s) for s in streams]
     cp = config.class_params
+    xi = wait_probability(cp)
     n = len(config.positions)
     log_keep = _pair_probs(config)  # becomes log P(one shot misses), per pair
     certain = log_keep == 1.0
@@ -227,8 +214,12 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     informed[:, 0] = np.mean(states != S, axis=1)
     rec_pos = 1
     uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))  # per vehicle and tick
+    # the arrays above keep only live replications (row i is replication
+    # live[i]); one with no holding or relaying vehicle never changes again
+    live = np.arange(len(rngs))
+    ended = np.empty(states.shape, dtype=np.int8)  # final states
 
-    for tick in range(num_ticks):
+    for tick in range(num_ticks if seeds else 0):  # no relayer: nothing happens
         k = tick % _BLOCK_TICKS
         if k == 0:
             for rng, u in zip(rngs, uniforms):
@@ -247,8 +238,17 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
             _transition(states, due, E)
             t_exclude[due] = np.inf
             next_exclude = t_exclude.min()
-        if next_relay == next_exclude == np.inf:
-            break  # no vehicle holds a packet or relays: nothing changes any more
+            row_states = states[due[0]]
+            done = due[0][~((row_states == H) | (row_states == R)).any(axis=1)]
+            if done.size:  # retire these rows (a row may repeat)
+                ended[live[done]] = states[done]
+                informed[live[done], rec_pos:] = np.mean(states[done] != S, axis=1)[:, None]
+                keep = np.isin(np.arange(live.size), done, invert=True)
+                live, states, t_relay, t_exclude, service, uniforms = (
+                    a[keep] for a in (live, states, t_relay, t_exclude, service, uniforms))
+                rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+                if not live.size:
+                    break
 
         # a relayer's uniform gives its shot count, a susceptible's its reception
         u = uniforms[:, k]
@@ -263,7 +263,7 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
             p_hit = -np.expm1(shots @ log_keep[cols])
             rows, vehicles = np.nonzero((states == S) & (u < p_hit))
             if rows.size:
-                waits = np.array([_queue_wait(rngs[r], cp, t) for r in rows])
+                waits = _queue_waits(u[rows, vehicles], p_hit[rows, vehicles], xi, cp.slack)
                 held = waits > 0.0
                 hold = rows[held], vehicles[held]
                 _transition(states, hold, H)
@@ -274,16 +274,18 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
                 next_relay, next_exclude = t_relay.min(), t_exclude.min()
 
         if (tick + 1) % config.record_every == 0 and rec_pos < informed.shape[1]:
-            informed[:, rec_pos] = np.mean(states != S, axis=1)
+            informed[live, rec_pos] = np.mean(states != S, axis=1)
             rec_pos += 1
-    informed[:, rec_pos:] = np.mean(states != S, axis=1)[:, None]
+    ended[live] = states
+    informed[live, rec_pos:] = np.mean(states != S, axis=1)[:, None]
 
-    x = np.broadcast_to(np.asarray(config.positions, dtype=float), states.shape)
-    hists = {name: np.histogram(x[states == st], bins=_bin_edges(config))[0]
+    x = np.broadcast_to(np.asarray(config.positions, dtype=float), ended.shape)
+    hists = {name: np.histogram(x[ended == st], bins=_bin_edges(config))[0]
              for name, st in (("s", S), ("h", H), ("r", R), ("e", E))}
     return informed, hists
 
 
+# kept, though nothing here calls it: perfbench/tracing.py wraps it by name
 def _one_replication(args) -> tuple[np.ndarray, dict]:
     """One replication alone, from a ``(config, seed sequence)`` pair: its
     curve and end-state histograms, the same as its row of any batch."""
@@ -295,21 +297,20 @@ def _one_replication(args) -> tuple[np.ndarray, dict]:
 def simulate(config: MicroConfig, workers: int | None = None) -> MicroResult:
     """Ensemble of replications; returns averaged trajectories and histograms.
 
-    The replications run in contiguous chunks of at most ``_MAX_BATCH``,
-    each advanced as one batch; with ``workers`` > 1 the chunks (at least
-    one per worker) run in a pool of that many processes.  The result
-    does not depend on the split.
+    All replications run as one batch; with ``workers`` > 1 they are split
+    into that many contiguous chunks, each one batch, run in a pool of
+    processes.  The result does not depend on the split.
     """
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.replications)
     reps = len(streams)
-    size = min(_MAX_BATCH, math.ceil(reps / max(workers or 1, 1)))
+    size = math.ceil(reps / max(workers or 1, 1))
     chunks = [streams[i:i + size] for i in range(0, reps, size)]
-    if workers is not None and workers > 1 and len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks)),
+    if len(chunks) > 1:
+        with ProcessPoolExecutor(max_workers=len(chunks),
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_run_batch, [config] * len(chunks), chunks))
     else:
-        results = [_run_batch(config, chunk) for chunk in chunks]
+        results = [_run_batch(config, streams)]
 
     curves = np.concatenate([r[0] for r in results])
     times = np.arange(0, _num_ticks(config) + 1, config.record_every) * config.tick
@@ -356,8 +357,6 @@ def queue_validation(params: ClassParams, num_packets: int,
 
 def write_result_csv(result: MicroResult, out_dir):
     """Write trajectory + histogram CSVs with standard-error columns."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
     traj = os.path.join(out_dir, "informed_fraction.csv")
     with open(traj, "w") as fh:

@@ -47,6 +47,7 @@ class ClassParams:
             raise ValueError(f"service rate must be positive, got {self.mu}")
         if self.n_servers < 1 or int(self.n_servers) != self.n_servers:
             raise ValueError(f"n_servers must be a positive integer, got {self.n_servers}")
+        object.__setattr__(self, "n_servers", int(self.n_servers))  # 2.0 -> 2
 
     @property
     def stable(self) -> bool:

@@ -81,6 +81,9 @@ class TestRun:
         (("classes", 0, "seeds", 0, "density_veh_per_km"), float("nan")),
         (("classes", 0, "seeds"), [{"cell": 32, "density_veh_per_km": 15.0},
                                    {"cell": 32, "density_veh_per_km": 10.0}]),
+        (("classes", 0, "seeds", 0, "cell"), 32.7),
+        (("classes", 0, "n_servers"), 2.5),
+        (("grid", "num_cells"), 64.5),
     ])
     def test_bad_scenario_is_config_error(self, tmp_path, capsys, path, value):
         bad = json.loads(json.dumps(RUN_CONFIG))
@@ -93,6 +96,18 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "error:" in capsys.readouterr().err
         assert not out.exists()  # rejected before any step ran
+
+    def test_whole_valued_floats_accepted(self, tmp_path):
+        floats = json.loads(json.dumps(RUN_CONFIG))
+        floats["classes"][0]["n_servers"] = 11.0
+        floats["classes"][0]["seeds"][0]["cell"] = 32.0
+        for name, config in (("ints", RUN_CONFIG), ("floats", floats)):
+            cfg = write_json(tmp_path, f"{name}.json", config)
+            assert main(["run", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        for layer in ("s", "h", "r", "e"):
+            name = f"class0_{layer}.csv"
+            assert ((tmp_path / "ints" / name).read_bytes()
+                    == (tmp_path / "floats" / name).read_bytes())
 
     def test_unstable_class_is_config_error(self, tmp_path):
         bad = json.loads(json.dumps(RUN_CONFIG))
@@ -284,6 +299,41 @@ class TestOracle:
         code = main(["oracle", "--config", cfg, "--out", str(out)])
         assert code == EXIT_DOMAIN
         assert "error: cannot write" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("class", "n_servers"), 1.5),
+        (("seed_vehicles",), [10.5]),
+        (("num_vehicles",), 20.5),
+        (("replications",), 2.5),
+        (("record_every",), 10.5),
+        (("num_bins",), 20.5),
+        (("rng_seed",), 5.5),
+    ])
+    def test_fractional_integer_is_config_error(self, tmp_path, capsys, path, value):
+        bad = json.loads(json.dumps(ORACLE_CONFIG))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_json(tmp_path, "oracle.json", bad)
+        out = tmp_path / "o"
+        code = main(["oracle", "--config", cfg, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "must be a whole number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_whole_valued_floats_accepted(self, tmp_path):
+        floats = json.loads(json.dumps(ORACLE_CONFIG))
+        floats["class"]["n_servers"] = 1.0
+        floats["seed_vehicles"] = [10.0]
+        floats["num_vehicles"] = 20.0
+        floats["replications"] = 2.0
+        for name, config in (("ints", ORACLE_CONFIG), ("floats", floats)):
+            cfg = write_json(tmp_path, f"{name}.json", config)
+            assert main(["oracle", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        for name in ("informed_fraction.csv", "state_histograms.csv"):
+            assert ((tmp_path / "ints" / name).read_bytes()
+                    == (tmp_path / "floats" / name).read_bytes())
 
     def test_bad_oracle_config(self, tmp_path):
         bad = dict(ORACLE_CONFIG)

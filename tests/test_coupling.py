@@ -460,6 +460,50 @@ class TestConfigValidation:
             cc = config_from_dict(d).classes[0]
             assert (cc.kernel_mode, cc.a, cc.b) == ("table", None, None)
 
+    def test_fractional_seed_cell_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed cell must be a whole number"):
+            ClassConfig(0.5, 11, 0.05, a=0.292, b=0.499, seeds=((32.7, 5.0),))
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["classes"][0]["seeds"][0]["cell"] = 32.7
+        with pytest.raises(ConfigurationError, match="seed cell must be a whole number"):
+            config_from_dict(bad)
+
+    def test_fractional_server_count_rejected(self):
+        with pytest.raises(ConfigurationError, match="n_servers must be a whole number"):
+            ClassConfig(0.5, 2.5, 0.05, a=0.292, b=0.499)
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["classes"][0]["n_servers"] = 2.5
+        with pytest.raises(ConfigurationError, match="n_servers must be a whole number"):
+            config_from_dict(bad)
+
+    @pytest.mark.parametrize("path, value", [
+        (("grid", "num_cells"), 64.5),
+        (("incident", "cell_start"), 10.5),
+        (("incident", "cell_end"), "20"),
+    ])
+    def test_fractional_grid_and_incident_cells_rejected(self, path, value):
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["incident"] = {"cell_start": 10, "cell_end": 20, "t_start_s": 60.0,
+                           "t_end_s": 300.0, "capacity_factor": 1 / 3}
+        bad[path[0]][path[1]] = value
+        with pytest.raises(ConfigurationError, match="must be a whole number"):
+            config_from_dict(bad)
+
+    def test_whole_valued_floats_accepted(self):
+        # 32.0 seeds cell 32 and 11.0 runs 11 servers, the same as the ints
+        cc = ClassConfig(0.5, 11.0, 0.05, a=0.292, b=0.499, seeds=((32.0, 5.0),))
+        assert cc == make_config().classes[0]
+        assert type(cc.n_servers) is int and type(cc.seeds[0][0]) is int
+        a, b = run(make_config(classes=(cc,))), run(make_config())
+        assert len(a.snapshots) == len(b.snapshots)
+        for sa, sb in zip(a.snapshots, b.snapshots):
+            np.testing.assert_array_equal(sa.classes[0].fields, sb.classes[0].fields)
+        d = copy.deepcopy(JSON_CONFIG)
+        d["grid"]["num_cells"] = 64.0
+        d["classes"][0]["n_servers"] = 11.0
+        d["classes"][0]["seeds"][0]["cell"] = 32.0
+        assert config_from_dict(d).classes == config_from_dict(copy.deepcopy(JSON_CONFIG)).classes
+
     def test_whole_step_horizons_accepted(self):
         make_config(horizon=0.0)
         make_config(horizon=420.0)

@@ -1,7 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ifpw import micro
 from ifpw.errors import ConfigurationError
 from ifpw.kernel import KernelParams
 from ifpw.micro import (
@@ -11,7 +12,8 @@ from ifpw.micro import (
     MicroConfig,
     _one_replication,
     _pair_probs,
-    _queue_wait,
+    _queue_waits,
+    _run_batch,
     _transition,
     make_positions,
     queue_validation,
@@ -76,6 +78,14 @@ class TestConfig:
     def test_position_beyond_ring(self):
         with pytest.raises(ConfigurationError):
             tiny_config(positions=(0.5, 3.0))
+
+    def test_fractional_seed_index_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed index must be a whole number"):
+            tiny_config(seeds=(10.5,))
+        # a whole-valued float is that index
+        assert tiny_config(seeds=(10.0,)).seeds == (10,)
+        np.testing.assert_array_equal(simulate(tiny_config(seeds=(10.0,))).curves,
+                                      simulate(tiny_config()).curves)
 
 
 class TestSimulate:
@@ -167,14 +177,14 @@ class TestRngStreams:
             curve, _ = _one_replication((cfg, streams[i]))
             np.testing.assert_array_equal(curve, batch.curves[i])
 
-    def test_batch_size_does_not_matter(self, monkeypatch):
+    def test_batch_size_does_not_matter(self):
         cfg = tiny_config(replications=5)
         whole = simulate(cfg)
-        monkeypatch.setattr(micro, "_MAX_BATCH", 2)
-        split = simulate(cfg)
-        np.testing.assert_array_equal(split.curves, whole.curves)
+        streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
+        parts = [_run_batch(cfg, streams[:2]), _run_batch(cfg, streams[2:])]
+        np.testing.assert_array_equal(np.concatenate([c for c, _ in parts]), whole.curves)
         for name, counts in whole.state_histograms.items():
-            np.testing.assert_array_equal(split.state_histograms[name], counts)
+            np.testing.assert_array_equal(sum(h[name] for _, h in parts) / 5, counts)
 
     def test_workers_match_one_batch(self):
         cfg = tiny_config(replications=5)
@@ -183,6 +193,35 @@ class TestRngStreams:
         np.testing.assert_array_equal(pooled.curves, serial.curves)
         for name, counts in serial.state_histograms.items():
             np.testing.assert_array_equal(pooled.state_histograms[name], counts)
+
+
+class TestRetirement:
+    """A replication in which no vehicle holds or relays a packet leaves
+    its batch; the others carry on unchanged."""
+
+    def test_replications_retire_at_different_ticks(self):
+        cfg = tiny_config(horizon=40.0, record_every=1)
+        streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
+
+        def running(horizon):  # which replications still hold or relay a packet
+            ends = [_one_replication((replace(cfg, horizon=horizon), s))[1] for s in streams]
+            return [bool(h["h"].sum() + h["r"].sum()) for h in ends]
+
+        assert running(1.0) == [True, True, False, True]
+        assert running(27.5) == [False, True, False, True]
+        assert running(40.0) == [False] * 4
+        batch = simulate(cfg)
+        alone = [_one_replication((cfg, s)) for s in streams]
+        for row, (curve, _) in zip(batch.curves, alone):
+            np.testing.assert_array_equal(row, curve)
+        for name, counts in batch.state_histograms.items():
+            np.testing.assert_array_equal(sum(h[name] for _, h in alone) / 4, counts)
+
+    def test_no_seed_stays_susceptible(self):
+        res = simulate(tiny_config(seeds=(), horizon=1000.0, record_every=1))
+        np.testing.assert_array_equal(res.curves, 0.0)
+        assert res.state_histograms["s"].sum() == 20
+        assert all(res.state_histograms[k].sum() == 0 for k in "hre")
 
 
 class TestCertainReception:
@@ -218,14 +257,24 @@ class TestQueueValidation:
         assert float(np.mean(waits > 0)) == pytest.approx(
             wait_probability(p), abs=0.02)
 
-    def test_oracle_reconstruction_matches_erlang_c(self):
-        # each reception's rebuilt background queue sees the stationary
-        # M/M/n law: P(wait > 0) = xi and the mean wait
+    def test_oracle_waits_match_erlang_c(self):
+        # a reception's wait, drawn from its own tick uniform u < p_hit,
+        # follows the stationary M/M/n law: P(wait > 0) = xi and the mean wait
         p = ClassParams(1.0, 2, 1.0)
         rng = np.random.default_rng(4)
-        waits = np.array([_queue_wait(rng, p, 100.0) for _ in range(10_000)])
+        p_hit = rng.uniform(size=20_000)
+        u = rng.uniform(size=p_hit.size)
+        received = u < p_hit
+        waits = _queue_waits(u[received], p_hit[received], wait_probability(p), p.slack)
+        assert received.sum() > 9_000
+        assert np.all(np.isfinite(waits)) and np.all(waits >= 0)
         assert float(np.mean(waits > 0)) == pytest.approx(wait_probability(p), abs=0.02)
         assert float(waits.mean()) == pytest.approx(mean_waiting_time(p), abs=0.03)
+
+    def test_oracle_wait_of_zero_uniform_is_finite(self):
+        p = ClassParams(1.0, 2, 1.0)
+        waits = _queue_waits(np.array([0.0]), np.array([0.5]), wait_probability(p), p.slack)
+        assert np.isfinite(waits[0]) and waits[0] > 0
 
     def test_mean_wait(self):
         p = ClassParams(1.0, 2, 1.0)

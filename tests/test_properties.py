@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ifpw.coupling import ClassConfig, IncidentProfile, ScenarioConfig, initialize, step
 from ifpw.kernel import SQRT_PI, KernelParams
 from ifpw.lwr import FundamentalDiagram
-from ifpw.micro import MicroConfig, make_positions, simulate
+from ifpw.micro import MicroConfig, _one_replication, make_positions, simulate
 from ifpw.queueing import ClassParams
 from ifpw.shre import GridSpec
 
@@ -62,6 +62,11 @@ class TestOracleProperties:
         assert np.all(res.curves <= 1.0)
         total = sum(h.sum() for h in res.state_histograms.values())
         assert abs(total - n) <= 1e-9 * n
+        # replications leave the batch when they die out; each row is the
+        # replication alone
+        streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
+        for stream, row in zip(streams, res.curves):
+            np.testing.assert_array_equal(_one_replication((cfg, stream))[0], row)
 
 
 @st.composite

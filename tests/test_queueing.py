@@ -164,6 +164,11 @@ class TestStability:
         assert m.mean_wait == pytest.approx(1 / 3, abs=1e-12)
 
     def test_invalid_params(self):
-        for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 1, 1)]:
+        for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 1, 1), (1, 2.5, 1)]:
             with pytest.raises(ValueError):
                 ClassParams(*bad)
+
+    def test_whole_valued_float_server_count(self):
+        p = ClassParams(1.0, 2.0, 1.0)
+        assert type(p.n_servers) is int
+        assert wait_probability(p) == wait_probability(ClassParams(1.0, 2, 1.0))
