@@ -14,11 +14,22 @@ evaluated by zero-padded FFT (or direct summation, or circular FFT for a
 ring domain); when the kernel is density-dependent, each cell carries its
 own (a, b) and the convolution falls back to a banded direct product.
 Time stepping is classical RK4 with automatic sub-step halving on blow-up.
+
+The reaction step allocates no scratch memory once warm: the RK4 stage
+state, its four derivatives, Phi and the spectral convolution buffers are
+made once per thread and grid size (``_workspace``) and reused by every
+step.  They are written with the same IEEE operations in the same order
+as the plain array expressions, so results are bit-for-bit those of an
+allocating step.  No array a public function returns is one of these
+buffers or a view into them: ``rk4_step``, ``shre_rhs`` and
+``convolve_relaying`` hand back fresh arrays unless the caller passes
+``out``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -115,10 +126,10 @@ class CellKernel:
             -(offsets[None, :] ** 2) / (self.a[:, None] ** 2)
         )
 
-    def apply(self, r_field: np.ndarray) -> np.ndarray:
+    def apply(self, r_field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         padded = np.pad(r_field, self.m)
         windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * self.m + 1)
-        return self.dx * np.einsum("ij,ij->i", self.band, windows)
+        return np.multiply(self.dx, np.einsum("ij,ij->i", self.band, windows), out=out)
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -151,36 +162,78 @@ def _periodic_spectrum(a: float, b: float, dx: float, n: int) -> np.ndarray:
     return _read_only(np.fft.rfft(wrapped))
 
 
+class _Workspace:
+    """Scratch arrays of one thread for one grid size: the RK4 stage state
+    and derivatives, Phi, a temporary, and the FFT buffers per length."""
+
+    def __init__(self, n: int):
+        self.k = np.empty((4, 4, n))  # the four RK4 derivatives
+        self.stage = np.empty((4, n))
+        self.phi = np.empty(n)
+        self.tmp = np.empty(n)
+        self._spectral: dict[int, tuple] = {}
+
+    def spectral(self, nfft: int) -> tuple:
+        """(zero-tailed input, spectrum, signal) buffers for length nfft."""
+        bufs = self._spectral.get(nfft)
+        if bufs is None:
+            bufs = self._spectral[nfft] = (
+                np.zeros(nfft), np.empty(nfft // 2 + 1, complex), np.empty(nfft))
+        return bufs
+
+
+_local = threading.local()
+_MAX_WORKSPACES = 4  # grid sizes kept per thread
+
+
+def _workspace(n: int) -> _Workspace:
+    cache = getattr(_local, "workspaces", None)
+    if cache is None:
+        cache = _local.workspaces = {}
+    ws = cache.get(n)
+    if ws is None:
+        if len(cache) >= _MAX_WORKSPACES:
+            del cache[next(iter(cache))]  # the oldest grid size
+        ws = cache[n] = _Workspace(n)
+    return ws
+
+
 def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
-                      mode: str = "fft") -> np.ndarray:
+                      mode: str = "fft", out: np.ndarray | None = None) -> np.ndarray:
     """Discretized integral K(x,y) R(y) dy on the grid.
 
     mode 'fft' is zero-padded linear convolution, 'direct' is plain
     summation (oracle path), 'periodic' is circular convolution for ring
-    domains.  A CellKernel always uses its banded direct product.
+    domains.  A CellKernel always uses its banded direct product.  The
+    result goes to ``out`` if given, else to a fresh array.
     """
     r_field = np.asarray(r_field, dtype=float)
     if r_field.shape != (grid.num_cells,):
         raise ValueError(
             f"field length {r_field.shape} does not match grid ({grid.num_cells},)")
     if isinstance(kernel, CellKernel):
-        return kernel.apply(r_field)
+        return kernel.apply(r_field, out)
     k = _sampled_kernel(kernel.a, kernel.b, grid.dx)
     n = r_field.size
     m = k.size // 2
     if mode == "direct":
         # full convolution sliced to the centre; 'same' mis-centres when
         # the sampled kernel is longer than the field
-        return grid.dx * np.convolve(r_field, k)[m:m + n]
+        return np.multiply(grid.dx, np.convolve(r_field, k)[m:m + n], out=out)
     if mode == "fft":
         nfft = int(2 ** math.ceil(math.log2(n + k.size)))
         spectrum = _fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
-        out = np.fft.irfft(np.fft.rfft(r_field, nfft) * spectrum, nfft)
-        return grid.dx * out[m:m + n]
-    if mode == "periodic":
+    elif mode == "periodic":
+        nfft, m = n, 0
         spectrum = _periodic_spectrum(kernel.a, kernel.b, grid.dx, n)
-        return grid.dx * np.fft.irfft(np.fft.rfft(r_field) * spectrum, n)
-    raise ValueError(f"unknown convolution mode {mode!r}")
+    else:
+        raise ValueError(f"unknown convolution mode {mode!r}")
+    padded, coeffs, signal = _workspace(n).spectral(nfft)
+    padded[:n] = r_field  # the tail past n stays zero
+    np.fft.rfft(padded, out=coeffs)
+    np.multiply(coeffs, spectrum, out=coeffs)
+    np.fft.irfft(coeffs, nfft, out=signal)
+    return np.multiply(grid.dx, signal[m:m + n], out=out)
 
 
 @dataclass
@@ -198,26 +251,51 @@ class ShreParams:
         self.xi = queueing.wait_probability(self.class_params)
 
 
-def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec) -> np.ndarray:
-    """Time derivative of the (4, N) S/H/R/E fields (sums to zero per cell)."""
+def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Time derivative of the (4, N) S/H/R/E fields (sums to zero per cell),
+    written to ``out`` (which must not overlap ``fields``) or a fresh array."""
     s, h, r = fields[0], fields[1], fields[2]
     cp = p.class_params
-    omega = cp.slack
-    phi = p.beta * s * convolve_relaying(r, p.kernel, grid, p.conv_mode)
-    out = np.empty_like(fields)
-    out[0] = -phi
-    out[1] = p.xi * phi - omega * h
-    out[2] = (1.0 - p.xi) * phi + omega * h - cp.mu * r
-    out[3] = cp.mu * r
+    ws = _workspace(grid.num_cells)
+    phi, tmp = ws.phi, ws.tmp
+    if out is None:
+        out = np.empty_like(fields)
+    # phi = (beta * s) * conv
+    convolve_relaying(r, p.kernel, grid, p.conv_mode, out=phi)
+    np.multiply(p.beta, s, out=tmp)
+    np.multiply(tmp, phi, out=phi)
+    np.negative(phi, out=out[0])
+    # out[1] = xi * phi - omega * h
+    np.multiply(p.xi, phi, out=out[1])
+    np.multiply(cp.slack, h, out=tmp)
+    np.subtract(out[1], tmp, out=out[1])
+    # out[2] = ((1 - xi) * phi + omega * h) - mu * r, out[3] = mu * r
+    np.multiply(1.0 - p.xi, phi, out=out[2])
+    np.add(out[2], tmp, out=out[2])
+    np.multiply(cp.mu, r, out=out[3])
+    np.subtract(out[2], out[3], out=out[2])
     return out
 
 
 def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float) -> np.ndarray:
-    k1 = shre_rhs(arr, p, grid)
-    k2 = shre_rhs(arr + 0.5 * dt * k1, p, grid)
-    k3 = shre_rhs(arr + 0.5 * dt * k2, p, grid)
-    k4 = shre_rhs(arr + dt * k3, p, grid)
-    return arr + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """arr + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) as a fresh array; the
+    stages and derivatives live in the thread's workspace."""
+    ws = _workspace(grid.num_cells)
+    k1, k2, k3, k4 = ws.k
+    stage = ws.stage
+    shre_rhs(arr, p, grid, out=k1)
+    for k_prev, k_next, scale in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
+        np.multiply(scale, k_prev, out=stage)
+        np.add(arr, stage, out=stage)
+        shre_rhs(stage, p, grid, out=k_next)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(2.0, k3, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(dt / 6.0, k1, out=k1)
+    return arr + k1
 
 
 def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec,

@@ -97,6 +97,24 @@ class TestRun:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()  # rejected before any step ran
 
+    @pytest.mark.parametrize("key, value", [
+        ("cell_start", 700),
+        ("cell_end", 5),  # before cell_start
+        ("t_end_s", 5.0),  # before t_start_s
+        ("capacity_factor", -0.5),
+    ])
+    def test_bad_incident_is_config_error(self, tmp_path, capsys, key, value):
+        bad = json.loads(json.dumps(RUN_CONFIG))
+        bad["boundary"] = "open"
+        bad["incident"] = {"cell_start": 10, "cell_end": 20, "t_start_s": 10.0,
+                           "t_end_s": 20.0, "capacity_factor": 0.5}
+        bad["incident"][key] = value
+        cfg = write_json(tmp_path, "bad.json", bad)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "incident" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_whole_valued_floats_accepted(self, tmp_path):
         floats = json.loads(json.dumps(RUN_CONFIG))
         floats["classes"][0]["n_servers"] = 11.0

@@ -504,6 +504,37 @@ class TestConfigValidation:
         d["classes"][0]["seeds"][0]["cell"] = 32.0
         assert config_from_dict(d).classes == config_from_dict(copy.deepcopy(JSON_CONFIG)).classes
 
+    @pytest.mark.parametrize("incident, match", [
+        (IncidentProfile(700, 710, 0.0, 20.0, 0.5), "incident cells"),  # off the grid
+        (IncidentProfile(-1, 5, 0.0, 20.0, 0.5), "incident cells"),
+        (IncidentProfile(60, 64, 0.0, 20.0, 0.5), "incident cells"),  # past the last cell
+        (IncidentProfile(30, 20, 0.0, 20.0, 0.5), "incident cells"),  # start after end
+        (IncidentProfile(20, 30, 20.0, 10.0, 0.5), "t_start"),
+        (IncidentProfile(20, 30, 10.0, 10.0, 0.5), "t_start"),
+        (IncidentProfile(20, 30, float("nan"), 10.0, 0.5), "t_start"),
+        (IncidentProfile(20, 30, 0.0, 20.0, -0.5), "capacity_factor"),
+        (IncidentProfile(20, 30, 0.0, 20.0, 1.5), "capacity_factor"),
+        (IncidentProfile(20, 30, 0.0, 20.0, float("nan")), "capacity_factor"),
+        (IncidentProfile(20, 30, 0.0, 20.0, float("inf")), "capacity_factor"),
+    ])
+    def test_bad_incident_rejected(self, incident, match):
+        with pytest.raises(ConfigurationError, match=match):
+            make_config(boundary="open", incident=incident)
+
+    def test_fractional_library_incident_cell_rejected(self):
+        with pytest.raises(ConfigurationError, match="incident cell_start must be a whole"):
+            IncidentProfile(10.5, 20, 0.0, 20.0, 0.5)
+        assert IncidentProfile(10.0, 20, 0.0, 20.0, 0.5) == IncidentProfile(10, 20, 0.0, 20.0, 0.5)
+
+    @pytest.mark.parametrize("incident", [
+        IncidentProfile(0, 63, 0.0, 20.0, 1.0),  # the whole road, no reduction
+        IncidentProfile(20, 20, 0.0, 20.0, 0.0),  # one closed cell
+    ])
+    def test_edge_incidents_accepted(self, incident):
+        out = run(make_config(boundary="open", incident=incident))
+        for snap in out.snapshots:
+            assert np.all(snap.k_total >= 0.0) and np.all(snap.k_total <= FD.k_jam)
+
     def test_whole_step_horizons_accepted(self):
         make_config(horizon=0.0)
         make_config(horizon=420.0)

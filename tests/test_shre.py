@@ -1,4 +1,7 @@
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -226,6 +229,200 @@ class TestRk4:
         p = ShreParams(1e9, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
         with pytest.raises(NumericalBlowupError):
             rk4_step(state, p, grid)
+
+
+def reference_convolution(r, kernel, grid, mode):
+    """The allocating convolution expressions that the workspace replaced."""
+    if isinstance(kernel, CellKernel):
+        padded = np.pad(r, kernel.m)
+        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * kernel.m + 1)
+        return kernel.dx * np.einsum("ij,ij->i", kernel.band, windows)
+    k = shre._sampled_kernel(kernel.a, kernel.b, grid.dx)
+    n, m = r.size, k.size // 2
+    if mode == "direct":
+        return grid.dx * np.convolve(r, k)[m:m + n]
+    if mode == "fft":
+        nfft = int(2 ** math.ceil(math.log2(n + k.size)))
+        spectrum = shre._fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
+        return grid.dx * np.fft.irfft(np.fft.rfft(r, nfft) * spectrum, nfft)[m:m + n]
+    spectrum = shre._periodic_spectrum(kernel.a, kernel.b, grid.dx, n)
+    return grid.dx * np.fft.irfft(np.fft.rfft(r) * spectrum, n)
+
+
+def reference_rhs(fields, p, grid):
+    s, h, r = fields[0], fields[1], fields[2]
+    cp = p.class_params
+    omega = cp.slack
+    phi = p.beta * s * reference_convolution(r, p.kernel, grid, p.conv_mode)
+    out = np.empty_like(fields)
+    out[0] = -phi
+    out[1] = p.xi * phi - omega * h
+    out[2] = (1.0 - p.xi) * phi + omega * h - cp.mu * r
+    out[3] = cp.mu * r
+    return out
+
+
+def reference_rk4_once(arr, p, grid, dt):
+    k1 = reference_rhs(arr, p, grid)
+    k2 = reference_rhs(arr + 0.5 * dt * k1, p, grid)
+    k3 = reference_rhs(arr + 0.5 * dt * k2, p, grid)
+    k4 = reference_rhs(arr + dt * k3, p, grid)
+    return arr + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_rk4_step(fields, p, grid, dt):
+    """rk4_step's retries over the allocating stages: (fields, None) on
+    success, (None, blow-up cell) on failure."""
+    for halving in range(shre.MAX_HALVINGS + 1):
+        arr = fields
+        for _ in range(2 ** halving):
+            arr = reference_rk4_once(arr, p, grid, dt / 2 ** halving)
+            if not np.isfinite(arr).all() or arr.min() < shre.NEG_TOL:
+                break
+        else:
+            return np.clip(arr, 0.0, None), None
+    bad = np.argwhere(~np.isfinite(arr) | (arr < shre.NEG_TOL))
+    return None, int(bad[0][1]) if bad.size else None
+
+
+def assert_bitwise(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def seeded_state(n, sigma=10.0):
+    return seed_information(ClassState.all_susceptible(sigma, n), n // 2, 5.0)
+
+
+def workspace_buffers(n):
+    ws = shre._workspace(n)
+    return [ws.k, ws.stage, ws.phi, ws.tmp,
+            *(buf for nfft in ws._spectral for buf in ws.spectral(nfft))]
+
+
+class TestWorkspaceStep:
+    """The buffered step against the allocating reference, bit for bit."""
+
+    @staticmethod
+    def kernels(n, dx):
+        rng = np.random.default_rng(n)
+        cell = CellKernel(rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n), dx)
+        return [("fft", KP), ("periodic", KP), ("direct", KP), ("fft", cell)]
+
+    @pytest.mark.parametrize("which", range(4), ids=["fft", "periodic", "direct", "cell"])
+    def test_steps_equal_allocating_reference(self, which):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
+        mode, kernel = self.kernels(96, grid.dx)[which]
+        p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), kernel, conv_mode=mode)
+        cur = seeded_state(96)
+        for _ in range(40):
+            ref, _cell = reference_rk4_step(cur.fields, p, grid, grid.dt)
+            assert_bitwise(shre_rhs(cur.fields, p, grid), reference_rhs(cur.fields, p, grid))
+            assert_bitwise(convolve_relaying(cur.r, kernel, grid, mode),
+                           reference_convolution(cur.r, kernel, grid, mode))
+            cur = rk4_step(cur, p, grid)
+            assert_bitwise(cur.fields, ref)
+
+    def test_substep_retries_equal_reference(self, monkeypatch):
+        grid = GridSpec(dx=0.05, dt=2.0, num_cells=64)
+        p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
+        state = seeded_state(64)
+        calls = []
+        conv = shre.convolve_relaying
+        monkeypatch.setattr(shre, "convolve_relaying",
+                            lambda *a, **kw: calls.append(1) or conv(*a, **kw))
+        out = rk4_step(state, p, grid)
+        assert len(calls) > 4  # the step was retried with sub-steps
+        ref, _cell = reference_rk4_step(state.fields, p, grid, grid.dt)
+        assert_bitwise(out.fields, ref)
+
+    def test_blowup_reports_reference_cell(self):
+        grid = GridSpec(dx=0.05, dt=4.0, num_cells=64)
+        p = ShreParams(5.0, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
+        state = seeded_state(64)
+        _ref, cell = reference_rk4_step(state.fields, p, grid, grid.dt)
+        assert cell is not None
+        with pytest.raises(NumericalBlowupError) as exc:
+            rk4_step(state, p, grid)
+        assert exc.value.cell == cell
+
+    def test_results_never_alias_the_workspace(self):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
+        state = seeded_state(96)
+        p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KP)
+        results = [rk4_step(state, p, grid).fields, shre_rhs(state.fields, p, grid),
+                   convolve_relaying(state.r, KP, grid),
+                   convolve_relaying(state.r, KP, grid, mode="periodic")]
+        for res in results:
+            for buf in workspace_buffers(96):
+                assert not np.shares_memory(res, buf)
+
+    def test_grids_of_different_sizes_keep_results_and_inputs(self):
+        p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KP)
+        g1 = GridSpec(dx=0.05, dt=0.5, num_cells=96)
+        g2 = GridSpec(dx=0.05, dt=0.5, num_cells=700)  # another N and nfft
+        s1, s2 = seeded_state(96), seeded_state(700, sigma=12.0)
+        in1, in2 = s1.fields.copy(), s2.fields.copy()
+        r1 = rk4_step(s1, p, g1)
+        kept = r1.fields.copy()
+        rk4_step(s2, p, g2)
+        rk4_step(r1, p, g1)
+        assert_bitwise(r1.fields, kept)
+        assert_bitwise(s1.fields, in1)
+        assert_bitwise(s2.fields, in2)
+
+    def test_convolution_results_are_not_overwritten(self):
+        rng = np.random.default_rng(5)
+        for mode in ("fft", "periodic", "direct"):
+            r1, r2 = rng.uniform(0, 20, (2, GRID.num_cells))
+            first = convolve_relaying(r1, KP, GRID, mode)
+            kept = first.copy()
+            convolve_relaying(r2, KP, GRID, mode)
+            assert_bitwise(first, kept)
+
+    def test_threads_give_serial_results(self):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=1024)
+        p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
+        starts = [seed_information(ClassState.all_susceptible(20.0, 1024), cell, 5.0)
+                  for cell in (300, 700)]
+
+        def trajectory(state):
+            out = []
+            for _ in range(30):
+                state = rk4_step(state, p, grid)
+                out.append(state.fields)
+            return out
+
+        serial = [trajectory(st) for st in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(trajectory, st) for st in starts]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for ser, thr in zip(serial, threaded):
+            for a, b in zip(ser, thr):
+                assert_bitwise(a, b)
+
+    def test_warm_step_allocates_one_result(self):
+        # the step's only large allocation is the returned (4, N) array (its
+        # finiteness mask adds 1/8); the allocating stages peaked at 6 arrays
+        n = 8192
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
+        state = seed_information(ClassState.all_susceptible(20.0, n), n // 2, 5.0)
+        for _ in range(3):
+            state = rk4_step(state, p, grid)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rk4_step(state, p, grid)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.fields.nbytes
 
 
 class TestSeeding:
