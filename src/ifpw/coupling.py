@@ -120,6 +120,9 @@ class ScenarioConfig:
             raise ConfigurationError(f"market penetration must be in (0,1], got {self.penetration}")
         if self.k0 < 0 or self.k0 > self.fd.k_jam:
             raise ConfigurationError(f"ambient density {self.k0} outside [0, k_jam]")
+        if not 0 < self.beta < math.inf:  # also rejects NaN
+            raise ConfigurationError(
+                f"communication frequency beta must be finite and positive, got {self.beta}")
         self.fd.check_cfl(self.grid)
         steps = self.horizon / self.grid.dt
         if not (0 <= steps < math.inf

@@ -75,6 +75,9 @@ class MicroConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(whole_number(i, "seed index") for i in self.seeds))
+        if not 0 < self.beta < math.inf:  # also rejects NaN
+            raise ConfigurationError(
+                f"communication frequency beta must be finite and positive, got {self.beta}")
         cp = self.class_params
         bound = 0.1 * min(1.0 / cp.mu, 1.0 / cp.lam, 1.0 / self.beta)
         if self.tick > bound * (1 + 1e-12):

@@ -12,15 +12,17 @@ information-holding (H), information-relaying (R) and information-excluded
 with Phi(x) = beta * S(x) * integral K(x,y) R(y) dy.  The convolution is
 evaluated by zero-padded FFT (or direct summation, or circular FFT for a
 ring domain); when the kernel is density-dependent, each cell carries its
-own (a, b) and the convolution falls back to a banded direct product.
+own (a, b) and the convolution falls back to a banded direct product
+(``CellKernel``), whose rows are built once per distinct (a, b) pair.
 Time stepping is classical RK4 with automatic sub-step halving on blow-up.
 
 The reaction step allocates no scratch memory once warm: the RK4 stage
-state, its four derivatives, Phi and the spectral convolution buffers are
-made once per thread and grid size (``_workspace``) and reused by every
-step.  They are written with the same IEEE operations in the same order
-as the plain array expressions, so results are bit-for-bit those of an
-allocating step.  No array a public function returns is one of these
+state, its four derivatives, Phi, the spectral convolution buffers and the
+zero-margined window buffer of the banded product are made once per
+thread and grid size (``_workspace``) and reused by every step.  They
+are written with the same IEEE operations in the same order as the plain
+array expressions, so results are bit-for-bit those of an allocating
+step.  No array a public function returns is one of these
 buffers or a view into them: ``rk4_step``, ``shre_rhs`` and
 ``convolve_relaying`` hand back fresh arrays unless the caller passes
 ``out``.
@@ -111,24 +113,45 @@ class CellKernel:
     """Density-dependent kernel: one (a, b) pair per cell.
 
     apply() computes sum_off K_i(off) R[i+off] dx with the band truncated
-    at 8 * max(a); outside-domain contributions are zero.
+    at 8 * max(a); outside-domain contributions are zero.  Row i of the
+    (N, 2m+1) ``band`` samples K at cell i; it is built once per distinct
+    (a, b) pair and gathered to the cells that share it.  apply() reads
+    the field through a zero-margined window buffer of the thread's
+    workspace, not a padded copy.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, dx: float):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
+        if self.a.ndim != 1 or self.a.shape != self.b.shape or not self.a.size:
+            raise ValueError(
+                f"kernel a and b must be 1-D of one non-zero length, got shapes "
+                f"{self.a.shape} and {self.b.shape}")
+        bad = ~(np.isfinite(self.a) & (self.a > 0) & np.isfinite(self.b))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"cell {i} has kernel (a={self.a[i]}, b={self.b[i]}); need a finite "
+                f"a > 0 and a finite b")
         self.dx = dx
         m = int(math.ceil(8 * float(self.a.max()) / dx))
         offsets = np.arange(-m, m + 1) * dx
-        # row i holds K at cell i sampled over the offset band
         self.m = m
-        self.band = (self.b / (self.a * SQRT_PI))[:, None] * np.exp(
-            -(offsets[None, :] ** 2) / (self.a[:, None] ** 2)
-        )
+        # the distinct (a, b) pairs, as complex numbers a + bj
+        pairs = np.stack([self.a, self.b], axis=1).view(complex).ravel()
+        distinct, inverse = np.unique(pairs, return_inverse=True)
+        a_u, b_u = distinct.real, distinct.imag
+        rows = (b_u / (a_u * SQRT_PI))[:, None] * np.exp(
+            -(offsets[None, :] ** 2) / (a_u[:, None] ** 2))
+        self.band = rows[inverse.ravel()]
 
     def apply(self, r_field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        padded = np.pad(r_field, self.m)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * self.m + 1)
+        if np.shape(r_field) != (self.a.size,):
+            raise ValueError(
+                f"field shape {np.shape(r_field)} does not match the kernel's "
+                f"{self.a.size} cells")
+        field_slot, windows = _workspace(self.a.size).window(self.m)
+        field_slot[...] = r_field
         return np.multiply(self.dx, np.einsum("ij,ij->i", self.band, windows), out=out)
 
 
@@ -164,14 +187,19 @@ def _periodic_spectrum(a: float, b: float, dx: float, n: int) -> np.ndarray:
 
 class _Workspace:
     """Scratch arrays of one thread for one grid size: the RK4 stage state
-    and derivatives, Phi, a temporary, and the FFT buffers per length."""
+    and derivatives, Phi, a temporary, the FFT buffers per length and the
+    zero-margined window buffer of the table kernel."""
 
     def __init__(self, n: int):
+        self.n = n
         self.k = np.empty((4, 4, n))  # the four RK4 derivatives
         self.stage = np.empty((4, n))
         self.phi = np.empty(n)
         self.tmp = np.empty(n)
         self._spectral: dict[int, tuple] = {}
+        self.margin = 0
+        self.padded = np.zeros(n)
+        self._windows: dict[int, np.ndarray] = {}
 
     def spectral(self, nfft: int) -> tuple:
         """(zero-tailed input, spectrum, signal) buffers for length nfft."""
@@ -181,9 +209,30 @@ class _Workspace:
                 np.zeros(nfft), np.empty(nfft // 2 + 1, complex), np.empty(nfft))
         return bufs
 
+    def window(self, m: int) -> tuple:
+        """(field slot, (n, 2m+1) window view) for a band half-width m.
+
+        One buffer of n + 2 * margin zeros, margin the widest m seen, serves
+        every m: the field is written only to its middle n entries, so any
+        m <= margin sees exactly m zeros on either side.
+        """
+        if m > self.margin:
+            self.margin = m
+            self.padded = np.zeros(self.n + 2 * m)
+            self._windows = {}
+        windows = self._windows.get(m)
+        if windows is None:
+            if len(self._windows) >= _MAX_WINDOWS:
+                del self._windows[next(iter(self._windows))]  # the oldest m
+            lo = self.margin - m
+            windows = self._windows[m] = np.lib.stride_tricks.sliding_window_view(
+                self.padded[lo:lo + self.n + 2 * m], 2 * m + 1)
+        return self.padded[self.margin:self.margin + self.n], windows
+
 
 _local = threading.local()
 _MAX_WORKSPACES = 4  # grid sizes kept per thread
+_MAX_WINDOWS = 16  # band half-widths kept per workspace
 
 
 def _workspace(n: int) -> _Workspace:
@@ -245,8 +294,9 @@ class ShreParams:
     xi: float = field(init=False)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError(f"communication frequency must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:  # also rejects NaN
+            raise ValueError(
+                f"communication frequency must be finite and positive, got {self.beta}")
         # raises StabilityError for unstable class parameters
         self.xi = queueing.wait_probability(self.class_params)
 

@@ -115,6 +115,14 @@ class TestRun:
         assert "incident" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_bad_beta_is_config_error(self, tmp_path, capsys, beta):
+        cfg = write_json(tmp_path, "bad.json", dict(RUN_CONFIG, beta_hz=beta))
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "communication frequency beta" in capsys.readouterr().err
+        assert not out.exists()  # rejected before any step ran
+
     def test_whole_valued_floats_accepted(self, tmp_path):
         floats = json.loads(json.dumps(RUN_CONFIG))
         floats["classes"][0]["n_servers"] = 11.0
@@ -352,6 +360,14 @@ class TestOracle:
         for name in ("informed_fraction.csv", "state_histograms.csv"):
             assert ((tmp_path / "ints" / name).read_bytes()
                     == (tmp_path / "floats" / name).read_bytes())
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan")])
+    def test_bad_beta_is_config_error(self, tmp_path, capsys, beta):
+        cfg = write_json(tmp_path, "oracle.json", dict(ORACLE_CONFIG, beta_hz=beta))
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "communication frequency beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_oracle_config(self, tmp_path):
         bad = dict(ORACLE_CONFIG)

@@ -521,6 +521,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match=match):
             make_config(boundary="open", incident=incident)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_beta_rejected(self, beta):
+        with pytest.raises(ConfigurationError, match="communication frequency beta"):
+            make_config(beta=beta)
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["beta_hz"] = beta
+        with pytest.raises(ConfigurationError, match="communication frequency beta"):
+            config_from_dict(bad)
+
     def test_fractional_library_incident_cell_rejected(self):
         with pytest.raises(ConfigurationError, match="incident cell_start must be a whole"):
             IncidentProfile(10.5, 20, 0.0, 20.0, 0.5)

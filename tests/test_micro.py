@@ -63,6 +63,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             tiny_config(tick=1.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_beta_rejected(self, beta):
+        # 0 used to divide by zero in the tick bound, -1 to report a
+        # negative bound, NaN to pass
+        with pytest.raises(ConfigurationError, match="communication frequency beta"):
+            tiny_config(beta=beta)
+
     def test_unstable_queue_rejected(self):
         with pytest.raises(ConfigurationError):
             tiny_config(class_params=ClassParams(1.0, 1, 0.5), tick=0.05)

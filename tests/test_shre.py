@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from ifpw import shre
+from ifpw import coupling, shre
 from ifpw.errors import NumericalBlowupError
-from ifpw.kernel import KernelParams, kernel_value
+from ifpw.kernel import SQRT_PI, KernelParams, interp_kernel_params, kernel_value
+from ifpw.lwr import FundamentalDiagram
 from ifpw.queueing import ClassParams
 from ifpw.shre import (
     CellKernel,
@@ -296,7 +297,7 @@ def seeded_state(n, sigma=10.0):
 
 def workspace_buffers(n):
     ws = shre._workspace(n)
-    return [ws.k, ws.stage, ws.phi, ws.tmp,
+    return [ws.k, ws.stage, ws.phi, ws.tmp, ws.padded, *ws._windows.values(),
             *(buf for nfft in ws._spectral for buf in ws.spectral(nfft))]
 
 
@@ -350,9 +351,14 @@ class TestWorkspaceStep:
         grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
         state = seeded_state(96)
         p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KP)
+        cell = self.kernels(96, grid.dx)[3][1]
+        p_cell = ShreParams(2.0, ClassParams(0.5, 2, 1.0), cell)
         results = [rk4_step(state, p, grid).fields, shre_rhs(state.fields, p, grid),
                    convolve_relaying(state.r, KP, grid),
-                   convolve_relaying(state.r, KP, grid, mode="periodic")]
+                   convolve_relaying(state.r, KP, grid, mode="periodic"),
+                   rk4_step(state, p_cell, grid).fields, cell.apply(state.r),
+                   convolve_relaying(state.r, cell, grid)]
+        assert shre._workspace(96)._windows  # the table kernel's views are checked too
         for res in results:
             for buf in workspace_buffers(96):
                 assert not np.shares_memory(res, buf)
@@ -380,31 +386,43 @@ class TestWorkspaceStep:
             convolve_relaying(r2, KP, GRID, mode)
             assert_bitwise(first, kept)
 
-    def test_threads_give_serial_results(self):
-        grid = GridSpec(dx=0.05, dt=0.5, num_cells=1024)
-        p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
-        starts = [seed_information(ClassState.all_susceptible(20.0, 1024), cell, 5.0)
+    @staticmethod
+    def assert_threads_give_serial_results(kernels):
+        n = 1024
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        params = [ShreParams(2.0, ClassParams(0.5, 11, 0.05), k) for k in kernels]
+        starts = [seed_information(ClassState.all_susceptible(20.0, n), cell, 5.0)
                   for cell in (300, 700)]
 
-        def trajectory(state):
+        def trajectory(state, p):
             out = []
             for _ in range(30):
                 state = rk4_step(state, p, grid)
                 out.append(state.fields)
             return out
 
-        serial = [trajectory(st) for st in starts]
+        serial = [trajectory(st, p) for st, p in zip(starts, params)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=2) as pool:
-                futures = [pool.submit(trajectory, st) for st in starts]
+                futures = [pool.submit(trajectory, st, p) for st, p in zip(starts, params)]
                 threaded = [f.result(timeout=120) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         for ser, thr in zip(serial, threaded):
             for a, b in zip(ser, thr):
                 assert_bitwise(a, b)
+
+    def test_threads_give_serial_results(self):
+        self.assert_threads_give_serial_results([KP, KP])
+
+    def test_threads_give_serial_results_with_cell_kernels(self):
+        # each thread's kernel has its own half-width
+        rng = np.random.default_rng(2)
+        self.assert_threads_give_serial_results(
+            [CellKernel(rng.uniform(0.2, hi, 1024), rng.uniform(0.3, 0.6, 1024), 0.05)
+             for hi in (0.25, 0.35)])
 
     def test_warm_step_allocates_one_result(self):
         # the step's only large allocation is the returned (4, N) array (its
@@ -423,6 +441,133 @@ class TestWorkspaceStep:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * state.fields.nbytes
+
+    def test_warm_cell_kernel_apply_copies_no_padded_field(self):
+        # np.pad's (N + 2m) copy and the einsum result peaked at 2.8 (N,)
+        # arrays; the window buffer leaves the einsum result alone
+        n = 600
+        rng = np.random.default_rng(4)
+        cell = CellKernel(rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n), 0.05)
+        r, out = rng.uniform(0, 10, n), np.empty(n)
+        for _ in range(3):
+            cell.apply(r, out)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            cell.apply(r, out)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * r.nbytes
+
+    def test_warm_cell_kernel_step_allocates_one_result(self):
+        n = 600
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        rng = np.random.default_rng(6)
+        cell = CellKernel(rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n), grid.dx)
+        p = ShreParams(0.04, ClassParams(1.2, 5, 0.3), cell)
+        state = seed_information(ClassState.all_susceptible(30.0, n), n // 2, 5.0)
+        for _ in range(3):
+            state = rk4_step(state, p, grid)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rk4_step(state, p, grid)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * state.fields.nbytes
+
+
+def per_cell_band(a, b, dx):
+    """The band of a CellKernel, one cell's row at a time."""
+    m = int(math.ceil(8 * float(a.max()) / dx))
+    offsets = np.arange(-m, m + 1) * dx
+    return np.concatenate([
+        (b[i:i + 1] / (a[i:i + 1] * SQRT_PI))[:, None]
+        * np.exp(-(offsets[None, :] ** 2) / (a[i:i + 1, None] ** 2))
+        for i in range(a.size)])
+
+
+def incident_density(num_cells=600, seconds=20.0):
+    """k_total of an open road after ``seconds`` behind a 1/3-capacity
+    incident, as in the acceptance incident scenario."""
+    config = coupling.ScenarioConfig(
+        grid=GridSpec(0.05, 0.5, num_cells),
+        fd=FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=120.0),
+        boundary="open", k0=60.0, penetration=0.5, beta=0.04,
+        classes=(coupling.ClassConfig(1.2, 5, 0.3, kernel_mode="table"),),
+        incident=coupling.IncidentProfile(400, 410, 0.0, 240.0, 1.0 / 3.0))
+    world = coupling.initialize(config)
+    for _ in range(round(seconds / config.grid.dt)):
+        world = coupling.step(world, config)
+    return world.k_total
+
+
+class TestCellKernel:
+    """Rows built once per distinct (a, b), applied through the window buffer."""
+
+    @staticmethod
+    def inputs(name, n=600):
+        rng = np.random.default_rng(7)
+        if name == "distinct":
+            return rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n)
+        if name == "repeats":
+            # three a values and two b values, mixed: pairs repeat, and one
+            # a appears with both b values
+            return rng.choice([0.21, 0.28, 0.33], n), rng.choice([0.4, 0.55], n)
+        if name == "single":
+            return np.full(n, KP.a), np.full(n, KP.b)
+        return interp_kernel_params(incident_density(n))
+
+    @pytest.mark.parametrize("name", ["distinct", "repeats", "single", "incident"])
+    def test_band_equals_per_cell_formula(self, name):
+        a, b = self.inputs(name)
+        kern = CellKernel(a, b, 0.05)
+        if name == "incident":
+            assert 1 < len(set(zip(a, b))) < a.size  # repeats and distinct rows
+        assert kern.m == int(math.ceil(8 * a.max() / 0.05))
+        assert_bitwise(kern.band, per_cell_band(a, b, 0.05))
+
+    def test_half_widths_alternating_on_one_grid(self):
+        # a wider kernel regrows the buffer, a narrower one takes a sub-view;
+        # each must see zeros past the field on both sides
+        n = 333
+        rng = np.random.default_rng(9)
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        kernels = [CellKernel(rng.uniform(0.1, hi, n), rng.uniform(0.3, 0.6, n), grid.dx)
+                   for hi in (0.12, 0.3, 0.2, 0.5)]
+        assert len({k.m for k in kernels}) == 4
+        other = GridSpec(dx=0.05, dt=0.5, num_cells=200)
+        other_kernel = CellKernel(np.full(200, 0.6), np.full(200, 0.5), other.dx)
+        for k in kernels + kernels[::-1] + kernels:
+            r = rng.uniform(0, 20, n)
+            assert_bitwise(convolve_relaying(r, k, grid), reference_convolution(r, k, grid, "fft"))
+            r_other = rng.uniform(0, 20, 200)
+            assert_bitwise(other_kernel.apply(r_other),
+                           reference_convolution(r_other, other_kernel, other, "fft"))
+
+    @pytest.mark.parametrize("a, b, match", [
+        (np.full(10, 0.3), np.full(9, 0.5), r"shapes \(10,\) and \(9,\)"),
+        (np.full((2, 10), 0.3), np.full((2, 10), 0.5), "1-D"),
+        (np.array([]), np.array([]), "1-D"),
+        (np.array([0.3, np.nan, 0.3]), np.full(3, 0.5), "cell 1 .*a=nan"),
+        (np.array([0.3, 0.3, 0.0]), np.full(3, 0.5), "cell 2 .*a=0.0"),
+        (np.array([0.3, -0.3]), np.full(2, 0.5), "cell 1 .*a=-0.3"),
+        (np.array([0.3, np.inf]), np.full(2, 0.5), "cell 1 .*a=inf"),
+        (np.full(2, 0.3), np.array([0.5, np.nan]), "cell 1 .*b=nan"),
+    ], ids=["lengths", "2-D", "empty", "nan-a", "zero-a", "negative-a", "inf-a", "nan-b"])
+    def test_bad_inputs_rejected(self, a, b, match):
+        with pytest.raises(ValueError, match=match):
+            CellKernel(a, b, 0.05)
+
+    def test_field_of_wrong_length_rejected(self):
+        kern = CellKernel(np.full(64, 0.3), np.full(64, 0.5), 0.05)
+        with pytest.raises(ValueError, match=r"\(63,\) does not match the kernel's 64 cells"):
+            kern.apply(np.zeros(63))
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=63)
+        with pytest.raises(ValueError, match="64 cells"):
+            convolve_relaying(np.zeros(63), kern, grid)
 
 
 class TestSeeding:
