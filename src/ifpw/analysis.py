@@ -39,6 +39,10 @@ __all__ = [
     "sweep",
 ]
 
+SPREAD_TOL = 1e-12  # |residual| at which the alpha* root solve stops
+SPREAD_MAX_ITER = 200
+MIN_PLATEAU_CELLS = 8  # narrowest informed region measured_spread accepts
+
 
 @dataclass(frozen=True)
 class AsymptoticResult:
@@ -69,10 +73,10 @@ def ifpw_exists(g: float) -> bool:
     return g > 1.0
 
 
-def asymptotic_spread(g: float, tol: float = 1e-12, max_iter: int = 200) -> float | None:
+def asymptotic_spread(g: float) -> float | None:
     """Unique root of exp(-g a) + a - 1 in (0, 1), or None for g <= 1.
 
-    Newton from alpha = 1 with a bisection safeguard; |residual| < tol.
+    Newton from alpha = 1 with a bisection safeguard; |residual| < SPREAD_TOL.
     """
     if g <= 0:
         raise ValueError(f"gamma must be positive, got {g}")
@@ -82,9 +86,9 @@ def asymptotic_spread(g: float, tol: float = 1e-12, max_iter: int = 200) -> floa
     dphi = lambda a: 1.0 - g * math.exp(-g * a)
     lo, hi = 1e-12, 1.0  # phi(lo) < 0 for g > 1, phi(1) = e^-g > 0
     a = 1.0
-    for _ in range(max_iter):
+    for _ in range(SPREAD_MAX_ITER):
         f = phi(a)
-        if abs(f) < tol:
+        if abs(f) < SPREAD_TOL:
             return a
         if f > 0:
             hi = a
@@ -162,8 +166,7 @@ def estimate_wave_speeds(snapshot1: np.ndarray, snapshot2: np.ndarray,
     )
 
 
-def measured_spread(s_field: np.ndarray, sigma_field: np.ndarray,
-                    min_region_cells: int = 8) -> float:
+def measured_spread(s_field: np.ndarray, sigma_field: np.ndarray) -> float:
     """Plateau informed fraction (sigma - S)/sigma behind the fronts.
 
     The informed region is the contiguous block around its peak where the
@@ -183,7 +186,7 @@ def measured_spread(s_field: np.ndarray, sigma_field: np.ndarray,
     while hi < frac.size - 1 and frac[hi + 1] >= half:
         hi += 1
     width = hi - lo + 1
-    if width < min_region_cells:
+    if width < MIN_PLATEAU_CELLS:
         raise InsufficientRunError(
             f"informed region only {width} cells wide; no plateau to measure")
     trim = width // 4

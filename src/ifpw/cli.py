@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,25 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
+def _whole_arg(text: str) -> int:
+    """argparse type: a whole number, written as 2 or as 2.0."""
+    try:
+        return whole_number(float(text), "value")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
+
+
+def _finite_arg(text: str) -> float:
+    """argparse type: a finite float."""
+    try:
+        value = float(text)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+
+
 def cmd_run(args) -> int:
     raw = _load_json(args.config)
     try:
@@ -48,7 +68,7 @@ def cmd_run(args) -> int:
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     try:
-        out = coupling.run(cfg, out_dir=args.out, layout="long")
+        out = coupling.run(cfg, out_dir=args.out)
     except Exception as exc:
         return _fail(f"run failed (partial outputs flushed): {exc}", EXIT_DOMAIN)
     for w in out.warnings:
@@ -148,12 +168,8 @@ def cmd_sweep(args) -> int:
         cfg = coupling.config_from_dict(raw)
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
-    n_values = [int(v) for v in args.n]
-    mu_values = [float(v) for v in args.mu]
-    if not n_values or not mu_values:
-        return _fail("empty sweep grid", EXIT_DOMAIN)
     try:
-        rows = analysis.sweep(cfg, n_values, mu_values, args.t1, args.t2,
+        rows = analysis.sweep(cfg, args.n, args.mu, args.t1, args.t2,
                               workers=args.threads)
     except Exception as exc:
         return _fail(str(exc), EXIT_DOMAIN)
@@ -274,19 +290,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="(n, mu) parameter sweep")
     w.add_argument("--config", required=True)
-    w.add_argument("--n", nargs="+", required=True)
-    w.add_argument("--mu", nargs="+", required=True)
+    w.add_argument("--n", type=_whole_arg, nargs="+", required=True, help="server counts")
+    w.add_argument("--mu", type=_finite_arg, nargs="+", required=True, help="1/s")
     w.add_argument("--t1", type=float, required=True)
     w.add_argument("--t2", type=float, required=True)
     w.add_argument("--out", required=True)
-    w.add_argument("--threads", type=int, default=None)
+    w.add_argument("--threads", type=int, default=None,
+                   help="worker processes that share the sweep points")
     w.set_defaults(func=cmd_sweep)
 
     o = sub.add_parser("oracle", help="per-vehicle stochastic oracle")
     o.add_argument("--config", required=True)
     o.add_argument("--out", required=True)
     o.add_argument("--seed", type=int, default=None)
-    o.add_argument("--threads", type=int, default=None)
+    o.add_argument("--threads", type=int, default=None,
+                   help="worker processes that share the replications")
     o.set_defaults(func=cmd_oracle)
     return p
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import kernel as kern
 from . import lwr, shre
-from .errors import ConfigurationError, whole_number
+from .errors import ConfigurationError, whole_number, whole_steps
 from .kernel import KernelParams
 from .lwr import FundamentalDiagram
 from .queueing import ClassParams
@@ -34,7 +34,6 @@ __all__ = [
     "IncidentProfile",
     "ScenarioConfig",
     "WorldState",
-    "Snapshot",
     "RunOutput",
     "initialize",
     "step",
@@ -45,11 +44,16 @@ __all__ = [
 ]
 
 FIELDS = ("s", "h", "r", "e")
+CSV_HEADER = "time_s,cell_index,x_km,value"
 KERNEL_MODES = ("global", "table")
 
 
 @dataclass(frozen=True)
 class ClassConfig:
+    """One information class: its M/M/n control triple, its kernel and
+    its seeds.  ``params`` and ``kernel`` (None in table mode) are built
+    once, here."""
+
     lam: float
     n_servers: int
     mu: float
@@ -57,23 +61,27 @@ class ClassConfig:
     a: float | None = None  # km, global mode
     b: float | None = None
     seeds: tuple = ()  # ((cell, density_veh_per_km), ...)
+    params: ClassParams = field(init=False, repr=False, compare=False)
+    kernel: KernelParams | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "n_servers", whole_number(self.n_servers, "n_servers"))
         object.__setattr__(self, "seeds", tuple((whole_number(cell, "seed cell"), density)
                                                 for cell, density in self.seeds))
+        try:
+            object.__setattr__(self, "params", ClassParams(self.lam, self.n_servers, self.mu))
+        except ValueError as exc:
+            raise ConfigurationError(f"bad class parameters: {exc}") from exc
         if self.kernel_mode not in KERNEL_MODES:
             raise ConfigurationError(
                 f"unknown kernel mode {self.kernel_mode!r}; expected one of {KERNEL_MODES}")
+        kernel = None
         if self.kernel_mode == "global":
             try:
-                KernelParams(float(self.a), float(self.b))
+                kernel = KernelParams(float(self.a), float(self.b))
             except (TypeError, ValueError) as exc:
                 raise ConfigurationError(f"global kernel needs valid a and b: {exc}") from exc
-
-    @property
-    def params(self) -> ClassParams:
-        return ClassParams(self.lam, self.n_servers, self.mu)
+        object.__setattr__(self, "kernel", kernel)
 
 
 @dataclass(frozen=True)
@@ -107,9 +115,8 @@ class ScenarioConfig:
     incident: IncidentProfile | None = None
     horizon: float = 0.0  # seconds
     snapshot_every: float = 1.0  # seconds
-    demand: float | None = None  # veh/h, open boundary
+    demand: float | None = None  # veh/h, open boundary; default v_f * k0
     conv_mode: str = "fft"
-    rng_seed: int | None = None
     raw: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -118,18 +125,23 @@ class ScenarioConfig:
                 f"unknown boundary mode {self.boundary!r}; expected one of {lwr.BOUNDARIES}")
         if not 0 < self.penetration <= 1:
             raise ConfigurationError(f"market penetration must be in (0,1], got {self.penetration}")
-        if self.k0 < 0 or self.k0 > self.fd.k_jam:
+        if not 0 <= self.k0 <= self.fd.k_jam:  # also rejects NaN
             raise ConfigurationError(f"ambient density {self.k0} outside [0, k_jam]")
         if not 0 < self.beta < math.inf:  # also rejects NaN
             raise ConfigurationError(
                 f"communication frequency beta must be finite and positive, got {self.beta}")
-        self.fd.check_cfl(self.grid)
-        steps = self.horizon / self.grid.dt
-        if not (0 <= steps < math.inf
-                and abs(steps - round(steps)) <= 1e-9 * max(1.0, steps)):
+        if self.demand is not None and not self.demand >= 0:  # also rejects NaN
+            raise ConfigurationError(f"demand {self.demand} veh/h is not a non-negative number")
+        if self.conv_mode not in shre.CONV_MODES:
             raise ConfigurationError(
-                f"horizon {self.horizon} s is not a non-negative whole number of "
-                f"dt={self.grid.dt} s steps")
+                f"unknown convolution mode {self.conv_mode!r}; expected one of "
+                f"{shre.CONV_MODES}")
+        self.fd.check_cfl(self.grid)
+        whole_steps(self.horizon, self.grid.dt, "horizon")
+        if whole_steps(self.snapshot_every, self.grid.dt, "snapshot_every") < 1:
+            raise ConfigurationError(
+                f"snapshot_every {self.snapshot_every} s is shorter than one "
+                f"{self.grid.dt} s step")
         n = self.grid.num_cells
         sigma = self.sigma
         for c in self.classes:
@@ -202,13 +214,16 @@ def _class_fields(layers: np.ndarray) -> np.ndarray:
 
 @dataclass
 class WorldState:
+    """The state at one time; ``run`` keeps copies of it as snapshots."""
+
     time: float
     k_total: np.ndarray  # (N,) veh/km
     layers: np.ndarray  # (4C, N) S/H/R/E of each class, veh/km
 
-    def class_state(self, j: int) -> ClassState:
-        """View (shared array) of class j's S/H/R/E layers."""
-        return ClassState(_class_fields(self.layers)[j])
+    @property
+    def classes(self) -> list[ClassState]:
+        """Views (sharing ``layers``) of each class's S/H/R/E layers."""
+        return [ClassState(f) for f in _class_fields(self.layers)]
 
 
 def initialize(config: ScenarioConfig) -> WorldState:
@@ -264,7 +279,7 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
              if any(cc.kernel_mode == "table" for cc in config.classes) else None)
     fields = []
     for j, (cc, st) in enumerate(zip(config.classes, _class_fields(advected))):
-        kobj = table if cc.kernel_mode == "table" else KernelParams(cc.a, cc.b)
+        kobj = table if cc.kernel_mode == "table" else cc.kernel
         params = ShreParams(config.beta, cc.params, kobj, conv_mode=config.conv_mode)
         try:
             fields.append(shre.rk4_step(ClassState(st), params, grid).fields)
@@ -281,64 +296,48 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
 
 
 @dataclass
-class Snapshot:
-    time: float
-    k_total: np.ndarray
-    classes: list  # ClassState views of one copy of the class layers
-
-
-@dataclass
 class RunOutput:
     config: ScenarioConfig
-    snapshots: list
+    snapshots: list  # WorldState copies
     warnings: list
     kernel_mass: list  # effective b per class at the ambient density
     error: str | None = None
     started: float = 0.0
     finished: float = 0.0
 
-    def snapshot_at(self, t: float) -> Snapshot:
+    def snapshot_at(self, t: float) -> WorldState:
         return min(self.snapshots, key=lambda s: abs(s.time - t))
 
-    def write(self, out_dir, layout: str = "wide"):
+    def write(self, out_dir):
         """Write one CSV per class per field plus traffic and a manifest.
 
-        layout 'wide': rows are snapshots, columns are cells.  layout
-        'long': tidy time_s,cell_index,x_km,value rows (the CLI default).
-        Times and cell centres are written as ``%.6f``, field values as
-        ``%.9g``.  Each snapshot row is formatted by one ``%`` over
-        per-cell templates built once per call.
+        Each CSV holds tidy time_s,cell_index,x_km,value rows, one per
+        snapshot and cell.  Times and cell centres are written as
+        ``%.6f``, field values as ``%.9g``.  Each snapshot is formatted by
+        one ``%`` over per-cell templates built once per call.
         """
         import os
 
-        if layout not in ("wide", "long"):
-            raise ValueError(f"unknown layout {layout!r}")
         os.makedirs(out_dir, exist_ok=True)
         files = []
-        centers = self.config.grid.centers
-        # ts + ts.join(cells) puts the time in front of each template: of
-        # every cell's line (long) or of the one row (wide)
-        if layout == "long":
-            header = "time_s,cell_index,x_km,value\n"
-            cells = [f",{i},{c:.6f},%.9g\n" for i, c in enumerate(centers)]
-        else:
-            header = "time_s," + ",".join(f"x_{c:.6f}" for c in centers) + "\n"
-            cells = [",%.9g" * centers.size + "\n"]
+        # ts + ts.join(cells) puts the time in front of every cell's line
+        cells = [f",{i},{c:.6f},%.9g\n" for i, c in enumerate(self.config.grid.centers)]
 
         def dump(name, rows):
             path = os.path.join(out_dir, name)
             with open(path, "w") as fh:
-                fh.write(header)
+                fh.write(CSV_HEADER + "\n")
                 for t, vec in rows:
                     ts = f"{t:.6f}"
                     fh.write((ts + ts.join(cells)) % tuple(vec.tolist()))
             files.append(name)
 
         dump("traffic_k_total.csv", [(s.time, s.k_total) for s in self.snapshots])
+        fields = [_class_fields(s.layers) for s in self.snapshots]
         for j in range(len(self.config.classes)):
-            for f in FIELDS:
+            for i, f in enumerate(FIELDS):
                 dump(f"class{j}_{f}.csv",
-                     [(s.time, getattr(s.classes[j], f)) for s in self.snapshots])
+                     [(s.time, fs[j, i]) for s, fs in zip(self.snapshots, fields)])
         g = self.config.grid
         manifest = {
             "config_sha256": self.config.digest(),
@@ -359,7 +358,7 @@ class RunOutput:
         return manifest
 
 
-def run(config: ScenarioConfig, out_dir=None, layout: str = "wide") -> RunOutput:
+def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     """Run a scenario to its horizon, recording snapshots at the cadence.
 
     Deterministic for identical configs.  On a mid-run numerical failure
@@ -368,18 +367,17 @@ def run(config: ScenarioConfig, out_dir=None, layout: str = "wide") -> RunOutput
     """
     started = _time.time()
     world = initialize(config)
-    kmass = [cc.b if cc.kernel_mode == "global"
+    kmass = [cc.kernel.b if cc.kernel_mode == "global"
              else float(kern.interp_kernel_params([config.k0])[1][0])
              for cc in config.classes]
 
-    def snap(w: WorldState) -> Snapshot:
-        return Snapshot(w.time, w.k_total.copy(),
-                        [ClassState(f) for f in _class_fields(w.layers).copy()])
+    def snap(w: WorldState) -> WorldState:
+        return WorldState(w.time, w.k_total.copy(), w.layers.copy())
 
     out = RunOutput(config=config, snapshots=[snap(world)],
                     warnings=config.warnings(), kernel_mass=kmass, started=started)
-    n_steps = int(round(config.horizon / config.grid.dt))
-    every = max(1, int(round(config.snapshot_every / config.grid.dt)))
+    n_steps = round(config.horizon / config.grid.dt)
+    every = round(config.snapshot_every / config.grid.dt)
     try:
         for i in range(1, n_steps + 1):
             world = step(world, config)
@@ -389,46 +387,32 @@ def run(config: ScenarioConfig, out_dir=None, layout: str = "wide") -> RunOutput
         out.error = str(exc)
         out.finished = _time.time()
         if out_dir is not None:
-            out.write(out_dir, layout)
+            out.write(out_dir)
         raise
     out.finished = _time.time()
     if out_dir is not None:
-        out.write(out_dir, layout)
+        out.write(out_dir)
     return out
 
 
 def read_field_csv(path):
-    """Read a field CSV (either layout) back as (times, 2D value array).
+    """Read a field CSV back as (times, 2D value array).
 
     Returns (times_s, values) with values shaped (num_snapshots, num_cells).
-    The layout is sniffed from the header line.
     """
     times = []
     data = []
     with open(path) as fh:
         header = fh.readline().strip()
-        if header == "time_s,cell_index,x_km,value":
-            cur_t = None
-            row: list[float] = []
-            for line in fh:
-                t_s, _idx, _x, val = line.rstrip("\n").split(",")
-                t = float(t_s)
-                if cur_t is None or t != cur_t:
-                    if row:
-                        times.append(cur_t)
-                        data.append(row)
-                    cur_t, row = t, []
-                row.append(float(val))
-            if row:
-                times.append(cur_t)
-                data.append(row)
-        elif header.startswith("time_s,x_"):
-            for line in fh:
-                parts = line.rstrip("\n").split(",")
-                times.append(float(parts[0]))
-                data.append([float(v) for v in parts[1:]])
-        else:
+        if header != CSV_HEADER:
             raise ConfigurationError(f"{path}: unexpected header {header!r}")
+        for line in fh:
+            t_s, _idx, _x, val = line.rstrip("\n").split(",")
+            t = float(t_s)
+            if not times or t != times[-1]:
+                times.append(t)
+                data.append([])
+            data[-1].append(float(val))
     return np.asarray(times), np.asarray(data)
 
 
@@ -477,7 +461,6 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             snapshot_every=float(d.get("snapshot_every_s", 1.0)),
             demand=float(d["demand_veh_h"]) if "demand_veh_h" in d else None,
             conv_mode=d.get("convolution_mode", "fft"),
-            rng_seed=d.get("rng_seed"),
             raw=d,
         )
     except (AttributeError, KeyError, TypeError) as exc:

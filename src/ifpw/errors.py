@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the whole-number check
-that configurations apply to their integer inputs."""
+"""Exception types shared across the package, and the whole-number checks
+that configurations apply to their integer inputs and their durations."""
+
+import math
 
 
 class StabilityError(ValueError):
@@ -29,6 +31,8 @@ class ConfigurationError(ValueError):
 def whole_number(value, what: str) -> int:
     """``value`` as an int, or ConfigurationError if it is not a whole
     number: a whole-valued float such as 32.0 passes, 32.7 does not."""
+    if type(value) is int:  # the common case, answered first to keep set-up cheap
+        return value
     try:
         whole = int(value)
     except (TypeError, ValueError, OverflowError):
@@ -36,6 +40,19 @@ def whole_number(value, what: str) -> int:
     if whole is None or whole != value:
         raise ConfigurationError(f"{what} must be a whole number, got {value!r}")
     return whole
+
+
+def whole_steps(duration: float, step: float, what: str) -> int:
+    """How many ``step``-second steps make ``duration`` seconds, or
+    ConfigurationError unless that is a non-negative whole number (to a
+    relative 1e-9, so 0.3 s of 0.1 s steps passes)."""
+    steps = duration / step
+    if 0 <= steps < math.inf:  # also rejects NaN
+        whole = round(steps)
+        if abs(steps - whole) <= 1e-9 * max(1.0, steps):
+            return whole
+    raise ConfigurationError(
+        f"{what} {duration} s is not a non-negative whole number of {step} s steps")
 
 
 class NumericalBlowupError(RuntimeError):

@@ -46,8 +46,8 @@ class KernelParams:
     b: float  # dimensionless mass
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError(f"decay scale a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:  # also rejects NaN
+            raise ValueError(f"decay scale a must be finite and positive, got {self.a}")
         if not 0 < self.b <= 1:
             raise ValueError(f"mass b must be in (0, 1], got {self.b}")
         if self.b > self.a * SQRT_PI * (1 + 1e-12):
@@ -177,14 +177,9 @@ def max_servers(capacity_bps: float, k: float, beta: float, comm_range_km: float
     return int(capacity_bps // (2 * k * beta * comm_range_km * penetration * packet_bits))
 
 
-def load_reference_table(path=None) -> list[DensityReferenceRow]:
-    """Load the bundled (or a user-supplied) density reference table."""
-    if path is None:
-        src = resources.files("ifpw.data").joinpath("kernel_reference.csv")
-        text = src.read_text()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+def load_reference_table() -> list[DensityReferenceRow]:
+    """Load the bundled density reference table."""
+    text = resources.files("ifpw.data").joinpath("kernel_reference.csv").read_text()
     rows = []
     for rec in csv.DictReader(text.splitlines()):
         rows.append(DensityReferenceRow(
@@ -219,14 +214,13 @@ def lookup_reference(k: float) -> DensityReferenceRow:
     return min(rows, key=lambda r: abs(r.density - k))
 
 
-def interp_kernel_params(k_values, rows=None):
+def interp_kernel_params(k_values):
     """Vectorized (a, b) interpolation used by the density-dependent mode.
 
     Densities are clamped to the tabulated range before interpolation, so
     jammed cells use the highest-density row.
     """
-    if rows is None:
-        rows = _table()
+    rows = _table()
     dens = np.array([r.density for r in rows])
     kc = np.clip(np.asarray(k_values, dtype=float), dens[0], dens[-1])
     a = np.interp(kc, dens, [r.a for r in rows])

@@ -15,6 +15,7 @@ Units: densities veh/km, flows veh/h, speeds km/h, dt in seconds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +43,12 @@ class FundamentalDiagram:
     k_jam: float  # veh/km
 
     def __post_init__(self):
-        if min(self.v_f, self.q_max, self.k_jam) <= 0:
-            raise ValueError("all fundamental diagram parameters must be positive")
+        if not all(0 < v < math.inf for v in (self.v_f, self.q_max, self.k_jam)):
+            raise ConfigurationError(
+                f"fundamental diagram parameters must be finite and positive, got "
+                f"v_f={self.v_f}, q_max={self.q_max}, k_jam={self.k_jam}")
         if self.k_crit >= self.k_jam:
-            raise ValueError(
+            raise ConfigurationError(
                 f"critical density {self.k_crit:.3f} must be below jam density {self.k_jam}")
 
     @property
@@ -89,7 +92,8 @@ def interface_flows(k: np.ndarray, fd: FundamentalDiagram, boundary: str,
 
     flows[j] crosses from cell j-1 into cell j; flows[0] and flows[-1]
     are the domain boundaries (equal for 'periodic', zero for 'closed',
-    demand-driven inflow / free outflow for 'open').
+    inflow of at most ``demand`` veh/h and free outflow for 'open', which
+    needs a demand).
     """
     n = k.size
     factor = np.broadcast_to(np.asarray(capacity_factor, dtype=float), (n,))
@@ -103,7 +107,7 @@ def interface_flows(k: np.ndarray, fd: FundamentalDiagram, boundary: str,
         q[0] = q[n] = 0.0
     elif boundary == "open":
         if demand is None:
-            demand = fd.q_max
+            raise ValueError("an open boundary needs a demand (veh/h)")
         q[0] = min(demand, recv[0])
         q[n] = send[-1]
     else:

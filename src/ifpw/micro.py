@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import pdtr
 
-from .errors import ConfigurationError, whole_number
+from .errors import ConfigurationError, whole_number, whole_steps
 from .kernel import KernelParams, kernel_value
 from .queueing import ClassParams, wait_probability
 
@@ -56,6 +56,7 @@ _MAX_SHOTS = 16
 # log(1 - P) for certain reception (P = 1): finite, so a zero shot count
 # adds 0 (not 0 * -inf = NaN), and any shot still makes exp() exactly 0
 _LOG_CERTAIN = -1e3
+_QUEUE_WARMUP = 1000  # packets queue_validation discards before it records
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,18 @@ class MicroConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(whole_number(i, "seed index") for i in self.seeds))
+        if len(self.positions) == 0:
+            raise ConfigurationError("need at least one vehicle")
         if not 0 < self.beta < math.inf:  # also rejects NaN
             raise ConfigurationError(
                 f"communication frequency beta must be finite and positive, got {self.beta}")
+        if not 0 < self.tick < math.inf:
+            raise ConfigurationError(f"tick must be finite and positive, got {self.tick}")
+        whole_steps(self.horizon, self.tick, "horizon")
+        if self.record_every < 1:
+            raise ConfigurationError(f"record_every must be at least 1, got {self.record_every}")
+        if self.num_bins < 1:
+            raise ConfigurationError(f"num_bins must be at least 1, got {self.num_bins}")
         cp = self.class_params
         bound = 0.1 * min(1.0 / cp.mu, 1.0 / cp.lam, 1.0 / self.beta)
         if self.tick > bound * (1 + 1e-12):
@@ -92,8 +102,15 @@ class MicroConfig:
             raise ConfigurationError("seed index out of range")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigurationError("seed index repeated")
-        if self.ring_length is not None and max(self.positions) > self.ring_length:
-            raise ConfigurationError("vehicle position beyond ring length")
+        if self.ring_length is not None and not 0 < self.ring_length < math.inf:
+            raise ConfigurationError(
+                f"ring length must be finite and positive, got {self.ring_length}")
+        x = np.asarray(self.positions, dtype=float)
+        lo, hi = x.min(), x.max()  # NaN if any position is NaN
+        end = math.inf if self.ring_length is None else self.ring_length
+        if not (0 <= lo and hi <= end and hi < math.inf):
+            raise ConfigurationError(
+                f"vehicle positions {lo}..{hi} km are not all in [0, {end}] km")
 
 
 @dataclass
@@ -127,6 +144,10 @@ class MicroResult:
 
 def make_positions(length_km: float, num_vehicles: int, mode: str = "equal",
                    rng=None) -> np.ndarray:
+    if num_vehicles < 1:
+        raise ConfigurationError(f"need at least one vehicle, got {num_vehicles}")
+    if not 0 < length_km < math.inf:  # also rejects NaN
+        raise ConfigurationError(f"length must be finite and positive, got {length_km} km")
     if mode == "equal":
         return (np.arange(num_vehicles) + 0.5) * (length_km / num_vehicles)
     if mode == "uniform":
@@ -332,19 +353,19 @@ def simulate(config: MicroConfig, workers: int | None = None) -> MicroResult:
 
 
 def queue_validation(params: ClassParams, num_packets: int,
-                     rng_seed: int = 0, warmup: int = 1000) -> np.ndarray:
+                     rng_seed: int = 0) -> np.ndarray:
     """Empirical waiting times of `num_packets` arrivals to one queue.
 
     Discrete-event multi-server queue with Poisson arrivals and
-    exponential services; the first `warmup` packets are discarded so the
-    sample reflects the stationary regime.
+    exponential services; the first ``_QUEUE_WARMUP`` packets are
+    discarded so the sample reflects the stationary regime.
     """
     if not params.stable:
         raise ConfigurationError("queue parameters are unstable")
     if num_packets < 1:
         raise ValueError("need at least one packet")
     rng = np.random.default_rng(rng_seed)
-    total = num_packets + warmup
+    total = num_packets + _QUEUE_WARMUP
     gaps = rng.exponential(1.0 / params.lam, total)
     services = rng.exponential(1.0 / params.mu, total)
     arrivals = np.cumsum(gaps)
@@ -355,7 +376,7 @@ def queue_validation(params: ClassParams, num_packets: int,
         start = max(arrivals[i], free[j])
         waits[i] = start - arrivals[i]
         free[j] = start + services[i]
-    return waits[warmup:]
+    return waits[_QUEUE_WARMUP:]
 
 
 def write_result_csv(result: MicroResult, out_dir):

@@ -41,10 +41,10 @@ class ClassParams:
     mu: float  # packets/second
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.lam}")
-        if self.mu <= 0:
-            raise ValueError(f"service rate must be positive, got {self.mu}")
+        if not 0 < self.lam < math.inf:  # also rejects NaN
+            raise ValueError(f"arrival rate must be finite and positive, got {self.lam}")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"service rate must be finite and positive, got {self.mu}")
         if self.n_servers < 1 or int(self.n_servers) != self.n_servers:
             raise ValueError(f"n_servers must be a positive integer, got {self.n_servers}")
         object.__setattr__(self, "n_servers", int(self.n_servers))  # 2.0 -> 2

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import queueing
-from .errors import NumericalBlowupError
+from .errors import ConfigurationError, NumericalBlowupError
 from .kernel import SQRT_PI, KernelParams
 from .queueing import ClassParams
 
@@ -55,6 +55,7 @@ __all__ = [
 
 NEG_TOL = -1e-9
 MAX_HALVINGS = 4
+CONV_MODES = ("fft", "direct", "periodic")
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,17 @@ class GridSpec:
     origin_km: float = 0.0
 
     def __post_init__(self):
-        if self.dx <= 0 or self.dt <= 0:
-            raise ValueError("dx and dt must be positive")
+        if not (0 < self.dx < math.inf and 0 < self.dt < math.inf):  # also rejects NaN
+            raise ConfigurationError(
+                f"dx and dt must be finite and positive, got {self.dx} km and {self.dt} s")
+        if not math.isfinite(self.origin_km):
+            raise ConfigurationError(f"origin_km must be finite, got {self.origin_km}")
         if self.num_cells < 8:
-            raise ValueError(f"need at least 8 cells, got {self.num_cells}")
+            raise ConfigurationError(f"need at least 8 cells, got {self.num_cells}")
 
     @property
     def centers(self) -> np.ndarray:
         return self.origin_km + (np.arange(self.num_cells) + 0.5) * self.dx
-
-    @property
-    def length(self) -> float:
-        return self.num_cells * self.dx
 
 
 @dataclass
@@ -348,20 +348,17 @@ def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float) -> np.n
     return arr + k1
 
 
-def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec,
-             dt: float | None = None) -> ClassState:
-    """Advance one coupling step dt by RK4.
+def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec) -> ClassState:
+    """Advance one coupling step ``grid.dt`` by RK4.
 
     If the step produces NaN/inf or densities below the -1e-9 tolerance,
     it is retried with 2, 4, 8, then 16 internal sub-steps before giving
     up.  Values in (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.
     """
-    if dt is None:
-        dt = grid.dt
     arr0 = state.fields
     for halving in range(MAX_HALVINGS + 1):
         nsub = 2 ** halving
-        h = dt / nsub
+        h = grid.dt / nsub
         arr = arr0
         ok = True
         for _ in range(nsub):

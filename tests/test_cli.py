@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ifpw.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, main
+from ifpw.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, build_parser, main
 
 RUN_CONFIG = {
     "grid": {"dx_km": 0.05, "dt_s": 0.5, "num_cells": 64},
@@ -42,6 +42,30 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def with_values(config, *changes):
+    """Copy of ``config`` with each (key path, value) of ``changes`` set."""
+    out = json.loads(json.dumps(config))
+    for path, value in changes:
+        node = out
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return out
+
+
+def assert_config_error(tmp_path, capsys, command, config, message):
+    """``ifpw <command>`` rejects ``config`` with exit 2 and ``message``,
+    before it makes the output directory."""
+    cfg = write_json(tmp_path, "bad.json", config)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
 
 
 class TestRun:
@@ -134,6 +158,43 @@ class TestRun:
             name = f"class0_{layer}.csv"
             assert ((tmp_path / "ints" / name).read_bytes()
                     == (tmp_path / "floats" / name).read_bytes())
+
+    def test_unknown_convolution_mode_is_config_error(self, tmp_path, capsys):
+        # it used to exit 1 at step one and flush 6 files
+        bad = with_values(RUN_CONFIG, (("convolution_mode",), "spectral"))
+        assert_config_error(tmp_path, capsys, "run", bad, "unknown convolution mode 'spectral'")
+
+    @pytest.mark.parametrize("every", [NAN, 0.0, -1.0, 0.3])
+    def test_bad_snapshot_cadence_is_config_error(self, tmp_path, capsys, every):
+        # 0, -1 and 0.3 s (dt is 0.5 s) used to snapshot every 0.5 s and exit 0
+        bad = with_values(RUN_CONFIG, (("snapshot_every_s",), every))
+        assert_config_error(tmp_path, capsys, "run", bad, "snapshot_every")
+
+    @pytest.mark.parametrize("path, message", [
+        (("k0_veh_per_km",), "ambient density"),
+        (("grid", "dx_km"), "dx and dt"),
+        (("grid", "dt_s"), "dx and dt"),
+        (("grid", "origin_km"), "origin_km"),
+        (("fundamental_diagram", "v_f_km_h"), "fundamental diagram"),
+        (("fundamental_diagram", "q_max_veh_h"), "fundamental diagram"),
+        (("fundamental_diagram", "k_jam_veh_per_km"), "fundamental diagram"),
+    ])
+    def test_nan_number_is_config_error(self, tmp_path, capsys, path, message):
+        bad = with_values(RUN_CONFIG, (path, NAN))
+        assert_config_error(tmp_path, capsys, "run", bad, message)
+
+    @pytest.mark.parametrize("demand", [-500.0, NAN])
+    def test_bad_demand_is_config_error(self, tmp_path, capsys, demand):
+        # -500 veh/h used to fail at t = 3 s with "layer 0 density went negative"
+        bad = with_values(RUN_CONFIG, (("boundary",), "open"), (("demand_veh_h",), demand))
+        assert_config_error(tmp_path, capsys, "run", bad, "demand")
+
+    @pytest.mark.parametrize("key, message", [
+        ("lambda_per_s", "arrival rate"), ("mu_per_s", "service rate")])
+    def test_infinite_rate_is_config_error(self, tmp_path, capsys, key, message):
+        # mu = inf used to fail at step one with "math domain error"
+        bad = with_values(RUN_CONFIG, (("classes", 0, key), INF))
+        assert_config_error(tmp_path, capsys, "run", bad, message)
 
     def test_unstable_class_is_config_error(self, tmp_path):
         bad = json.loads(json.dumps(RUN_CONFIG))
@@ -281,6 +342,43 @@ class TestSweep:
         assert [(r[0], r[2]) for r in rows] == [("1", "0"), ("11", "1")]
         assert rows[0][3:] == [""] * 7  # nothing computed for the unstable point
 
+    @pytest.mark.parametrize("option, value", [
+        ("--n", "2.5"), ("--n", "abc"), ("--mu", "abc"), ("--mu", "nan"), ("--mu", "inf")])
+    def test_bad_grid_value_is_usage_error(self, tmp_path, capsys, option, value):
+        # 2.5 and abc used to end in a traceback, nan in an "unstable" row
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        grid = {"--n": "11", "--mu": "0.05", option: value}
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--n", grid["--n"], "--mu", grid["--mu"],
+                  "--t1", "5", "--t2", "10", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {option}: not a" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grid_values_parsed_by_argparse(self):
+        args = build_parser().parse_args(
+            ["sweep", "--config", "c.json", "--n", "2.0", "3", "--mu", "0.1", "1e-2",
+             "--t1", "5", "--t2", "10", "--out", "o.csv"])
+        assert args.n == [2, 3] and all(type(n) is int for n in args.n)
+        assert args.mu == [0.1, 0.01]
+
+    def test_whole_valued_float_server_count(self, tmp_path):
+        cfg_dict = with_values(RUN_CONFIG, (("horizon_s",), 10.0))
+        cfg = write_json(tmp_path, "cfg.json", cfg_dict)
+        for name, n in (("int", "11"), ("float", "11.0")):
+            code = main(["sweep", "--config", cfg, "--n", n, "--mu", "0.05",
+                         "--t1", "5", "--t2", "10", "--out", str(tmp_path / name)])
+            assert code == EXIT_OK
+        assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
+        assert (tmp_path / "int").read_text().splitlines()[1].startswith("11,")
+
+    def test_threads_help_counts_processes(self, capsys):
+        for command in ("sweep", "oracle"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert "worker processes" in capsys.readouterr().out
+
     def test_unwritable_out(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
         code = main(["sweep", "--config", cfg, "--n", "11", "--mu", "0.05",
@@ -368,6 +466,24 @@ class TestOracle:
         assert main(["oracle", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert "communication frequency beta" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("changes, message", [
+        ([(("tick_s",), 0.0)], "tick"),  # used to divide by zero
+        ([(("tick_s",), NAN)], "tick"),
+        ([(("horizon_s",), -1.0)], "horizon"),
+        ([(("horizon_s",), NAN)], "horizon"),
+        ([(("horizon_s",), 5.01)], "horizon"),  # used to be rounded to 5 s
+        ([(("record_every",), 0)], "record_every"),  # used to divide by zero
+        ([(("num_bins",), 0)], "num_bins"),  # used to run
+        ([(("num_vehicles",), 0)], "at least one vehicle"),
+        ([(("positions_km",), []), (("seed_vehicles",), [])], "at least one vehicle"),
+        ([(("ring_length_km",), 0.0)], "ring length"),  # used to divide by zero
+        ([(("positions_km",), [-0.1] + [0.1 * i for i in range(1, 20)])], "positions"),
+        ([(("positions_km",), [0.1 * i for i in range(1, 20)] + [2.5])], "positions"),
+    ])
+    def test_bad_number_is_config_error(self, tmp_path, capsys, changes, message):
+        bad = with_values(ORACLE_CONFIG, *changes)
+        assert_config_error(tmp_path, capsys, "oracle", bad, message)
 
     def test_bad_oracle_config(self, tmp_path):
         bad = dict(ORACLE_CONFIG)

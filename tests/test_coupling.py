@@ -11,7 +11,7 @@ from ifpw.coupling import (
     IncidentProfile,
     RunOutput,
     ScenarioConfig,
-    Snapshot,
+    WorldState,
     config_from_dict,
     config_with_class_override,
     initialize,
@@ -67,7 +67,7 @@ JSON_CONFIG = {
 class TestInitialize:
     def test_layer_partition(self):
         world = initialize(make_config())
-        st = world.class_state(0)
+        st = world.classes[0]
         np.testing.assert_allclose(world.k_total, 40.0)
         np.testing.assert_allclose(st.s + st.r, 20.0)  # W * k0
         assert st.r[32] == 5.0
@@ -79,13 +79,13 @@ class TestInitialize:
         world = initialize(cfg)
         assert world.layers.shape == (12, 64)
         for j in range(3):
-            st = world.class_state(j)
+            st = world.classes[j]
             assert np.shares_memory(st.fields, world.layers)
             np.testing.assert_array_equal(st.fields, world.layers[4 * j:4 * j + 4])
 
     def test_full_penetration_has_no_unequipped(self):
         world = initialize(make_config(penetration=1.0))
-        st = world.class_state(0)
+        st = world.classes[0]
         np.testing.assert_array_equal(world.layers.sum(axis=0), world.k_total)
         np.testing.assert_allclose(st.s + st.r, 40.0)
 
@@ -109,7 +109,7 @@ class TestInitialize:
     def test_seeds_may_fill_a_cell(self):
         cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
                          a=0.292, b=0.499, seeds=((32, 12.5), (32, 7.5)))
-        st = initialize(make_config(classes=(cc,))).class_state(0)
+        st = initialize(make_config(classes=(cc,))).classes[0]
         assert st.r[32] == 20.0
         assert st.s[32] == 0.0
 
@@ -150,8 +150,8 @@ class TestStep:
         world = initialize(cfg)
         for _ in range(20):
             world = step(world, cfg)
-        np.testing.assert_array_equal(world.class_state(0).r, 0.0)
-        np.testing.assert_allclose(world.class_state(0).s, 20.0, atol=1e-9)
+        np.testing.assert_array_equal(world.classes[0].r, 0.0)
+        np.testing.assert_allclose(world.classes[0].s, 20.0, atol=1e-9)
 
     def test_frozen_traffic_reduces_to_pure_reaction(self):
         # at jam density on a ring no vehicle moves, so the coupled step
@@ -163,7 +163,7 @@ class TestStep:
         for _ in range(40):
             world = step(world, cfg)
             ref = rk4_step(ref, p, GRID)
-        got = world.class_state(0)
+        got = world.classes[0]
         np.testing.assert_allclose(got.s, ref.s, atol=1e-9)
         np.testing.assert_allclose(got.r, ref.r, atol=1e-9)
 
@@ -206,7 +206,7 @@ class TestStep:
         world = initialize(cfg)
         for _ in range(60):
             world = step(world, cfg)
-        informed = world.class_state(0).informed
+        informed = world.classes[0].informed
         assert informed[32] > 1.0
         assert informed[20] > 0.01  # reached well away from the seed
 
@@ -238,6 +238,28 @@ class TestRun:
     def test_kernel_mass_reported(self):
         out = run(make_config(horizon=0.0))
         assert out.kernel_mass == [0.499]
+
+    def test_snapshots_are_world_state_copies(self):
+        out = run(make_config(horizon=1.0, snapshot_every=0.5))
+        assert all(type(s) is WorldState for s in out.snapshots)
+        first, last = out.snapshots[0], out.snapshots[-1]
+        assert not np.shares_memory(first.layers, last.layers)
+        assert np.shares_memory(last.classes[0].fields, last.layers)
+        np.testing.assert_array_equal(last.classes[0].fields, last.layers)
+
+    def test_run_builds_no_class_or_kernel_params(self, monkeypatch):
+        # a class's ClassParams and KernelParams are built once, with its config
+        cfg = make_config(classes=make_config().classes + three_table_classes()[:1])
+        built = []
+        for cls in (ClassParams, KernelParams):
+            def counted(self, check=cls.__post_init__):
+                built.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        out = run(cfg)
+        assert len(out.snapshots) == 6 and out.snapshots[-1].classes[1].informed.max() > 0
+        assert built == []
 
     def test_traffic_only_scenario(self):
         # no information class: the state is k_total and an empty (0, N) layers array
@@ -276,7 +298,7 @@ class TestClassIndependence:
                                                   getattr(sa.classes[0], f))
 
 
-def write_per_value(out, out_dir, layout):
+def write_per_value(out, out_dir):
     """Reference writer: one f-string per value, as the CSV format defines."""
     centers = out.config.grid.centers
     rows = {"traffic_k_total.csv": [(s.time, s.k_total) for s in out.snapshots]}
@@ -286,21 +308,15 @@ def write_per_value(out, out_dir, layout):
                                          for s in out.snapshots]
     for name, series in rows.items():
         with open(out_dir / name, "w") as fh:
-            if layout == "long":
-                fh.write("time_s,cell_index,x_km,value\n")
-                for t, vec in series:
-                    for i, v in enumerate(vec):
-                        fh.write(f"{t:.6f},{i},{centers[i]:.6f},{v:.9g}\n")
-            else:
-                fh.write("time_s," + ",".join(f"x_{c:.6f}" for c in centers) + "\n")
-                for t, vec in series:
-                    fh.write(f"{t:.6f}," + ",".join(f"{v:.9g}" for v in vec) + "\n")
+            fh.write("time_s,cell_index,x_km,value\n")
+            for t, vec in series:
+                for i, v in enumerate(vec):
+                    fh.write(f"{t:.6f},{i},{centers[i]:.6f},{v:.9g}\n")
     return sorted(rows)
 
 
 class TestOutputFiles:
-    @pytest.mark.parametrize("layout", ["wide", "long"])
-    def test_matches_per_value_formatting(self, tmp_path, layout):
+    def test_matches_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(7)
         special = [-0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, 123456789.123, 2.5e-7]
 
@@ -309,14 +325,13 @@ class TestOutputFiles:
             v[:len(special)] = special
             return rng.permutation(v)
 
-        snaps = [Snapshot(t, field(), [ClassState(np.array([field() for _ in range(4)]))
-                                       for _ in range(2)])
+        snaps = [WorldState(t, field(), np.array([field() for _ in range(8)]))
                  for t in (0.0, 0.1 + 0.2, 1.0 / 3.0, 1e5 / 7.0)]
         cfg = make_config(classes=make_config().classes * 2)
         out = RunOutput(config=cfg, snapshots=snaps, warnings=[], kernel_mass=[])
-        out.write(tmp_path / "new", layout)
+        out.write(tmp_path / "new")
         (tmp_path / "ref").mkdir()
-        names = write_per_value(out, tmp_path / "ref", layout)
+        names = write_per_value(out, tmp_path / "ref")
         assert len(names) == 9
         for name in names:
             assert ((tmp_path / "new" / name).read_bytes()
@@ -328,20 +343,20 @@ class TestOutputFiles:
         manifest = run(make_config(horizon=0.0)).write(tmp_path)
         assert manifest["tool_version"] == ifpw.__version__ == "0.1.0"
 
-    def test_wide_round_trip(self, tmp_path):
-        out = run(make_config(), out_dir=tmp_path, layout="wide")
-        times, vals = read_field_csv(tmp_path / "class0_s.csv")
-        assert vals.shape == (len(out.snapshots), 64)
-        np.testing.assert_allclose(times, [s.time for s in out.snapshots])
-        np.testing.assert_allclose(vals[-1], out.snapshots[-1].classes[0].s,
-                                   rtol=1e-6)
-
     def test_long_round_trip(self, tmp_path):
-        out = run(make_config(), out_dir=tmp_path, layout="long")
+        out = run(make_config(), out_dir=tmp_path)
         times, vals = read_field_csv(tmp_path / "class0_r.csv")
         assert vals.shape == (len(out.snapshots), 64)
+        np.testing.assert_allclose(times, [s.time for s in out.snapshots])
         np.testing.assert_allclose(vals[-1], out.snapshots[-1].classes[0].r,
                                    rtol=1e-6)
+
+    def test_other_header_rejected(self, tmp_path):
+        # one snapshot per row, one column per cell: not the layout written here
+        path = tmp_path / "wide.csv"
+        path.write_text("time_s,x_0.025000,x_0.075000\n0.000000,1,2\n")
+        with pytest.raises(ConfigurationError, match="unexpected header 'time_s,x_0.025000"):
+            read_field_csv(path)
 
     def test_manifest_contents(self, tmp_path):
         run(make_config(), out_dir=tmp_path)
@@ -351,11 +366,6 @@ class TestOutputFiles:
         assert "class0_e.csv" in manifest["files"]
         assert manifest["error"] is None
         assert len(manifest["config_sha256"]) == 64
-
-    def test_unknown_layout(self, tmp_path):
-        out = run(make_config(horizon=0.0))
-        with pytest.raises(ValueError):
-            out.write(tmp_path, layout="diagonal")
 
 
 class TestConfigParsing:
@@ -434,7 +444,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("a, b, match", [
         (None, None, "NoneType"), (0.292, None, "NoneType"),
-        (0.292, 1.5, "mass b"), (-0.1, 0.1, "decay scale")])
+        (0.292, 1.5, "mass b"), (-0.1, 0.1, "decay scale"),
+        (float("nan"), 0.1, "decay scale"), (float("inf"), 0.1, "decay scale")])
     def test_bad_global_kernel(self, a, b, match):
         with pytest.raises(ConfigurationError, match="global kernel needs valid a and b"):
             ClassConfig(0.5, 11, 0.05, a=a, b=b)
@@ -548,6 +559,91 @@ class TestConfigValidation:
         make_config(horizon=0.0)
         make_config(horizon=420.0)
         make_config(grid=GridSpec(dx=0.05, dt=0.1, num_cells=64), horizon=0.3)
+
+    def test_unknown_convolution_mode(self):
+        # it used to fail at step one, after the output directory was made
+        with pytest.raises(ConfigurationError, match="unknown convolution mode 'spectral'"):
+            make_config(conv_mode="spectral")
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["convolution_mode"] = "spectral"
+        with pytest.raises(ConfigurationError, match="convolution mode"):
+            config_from_dict(bad)
+
+    @pytest.mark.parametrize("every, match", [
+        (float("nan"), "not a non-negative whole number"),
+        (0.0, "shorter than one"),
+        (-1.0, "not a non-negative whole number"),
+        (0.3, "not a non-negative whole number"),  # dt is 0.5 s
+        (2.25, "not a non-negative whole number"),
+    ])
+    def test_bad_snapshot_cadence(self, every, match):
+        # 0, -1 and 0.3 s used to snapshot every 0.5 s silently, NaN to fail in run
+        with pytest.raises(ConfigurationError, match=f"snapshot_every .*{match}"):
+            make_config(snapshot_every=every)
+
+    def test_whole_step_cadences_accepted(self):
+        assert [s.time for s in run(make_config(snapshot_every=0.5, horizon=1.5)).snapshots] \
+            == [0.0, 0.5, 1.0, 1.5]
+        make_config(snapshot_every=100.0)  # longer than the horizon: first and last
+
+    @pytest.mark.parametrize("path", [
+        ("k0_veh_per_km",), ("grid", "dx_km"), ("grid", "dt_s"), ("grid", "origin_km"),
+        ("fundamental_diagram", "v_f_km_h"), ("fundamental_diagram", "q_max_veh_h"),
+        ("fundamental_diagram", "k_jam_veh_per_km"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_number_rejected(self, path, value):
+        bad = copy.deepcopy(JSON_CONFIG)
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigurationError):
+            config_from_dict(bad)
+
+    def test_non_finite_library_values_rejected(self):
+        with pytest.raises(ConfigurationError, match="ambient density nan"):
+            make_config(k0=float("nan"))
+        with pytest.raises(ConfigurationError, match="dx and dt"):
+            GridSpec(dx=float("nan"), dt=0.5, num_cells=64)
+        with pytest.raises(ConfigurationError, match="origin_km"):
+            GridSpec(dx=0.05, dt=0.5, num_cells=64, origin_km=float("nan"))
+        with pytest.raises(ConfigurationError, match="fundamental diagram"):
+            FundamentalDiagram(v_f=float("nan"), q_max=7200.0, k_jam=300.0)
+
+    @pytest.mark.parametrize("demand", [-500.0, float("nan")])
+    def test_bad_demand_rejected(self, demand):
+        # -500 veh/h used to draw vehicles out of cell 0 until a layer went negative
+        with pytest.raises(ConfigurationError, match="demand"):
+            make_config(boundary="open", demand=demand)
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["boundary"] = "open"
+        bad["demand_veh_h"] = demand
+        with pytest.raises(ConfigurationError, match="demand"):
+            config_from_dict(bad)
+
+    def test_zero_demand_accepted(self):
+        out = run(make_config(boundary="open", demand=0.0, horizon=2.0))
+        assert out.snapshots[-1].k_total[0] < 40.0  # nothing enters, the cell drains
+
+    @pytest.mark.parametrize("field, match", [
+        ("lam", "arrival rate"), ("mu", "service rate")])
+    @pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+    def test_bad_rate_rejected(self, field, match, value):
+        # mu = inf used to fail at step one with "math domain error"
+        rates = {"lam": 0.5, "mu": 0.05, field: value}
+        with pytest.raises(ConfigurationError, match=match):
+            ClassConfig(rates["lam"], 11, rates["mu"], a=0.292, b=0.499)
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["classes"][0][f"{field.replace('lam', 'lambda')}_per_s"] = value
+        with pytest.raises(ConfigurationError, match=match):
+            config_from_dict(bad)
+
+    def test_rng_seed_key_is_ignored(self):
+        # the continuum model is deterministic; the key is unknown, like any other
+        d = copy.deepcopy(JSON_CONFIG)
+        d["rng_seed"] = 5
+        assert config_from_dict(d) == config_from_dict(copy.deepcopy(JSON_CONFIG))
 
 
 class TestOperatorSplitting:

@@ -35,6 +35,12 @@ class TestFundamentalDiagram:
         with pytest.raises(ValueError):
             FundamentalDiagram(108.0, -1.0, 300.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, value):
+        for args in ((value, 7200.0, 300.0), (108.0, value, 300.0), (108.0, 7200.0, value)):
+            with pytest.raises(ConfigurationError, match="finite and positive"):
+                FundamentalDiagram(*args)
+
     def test_rejects_supercritical_jam(self):
         # k_crit = 100 would equal k_jam
         with pytest.raises(ValueError):
@@ -122,6 +128,14 @@ class TestAdvanceTotal:
         moved_km = (front(k) - x_start) * grid.dx
         expected = -FD.w_c * steps * grid.dt / 3600.0  # Rankine-Hugoniot
         assert abs(moved_km - expected) <= grid.dx  # within one cell
+
+    def test_open_boundary_needs_demand(self):
+        # the one default, v_f * k0, is the scenario's (coupling.step)
+        with pytest.raises(ValueError, match="open boundary needs a demand"):
+            interface_flows(np.full(20, 10.0), FD, "open")
+        with pytest.raises(ValueError, match="open boundary needs a demand"):
+            advance_total(np.full(20, 10.0), FD, GridSpec(dx=0.05, dt=1.0, num_cells=20),
+                          boundary="open")
 
     def test_unknown_boundary(self):
         grid = GridSpec(dx=0.05, dt=1.0, num_cells=20)

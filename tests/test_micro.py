@@ -86,6 +86,38 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             tiny_config(positions=(0.5, 3.0))
 
+    @pytest.mark.parametrize("overrides, match", [
+        (dict(tick=0.0), "tick must be finite and positive"),
+        (dict(tick=-0.05), "tick must be finite and positive"),
+        (dict(tick=float("nan")), "tick must be finite and positive"),
+        (dict(horizon=-1.0), "horizon"),
+        (dict(horizon=float("nan")), "horizon"),
+        (dict(horizon=5.01), "horizon 5.01 s is not a non-negative whole number"),
+        (dict(record_every=0), "record_every"),
+        (dict(num_bins=0), "num_bins"),
+        (dict(positions=(), seeds=()), "at least one vehicle"),
+        (dict(ring_length=0.0), "ring length"),
+        (dict(ring_length=-2.0), "ring length"),
+        (dict(positions=(-0.1, 1.0), seeds=(0,)), "positions"),
+        (dict(positions=(float("nan"), 1.0), seeds=(0,)), "positions"),
+        (dict(positions=(-0.1, 1.0), seeds=(0,), ring_length=None), "positions"),
+    ])
+    def test_bad_number_rejected(self, overrides, match):
+        # tick 0 divided by zero, a fractional horizon was rounded, record_every 0
+        # divided by zero, num_bins 0 ran, no vehicle failed in max(), ring
+        # length 0 divided by zero, and a negative position was accepted
+        with pytest.raises(ConfigurationError, match=match):
+            tiny_config(**overrides)
+
+    @pytest.mark.parametrize("args", [(2.0, 0), (0.0, 20), (float("nan"), 20)])
+    def test_bad_placement_rejected(self, args):
+        with pytest.raises(ConfigurationError):
+            make_positions(*args)
+
+    def test_edge_positions_accepted(self):
+        res = simulate(tiny_config(positions=(0.0, 1.0, 2.0), seeds=(1,), horizon=0.5))
+        assert res.informed_mean[0] == pytest.approx(1 / 3)
+
     def test_fractional_seed_index_rejected(self):
         with pytest.raises(ConfigurationError, match="seed index must be a whole number"):
             tiny_config(seeds=(10.5,))

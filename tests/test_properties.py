@@ -87,7 +87,8 @@ def scenarios(draw, num_classes=st.integers(1, 3)):
     incident = None
     if draw(st.booleans()):
         start = draw(st.integers(0, num_cells - 1))
-        incident = IncidentProfile(start, start + draw(st.integers(0, 3)), 0.0,
+        end = draw(st.integers(start, min(start + 3, num_cells - 1)))
+        incident = IncidentProfile(start, end, 0.0,
                                    draw(st.sampled_from([2.0, 5.0, 100.0])),
                                    draw(st.floats(0.1, 1.0)))
     return ScenarioConfig(
@@ -110,7 +111,7 @@ class TestContinuumProperties:
             assert np.all(k >= 0.0)
             assert np.all(world.layers >= 0.0)
             for j in range(len(cfg.classes)):
-                informed_sum = world.class_state(j).fields.sum(axis=0)
+                informed_sum = world.classes[j].fields.sum(axis=0)
                 np.testing.assert_allclose(informed_sum, cfg.penetration * k,
                                            rtol=1e-9, atol=1e-9 * cfg.k0)
 
@@ -126,4 +127,4 @@ class TestContinuumProperties:
             alone = [step(w, c) for w, c in zip(alone, single)]
             for j, w in enumerate(alone):
                 assert w.k_total.tobytes() == joint.k_total.tobytes()
-                assert w.layers.tobytes() == joint.class_state(j).fields.tobytes()
+                assert w.layers.tobytes() == joint.classes[j].fields.tobytes()

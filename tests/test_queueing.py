@@ -164,7 +164,9 @@ class TestStability:
         assert m.mean_wait == pytest.approx(1 / 3, abs=1e-12)
 
     def test_invalid_params(self):
-        for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 1, 1), (1, 2.5, 1)]:
+        inf, nan = float("inf"), float("nan")
+        for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 1, 1), (1, 2.5, 1),
+                    (inf, 1, 1), (nan, 1, 1), (1, 1, inf), (1, 1, nan)]:
             with pytest.raises(ValueError):
                 ClassParams(*bad)
 

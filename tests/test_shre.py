@@ -187,15 +187,15 @@ class TestRk4:
         np.testing.assert_allclose(out.r, exact, atol=(0.05 * GRID.dt) ** 5)
 
     def test_fourth_order_convergence(self):
-        grid = GridSpec(dx=0.05, dt=2.0, num_cells=64)
         state = ClassState.all_susceptible(10.0, 64)
         state = seed_information(state, 32, 5.0)
         p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
 
         def err(dt, nsub):
+            grid = GridSpec(dx=0.05, dt=dt, num_cells=64)
             cur = state
             for _ in range(nsub):
-                cur = rk4_step(cur, p, grid, dt=dt)
+                cur = rk4_step(cur, p, grid)
             return cur
 
         ref = err(2.0 / 2048, 2048).fields
