@@ -224,8 +224,11 @@ def _sweep_point(args):
     from . import coupling  # local import keeps worker pickling simple
 
     base_cfg, n, mu, t1, t2, reference = args
+    try:
+        cp = ClassParams(base_cfg.classes[0].lam, n, mu)
+    except ValueError as exc:  # an invalid (n, mu) fails its own row only
+        return SweepRow(n_servers=n, mu=mu, stable=False, error=str(exc))
     # an unstable class is rejected by the config, so test it first
-    cp = ClassParams(base_cfg.classes[0].lam, n, mu)
     if not cp.stable:
         return SweepRow(n_servers=n, mu=mu, stable=False)
     cfg = coupling.config_with_class_override(base_cfg, n_servers=n, mu=mu)
@@ -254,8 +257,9 @@ def sweep(base_cfg, n_values, mu_values, t1: float, t2: float,
           reference_fraction: float = 0.5, workers: int | None = None) -> list[SweepRow]:
     """Run the coupled model over an (n, mu) grid and tabulate the metrics.
 
-    Unstable points are recorded as skipped; per-point failures are
-    captured in the row instead of aborting the sweep.
+    Unstable points are recorded as skipped; invalid points (n < 1,
+    mu <= 0) and per-point failures are captured in the row instead of
+    aborting the sweep.
     """
     points = [(base_cfg, int(n), float(mu), t1, t2, reference_fraction)
               for mu in mu_values for n in n_values]

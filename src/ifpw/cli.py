@@ -42,23 +42,26 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _whole_arg(text: str) -> int:
-    """argparse type: a whole number, written as 2 or as 2.0."""
+def _server_count_arg(text: str) -> int:
+    """argparse type: a whole number of at least 1, written as 2 or as 2.0."""
     try:
-        return whole_number(float(text), "value")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a whole number: {text!r}") from None
-
-
-def _finite_arg(text: str) -> float:
-    """argparse type: a finite float."""
-    try:
-        value = float(text)
-        if math.isfinite(value):
+        value = whole_number(float(text), "value")
+        if value >= 1:
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a whole number >= 1: {text!r}")
+
+
+def _rate_arg(text: str) -> float:
+    """argparse type: a finite positive float."""
+    try:
+        value = float(text)
+        if 0 < value < math.inf:  # also rejects NaN
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
 
 
 def cmd_run(args) -> int:
@@ -290,8 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("sweep", help="(n, mu) parameter sweep")
     w.add_argument("--config", required=True)
-    w.add_argument("--n", type=_whole_arg, nargs="+", required=True, help="server counts")
-    w.add_argument("--mu", type=_finite_arg, nargs="+", required=True, help="1/s")
+    w.add_argument("--n", type=_server_count_arg, nargs="+", required=True,
+                   help="server counts")
+    w.add_argument("--mu", type=_rate_arg, nargs="+", required=True, help="1/s")
     w.add_argument("--t1", type=float, required=True)
     w.add_argument("--t2", type=float, required=True)
     w.add_argument("--out", required=True)

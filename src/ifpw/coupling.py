@@ -17,6 +17,7 @@ import json
 import math
 import time as _time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -174,6 +175,11 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"incident capacity_factor {inc.capacity_factor} is not in [0, 1]")
 
+    @cached_property
+    def table_kernel(self) -> bool:
+        """Whether any class reads the density-dependent table kernel."""
+        return any(c.kernel_mode == "table" for c in self.classes)
+
     @property
     def sigma(self) -> float:
         """Equipped-vehicle density W * k0 (veh/km)."""
@@ -267,7 +273,8 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
         k_new, flows = lwr.advance_total(world.k_total, config.fd, grid,
                                          config.boundary, factors, demand)
         # vehicles entering an open road are uninformed
-        inflow = _fresh_layers(config, 1, 1.0)[:, 0]
+        inflow = (_fresh_layers(config, 1, 1.0)[:, 0]
+                  if config.boundary == "open" else None)
         class_flows = lwr.split_class_flows(world.k_total, world.layers, flows,
                                             config.boundary, inflow)
         advected = lwr.update_class_densities(world.layers, class_flows, grid)
@@ -275,8 +282,7 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
-    table = (_table_kernel(k_new, grid)
-             if any(cc.kernel_mode == "table" for cc in config.classes) else None)
+    table = _table_kernel(k_new, grid) if config.table_kernel else None
     fields = []
     for j, (cc, st) in enumerate(zip(config.classes, _class_fields(advected))):
         kobj = table if cc.kernel_mode == "table" else cc.kernel

@@ -9,6 +9,9 @@ advected proportionally to its share of the upstream cell, all layers at
 once.  A capacity factor field models incidents by scaling q_max in both
 the sending and receiving functions.
 
+A traffic step checks the density against [0, k_jam] once: both flows of
+every interface come from that one checked copy.
+
 Units: densities veh/km, flows veh/h, speeds km/h, dt in seconds
 (converted internally).
 """
@@ -69,21 +72,29 @@ class FundamentalDiagram:
 
 def _check_density(k, fd: FundamentalDiagram):
     k = np.asarray(k, dtype=float)
-    if np.any(k < -EMPTY_TOL) or np.any(k > fd.k_jam * (1 + 1e-12)):
+    if (k < -EMPTY_TOL).any() or (k > fd.k_jam * (1 + 1e-12)).any():
         raise ValueError(f"density outside [0, k_jam={fd.k_jam}]")
-    return np.clip(k, 0.0, fd.k_jam)
+    return np.minimum(np.maximum(k, 0.0), fd.k_jam)
+
+
+# The flow formulas take a checked density and the capacity cap factor * q_max.
+def _send(k, fd: FundamentalDiagram, cap):
+    return np.minimum(fd.v_f * k, cap)
+
+
+def _receive(k, fd: FundamentalDiagram, cap):
+    return np.minimum(cap, fd.w_c * (fd.k_jam - k))
 
 
 def sending_flow(k, fd: FundamentalDiagram, capacity_factor=1.0):
     """Maximum flow the upstream cell can send: min(v_f k, factor q_max)."""
-    k = _check_density(k, fd)
-    return np.minimum(fd.v_f * k, np.asarray(capacity_factor) * fd.q_max)
+    return _send(_check_density(k, fd), fd, np.multiply(capacity_factor, fd.q_max))
 
 
 def receiving_flow(k_downstream, fd: FundamentalDiagram, capacity_factor=1.0):
     """Maximum flow the downstream cell can accept: min(factor q_max, w_c (k_jam - k))."""
-    k = _check_density(k_downstream, fd)
-    return np.minimum(np.asarray(capacity_factor) * fd.q_max, fd.w_c * (fd.k_jam - k))
+    return _receive(_check_density(k_downstream, fd), fd,
+                    np.multiply(capacity_factor, fd.q_max))
 
 
 def interface_flows(k: np.ndarray, fd: FundamentalDiagram, boundary: str,
@@ -93,14 +104,15 @@ def interface_flows(k: np.ndarray, fd: FundamentalDiagram, boundary: str,
     flows[j] crosses from cell j-1 into cell j; flows[0] and flows[-1]
     are the domain boundaries (equal for 'periodic', zero for 'closed',
     inflow of at most ``demand`` veh/h and free outflow for 'open', which
-    needs a demand).
+    needs a demand).  ``capacity_factor`` is a scalar or one per cell.
     """
     n = k.size
-    factor = np.broadcast_to(np.asarray(capacity_factor, dtype=float), (n,))
+    k = _check_density(k, fd)
+    cap = np.multiply(capacity_factor, fd.q_max)
+    send = _send(k, fd, cap)
+    recv = _receive(k, fd, cap)
     q = np.empty(n + 1)
-    send = sending_flow(k, fd, factor)
-    recv = receiving_flow(k, fd, factor)
-    q[1:n] = np.minimum(send[:-1], recv[1:])
+    np.minimum(send[:-1], recv[1:], out=q[1:n])
     if boundary == "periodic":
         q[0] = q[n] = min(send[-1], recv[0])
     elif boundary == "closed":
@@ -127,7 +139,8 @@ def advance_total(k_total: np.ndarray, fd: FundamentalDiagram, grid: GridSpec,
     q = interface_flows(k_total, fd, boundary, capacity_factor, demand)
     dt_h = grid.dt / 3600.0
     k_new = k_total + (dt_h / grid.dx) * (q[:-1] - q[1:])
-    return np.clip(k_new, 0.0, fd.k_jam), q
+    np.maximum(k_new, 0.0, out=k_new)
+    return np.minimum(k_new, fd.k_jam, out=k_new), q
 
 
 def split_class_flows(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
@@ -143,13 +156,16 @@ def split_class_flows(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray
     none of them is assigned to any layer), not that of the first cell.
     """
     occupied = k_total > 0.0
-    if np.any(~occupied & (flows[1:] > 0)):
-        raise ValueError("positive outflow from an empty cell")
     # in place: (L, N) temporaries past glibc's trim threshold fault every step
     out = np.empty((len(layers), k_total.size + 1))
     frac = out[:, 1:]
-    np.divide(layers, np.where(occupied, k_total, 1.0), out=frac)
-    frac[:, ~occupied] = 0.0
+    if occupied.all():
+        np.divide(layers, k_total, out=frac)
+    elif (flows[1:][~occupied] > 0).any():
+        raise ValueError("positive outflow from an empty cell")
+    else:
+        np.divide(layers, np.where(occupied, k_total, 1.0), out=frac)
+        frac[:, ~occupied] = 0.0
     if boundary == "periodic":
         out[:, 0] = frac[:, -1] * flows[0]
     elif boundary == "closed":
@@ -169,4 +185,4 @@ def update_class_densities(layers: np.ndarray, class_flows: np.ndarray,
         row, cell = np.unravel_index(np.argmin(layers), layers.shape)
         raise ValueError(f"layer {row} density went negative in cell {cell}: "
                          f"{layers[row, cell]:.3e}")
-    return np.clip(layers, 0.0, None, out=layers)
+    return np.maximum(layers, 0.0, out=layers)

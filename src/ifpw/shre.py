@@ -278,8 +278,10 @@ def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
     else:
         raise ValueError(f"unknown convolution mode {mode!r}")
     padded, coeffs, signal = _workspace(n).spectral(nfft)
-    padded[:n] = r_field  # the tail past n stays zero
-    np.fft.rfft(padded, out=coeffs)
+    if nfft > n:  # linear: transform a zero-tailed copy
+        padded[:n] = r_field  # the tail past n stays zero
+        r_field = padded
+    np.fft.rfft(r_field, out=coeffs)
     np.multiply(coeffs, spectrum, out=coeffs)
     np.fft.irfft(coeffs, nfft, out=signal)
     return np.multiply(grid.dx, signal[m:m + n], out=out)
@@ -363,11 +365,12 @@ def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec) -> ClassState:
         ok = True
         for _ in range(nsub):
             arr = _rk4_once(arr, p, grid, h)
-            if not np.isfinite(arr).all() or arr.min() < NEG_TOL:
+            # NaN makes min() NaN, which fails the comparison
+            if not (arr.min() >= NEG_TOL and arr.max() < math.inf):
                 ok = False
                 break
         if ok:
-            np.clip(arr, 0.0, None, out=arr)
+            np.maximum(arr, 0.0, out=arr)
             return ClassState(arr)
     bad = np.argwhere(~np.isfinite(arr) | (arr < NEG_TOL))
     cell = int(bad[0][1]) if bad.size else None

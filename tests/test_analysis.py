@@ -253,6 +253,19 @@ class TestSweep:
         assert rows[1].stable and rows[1].error is None
         assert rows[1].spread > 0.9
 
+    def test_invalid_point_gets_its_own_error_row(self):
+        cfg = jammed_ring()
+        rows = sweep(cfg, [1, 0], [0.2, -0.1], 30.0, 60.0, reference_fraction=0.1)
+        assert [(r.n_servers, r.mu) for r in rows] == [(1, 0.2), (0, 0.2), (1, -0.1), (0, -0.1)]
+        cc = replace(cfg.classes[0], n_servers=1, mu=0.2)
+        assert rows[0] == point_row(replace(cfg, classes=(cc,)), 30.0, 60.0, 0.1)
+        assert rows[0].error is None
+        for r in rows[1:]:
+            assert not r.stable and r.gamma is None and r.spread is None
+        assert "n_servers must be a positive integer, got 0" in rows[1].error
+        assert "service rate must be finite and positive" in rows[2].error
+        assert rows[3].error  # both bad: the first check's message
+
     @pytest.mark.parametrize("workers", [None, 2])
     def test_rows_equal_per_point_runs(self, workers):
         cfg = jammed_ring()

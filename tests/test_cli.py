@@ -356,6 +356,23 @@ class TestSweep:
         assert f"argument {option}: not a" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("option, values, bad", [
+        ("--n", ["11", "0"], "0"), ("--n", ["-2"], "-2"),
+        ("--mu", ["0.05", "-0.1"], "-0.1"), ("--mu", ["0"], "0")])
+    def test_out_of_range_grid_value_is_usage_error(self, tmp_path, capsys, option, values,
+                                                    bad):
+        # these used to abort the whole sweep with exit 1 after parsing
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        grid = {"--n": ["11"], "--mu": ["0.05"], option: values}
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--n", *grid["--n"], "--mu", *grid["--mu"],
+                  "--t1", "5", "--t2", "10", "--out", str(out)])
+        assert exc.value.code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"argument {option}: not a" in err and repr(bad) in err
+        assert not out.exists()
+
     def test_grid_values_parsed_by_argparse(self):
         args = build_parser().parse_args(
             ["sweep", "--config", "c.json", "--n", "2.0", "3", "--mu", "0.1", "1e-2",

@@ -3,6 +3,7 @@ import pytest
 
 from ifpw.errors import ConfigurationError
 from ifpw.lwr import (
+    EMPTY_TOL,
     FundamentalDiagram,
     advance_total,
     interface_flows,
@@ -286,3 +287,145 @@ class TestIncident:
             k, layers = k_new, update_class_densities(layers, class_q, grid)
         assert k[35:40].mean() > 50.0  # congestion upstream
         assert k[46:52].mean() < 50.0  # starvation downstream
+
+
+# The traffic step as it was written before its density check was fused:
+# each flow checks the density through np.any and np.clip, on a factor
+# broadcast to one per cell.  The fused step must give the same bits.
+def unfused_check_density(k, fd):
+    k = np.asarray(k, dtype=float)
+    if np.any(k < -EMPTY_TOL) or np.any(k > fd.k_jam * (1 + 1e-12)):
+        raise ValueError(f"density outside [0, k_jam={fd.k_jam}]")
+    return np.clip(k, 0.0, fd.k_jam)
+
+
+def unfused_sending_flow(k, fd, capacity_factor=1.0):
+    k = unfused_check_density(k, fd)
+    return np.minimum(fd.v_f * k, np.asarray(capacity_factor) * fd.q_max)
+
+
+def unfused_receiving_flow(k, fd, capacity_factor=1.0):
+    k = unfused_check_density(k, fd)
+    return np.minimum(np.asarray(capacity_factor) * fd.q_max, fd.w_c * (fd.k_jam - k))
+
+
+def unfused_traffic_step(k_total, layers, grid, boundary, factor, demand, inflow):
+    """(k_new, flows, class flows, new layers) of one unfused step."""
+    n = k_total.size
+    factor = np.broadcast_to(np.asarray(factor, dtype=float), (n,))
+    send = unfused_sending_flow(k_total, FD, factor)
+    recv = unfused_receiving_flow(k_total, FD, factor)
+    q = np.empty(n + 1)
+    q[1:n] = np.minimum(send[:-1], recv[1:])
+    if boundary == "periodic":
+        q[0] = q[n] = min(send[-1], recv[0])
+    elif boundary == "closed":
+        q[0] = q[n] = 0.0
+    else:
+        q[0] = min(demand, recv[0])
+        q[n] = send[-1]
+    rate = (grid.dt / 3600.0) / grid.dx
+    k_new = np.clip(k_total + rate * (q[:-1] - q[1:]), 0.0, FD.k_jam)
+    class_q = unfused_split(k_total, layers, q, boundary, inflow)
+    new = np.clip(layers + rate * (class_q[:, :-1] - class_q[:, 1:]), 0.0, None)
+    return k_new, q, class_q, new
+
+
+def unfused_split(k_total, layers, q, boundary, inflow):
+    occupied = k_total > 0.0
+    if np.any(~occupied & (q[1:] > 0)):
+        raise ValueError("positive outflow from an empty cell")
+    frac = layers / np.where(occupied, k_total, 1.0)
+    frac[:, ~occupied] = 0.0
+    class_q = np.empty((len(layers), k_total.size + 1))
+    class_q[:, 1:] = frac * q[1:]
+    if boundary == "periodic":
+        class_q[:, 0] = frac[:, -1] * q[0]
+    elif boundary == "closed":
+        class_q[:, 0] = 0.0
+    else:
+        class_q[:, 0] = (0.0 if inflow is None else inflow) * q[0]
+    return class_q
+
+
+def incident_factor(n):
+    factor = np.ones(n)
+    factor[n // 2:n // 2 + 6] = 1.0 / 3.0
+    return factor
+
+
+class TestFusedStepMatchesUnfused:
+    """advance_total, split_class_flows and update_class_densities against
+    the unfused step, bit for bit."""
+
+    GRID = GridSpec(dx=0.05, dt=0.5, num_cells=64)
+
+    @staticmethod
+    def state(seed, empties):
+        rng = np.random.default_rng(seed)
+        k = rng.uniform(0, FD.k_jam, 64)
+        k[[3, 17, 40]] = FD.k_jam  # jammed cells receive nothing
+        k[9] = FD.k_jam * (1 + 1e-13)  # inside the check's tolerance
+        if empties:
+            k[[0, 25, 26, 63]] = 0.0
+            k[50] = -1e-13  # inside the check's tolerance: empty
+        layers = rng.dirichlet(np.ones(8), 64).T * np.maximum(k, 0.0)
+        return k, layers
+
+    @pytest.mark.parametrize("empties", [False, True], ids=["occupied", "empties"])
+    @pytest.mark.parametrize("factor", ["scalar", "incident"])
+    @pytest.mark.parametrize("boundary", ["periodic", "closed", "open"])
+    def test_steps_equal_unfused(self, boundary, factor, empties):
+        grid = self.GRID
+        cap = 1.0 if factor == "scalar" else incident_factor(64)
+        inflow = np.array([0.5, 0, 0, 0, 0.5, 0, 0, 0]) if boundary == "open" else None
+        for seed in range(3):
+            k, layers = self.state(seed, empties)
+            for step in range(20):
+                want = unfused_traffic_step(k, layers, grid, boundary, cap, 2000.0, inflow)
+                kept = layers.copy()
+                k_new, q = advance_total(k, FD, grid, boundary, cap, demand=2000.0)
+                class_q = split_class_flows(k, layers, q, boundary, inflow)
+                new = update_class_densities(layers, class_q, grid)
+                for got, ref in zip((k_new, q, class_q, new), want):
+                    np.testing.assert_array_equal(got, ref)
+                    assert got.tobytes() == ref.tobytes()
+                np.testing.assert_array_equal(layers, kept)  # the input stays as it was
+                empty = k <= 0.0  # inflow fills the empty cells of a ring or open road
+                assert empty.any() or not (empties and step == 0)
+                np.testing.assert_array_equal(class_q[:, 1:][:, empty], 0.0)
+                k, layers = k_new, new
+
+    @pytest.mark.parametrize("factor", ["scalar", "incident"])
+    def test_public_flows_equal_unfused(self, factor):
+        cap = 1.0 if factor == "scalar" else incident_factor(64)
+        k, _layers = self.state(4, empties=True)
+        assert sending_flow(k, FD, cap).tobytes() == unfused_sending_flow(k, FD, cap).tobytes()
+        assert (receiving_flow(k, FD, cap).tobytes()
+                == unfused_receiving_flow(k, FD, cap).tobytes())
+
+    @pytest.mark.parametrize("boundary", ["periodic", "closed", "open"])
+    def test_empty_cell_shares_are_zero(self, boundary):
+        # stray layer density in cells the total counts as empty carries none
+        # of a (backward) flow through their outflow interface
+        k, layers = self.state(6, empties=True)
+        layers[:, [25, 50, 63]] = 0.5
+        q = interface_flows(k, FD, boundary, demand=2000.0)
+        q[[26, 51, 64]] = -100.0
+        if boundary == "periodic":
+            q[0] = q[64]
+        got = split_class_flows(k, layers, q, boundary)
+        assert got.tobytes() == unfused_split(k, layers, q, boundary, None).tobytes()
+        np.testing.assert_array_equal(got[:, [26, 51, 64]], 0.0)
+        if boundary == "periodic":
+            np.testing.assert_array_equal(got[:, 0], 0.0)
+
+    def test_outflow_from_empty_cell_raises(self):
+        k, layers = self.state(5, empties=True)
+        q = np.zeros(65)
+        q[26] = 100.0  # claims outflow from empty cell 25
+        with pytest.raises(ValueError, match="positive outflow from an empty cell"):
+            split_class_flows(k, layers, q, "closed")
+        # an occupied road never takes the empty-cell branch
+        k_full, layers_full = self.state(5, empties=False)
+        split_class_flows(k_full, layers_full, q, "closed")

@@ -232,6 +232,58 @@ class TestRk4:
             rk4_step(state, p, grid)
 
 
+class TestRetryGuard:
+    """Which sub-step results rk4_step rejects: the first sub-step gets
+    ``bad`` written into cell 7 of its R row."""
+
+    GRID = GridSpec(dx=0.05, dt=0.5, num_cells=16)
+    P = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
+
+    @staticmethod
+    def inject(monkeypatch, bad, times):
+        """Spoil the first ``times`` sub-steps; returns the list of calls."""
+        calls = []
+        once = shre._rk4_once
+
+        def spoiled(arr, p, grid, dt):
+            out = once(arr, p, grid, dt)
+            calls.append(dt)
+            if len(calls) <= times:
+                out[2, 7] = bad
+            return out
+
+        monkeypatch.setattr(shre, "_rk4_once", spoiled)
+        return calls
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-8, -1.0])
+    def test_bad_substep_is_retried(self, monkeypatch, bad):
+        state = seeded_state(16)
+        once = shre._rk4_once
+        want = state.fields
+        for _ in range(2):
+            want = once(want, self.P, self.GRID, self.GRID.dt / 2)
+        calls = self.inject(monkeypatch, bad, times=1)
+        out = rk4_step(state, self.P, self.GRID)
+        assert calls == [self.GRID.dt] + [self.GRID.dt / 2] * 2
+        assert_bitwise(out.fields, np.maximum(want, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-8])
+    def test_blowup_names_the_cell(self, monkeypatch, bad):
+        calls = self.inject(monkeypatch, bad, times=10**9)
+        with pytest.raises(NumericalBlowupError, match="at cell 7") as exc:
+            rk4_step(seeded_state(16), self.P, self.GRID)
+        assert exc.value.cell == 7
+        assert len(calls) == shre.MAX_HALVINGS + 1  # each halving fails at its first sub-step
+
+    @pytest.mark.parametrize("bad", [-5e-10, -1e-9, -0.0])
+    def test_small_negative_is_clamped(self, monkeypatch, bad):
+        calls = self.inject(monkeypatch, bad, times=1)
+        out = rk4_step(seeded_state(16), self.P, self.GRID)
+        assert len(calls) == 1
+        assert out.fields[2, 7] == 0.0 and not np.signbit(out.fields[2, 7])
+        assert out.fields.min() >= 0.0
+
+
 def reference_convolution(r, kernel, grid, mode):
     """The allocating convolution expressions that the workspace replaced."""
     if isinstance(kernel, CellKernel):
@@ -425,8 +477,8 @@ class TestWorkspaceStep:
              for hi in (0.25, 0.35)])
 
     def test_warm_step_allocates_one_result(self):
-        # the step's only large allocation is the returned (4, N) array (its
-        # finiteness mask adds 1/8); the allocating stages peaked at 6 arrays
+        # the step's only large allocation is the returned (4, N) array; the
+        # allocating stages peaked at 6 arrays
         n = 8192
         grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
         p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
