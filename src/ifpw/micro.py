@@ -10,8 +10,14 @@ relays while it is in service, and is excluded once service completes.
 Allowed transitions are S->H, S->R, H->R, R->E only.
 
 All replications of a batch advance together as (replications, vehicles)
-state arrays, with one matrix product per tick for the receptions; a
-replication leaves the batch once it can no longer change.
+state arrays, with one matrix product per tick for the receptions.  The
+scheduled transitions sit in two heaps of (time, replication, vehicle)
+events, one for H->R (a wait ends) and one for R->E (a service ends), as
+in the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000):
+a tick pops the events due by its end, relays first, so an exclusion due
+in the same tick as its relay is applied in that tick.  Every holding or
+relaying vehicle has one queued event; a replication with none left can
+no longer change and leaves the batch.
 
 RNG streams: replication i draws from its own generator, spawned by
 index from the master seed: first one service time per vehicle, then one
@@ -25,6 +31,7 @@ on ``workers`` or on the other replications.
 
 from __future__ import annotations
 
+import heapq
 import math
 import multiprocessing
 import os
@@ -57,6 +64,7 @@ _MAX_SHOTS = 16
 # adds 0 (not 0 * -inf = NaN), and any shot still makes exp() exactly 0
 _LOG_CERTAIN = -1e3
 _QUEUE_WARMUP = 1000  # packets queue_validation discards before it records
+_TINY = np.finfo(float).tiny  # smallest normal float, the floor of a wait's uniform
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,7 @@ def _queue_waits(u, p_hit, xi: float, slack: float) -> np.ndarray:
     Given a reception, ``v = u / p_hit`` is a fresh uniform; a packet with
     ``v < xi`` waits ``log(xi / v) / slack``, as ``v / xi`` is then uniform.
     """
-    v = np.maximum(u / p_hit, np.finfo(float).tiny)  # v = 0 would wait forever
+    v = np.maximum(u / p_hit, _TINY)  # v = 0 would wait forever
     return np.where(v < xi, np.log(xi / v) / slack, 0.0)
 
 
@@ -209,6 +217,22 @@ def _bin_edges(config: MicroConfig) -> np.ndarray:
                        config.num_bins + 1)
 
 
+def _pop_due(queue: list, t_next: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pop the events of ``queue`` due by ``t_next`` (there is at least
+    one): their times, replications and vehicles, as arrays."""
+    due = []
+    while queue and queue[0][0] <= t_next:
+        due.append(heapq.heappop(queue))
+    times, reps, vehicles = zip(*due)
+    return np.array(times), np.array(reps), np.array(vehicles)
+
+
+def _push(queue: list, times: np.ndarray, reps: np.ndarray, vehicles: np.ndarray):
+    """Push one (time, replication, vehicle) event per array entry."""
+    for event in zip(times.tolist(), reps.tolist(), vehicles.tolist()):
+        heapq.heappush(queue, event)
+
+
 def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     """Advance one replication per stream, all as one (reps, N) state.
 
@@ -226,12 +250,16 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     shots_cdf = pdtr(np.arange(_MAX_SHOTS), config.beta * config.tick)
     service = np.stack([rng.exponential(1.0 / cp.mu, n) for rng in rngs])
     states = np.full(service.shape, S, dtype=np.int8)
-    t_relay = np.full(service.shape, np.inf)  # when a holding vehicle starts relaying
-    t_exclude = np.full(service.shape, np.inf)
     seeds = list(config.seeds)
     states[:, seeds] = R
-    t_exclude[:, seeds] = service[:, seeds]
-    next_relay, next_exclude = np.inf, t_exclude.min()  # next scheduled transitions
+    # scheduled transitions, as heaps of (time, replication, vehicle): a
+    # holding vehicle's H->R at the end of its wait, a relaying one's R->E
+    # at the end of its service
+    relays = []
+    excludes = [(service[r, v].item(), r, v) for r in range(len(rngs)) for v in seeds]
+    heapq.heapify(excludes)
+    # queued events per replication, one per holding or relaying vehicle
+    pending = [len(seeds)] * len(rngs)
 
     num_ticks = _num_ticks(config)
     informed = np.empty((len(rngs), num_ticks // config.record_every + 1))
@@ -239,8 +267,10 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     rec_pos = 1
     uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))  # per vehicle and tick
     # the arrays above keep only live replications (row i is replication
-    # live[i]); one with no holding or relaying vehicle never changes again
+    # live[i], and replication j is row row_of[j] while live); one with no
+    # event left (no holding or relaying vehicle) never changes again
     live = np.arange(len(rngs))
+    row_of = live.copy()
     ended = np.empty(states.shape, dtype=np.int8)  # final states
 
     for tick in range(num_ticks if seeds else 0):  # no relayer: nothing happens
@@ -250,29 +280,29 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
                 rng.random(out=u)
         t = tick * config.tick
         t_next = t + config.tick
-        # scheduled transitions due inside this tick
-        if next_relay <= t_next:
-            due = np.nonzero(t_relay <= t_next)
+        # scheduled transitions due inside this tick; an exclusion that
+        # falls due in the same tick as its relay is applied in this tick
+        if relays and relays[0][0] <= t_next:
+            times, reps, vehicles = _pop_due(relays, t_next)
+            due = row_of[reps], vehicles
             _transition(states, due, R)
-            t_exclude[due] = t_relay[due] + service[due]
-            t_relay[due] = np.inf
-            next_relay, next_exclude = t_relay.min(), t_exclude.min()
-        if next_exclude <= t_next:
-            due = np.nonzero(t_exclude <= t_next)
-            _transition(states, due, E)
-            t_exclude[due] = np.inf
-            next_exclude = t_exclude.min()
-            row_states = states[due[0]]
-            done = due[0][~((row_states == H) | (row_states == R)).any(axis=1)]
-            if done.size:  # retire these rows (a row may repeat)
+            _push(excludes, times + service[due], reps, vehicles)
+        if excludes and excludes[0][0] <= t_next:
+            _, reps, vehicles = _pop_due(excludes, t_next)
+            _transition(states, (row_of[reps], vehicles), E)
+            for rep in reps.tolist():
+                pending[rep] -= 1
+            done = row_of[[rep for rep in set(reps.tolist()) if not pending[rep]]]
+            if done.size:  # retire these rows
                 ended[live[done]] = states[done]
                 informed[live[done], rec_pos:] = np.mean(states[done] != S, axis=1)[:, None]
                 keep = np.isin(np.arange(live.size), done, invert=True)
-                live, states, t_relay, t_exclude, service, uniforms = (
-                    a[keep] for a in (live, states, t_relay, t_exclude, service, uniforms))
+                live, states, service, uniforms = (
+                    a[keep] for a in (live, states, service, uniforms))
                 rngs = [rng for rng, kept in zip(rngs, keep) if kept]
                 if not live.size:
                     break
+                row_of[live] = np.arange(live.size)
 
         # a relayer's uniform gives its shot count, a susceptible's its reception
         u = uniforms[:, k]
@@ -291,11 +321,13 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
                 held = waits > 0.0
                 hold = rows[held], vehicles[held]
                 _transition(states, hold, H)
-                t_relay[hold] = t + waits[held]
                 relay = rows[~held], vehicles[~held]
                 _transition(states, relay, R)
-                t_exclude[relay] = t + service[relay]
-                next_relay, next_exclude = t_relay.min(), t_exclude.min()
+                reps = live[rows]
+                for rep in reps.tolist():
+                    pending[rep] += 1
+                _push(relays, t + waits[held], reps[held], hold[1])
+                _push(excludes, t + service[relay], reps[~held], relay[1])
 
         if (tick + 1) % config.record_every == 0 and rec_pos < informed.shape[1]:
             informed[live, rec_pos] = np.mean(states != S, axis=1)

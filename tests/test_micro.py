@@ -2,14 +2,21 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import pdtr
 
 from ifpw.errors import ConfigurationError
 from ifpw.kernel import KernelParams
 from ifpw.micro import (
+    _BLOCK_TICKS,
+    _LOG_CERTAIN,
+    _MAX_SHOTS,
     E,
+    H,
     R,
     S,
     MicroConfig,
+    _bin_edges,
+    _num_ticks,
     _one_replication,
     _pair_probs,
     _queue_waits,
@@ -261,6 +268,132 @@ class TestRetirement:
         np.testing.assert_array_equal(res.curves, 0.0)
         assert res.state_histograms["s"].sum() == 20
         assert all(res.state_histograms[k].sum() == 0 for k in "hre")
+
+
+def dense_run_batch(config, streams):
+    """Reference for ``_run_batch``: the same RNG contract and arithmetic,
+    but each tick finds its due H->R and R->E transitions by scanning
+    (reps, N) arrays of scheduled times, and a row retires when a scan of
+    its states finds no holding or relaying vehicle."""
+    rngs = [np.random.default_rng(s) for s in streams]
+    cp = config.class_params
+    xi = wait_probability(cp)
+    n = len(config.positions)
+    log_keep = _pair_probs(config)
+    certain = log_keep == 1.0
+    np.log1p(-log_keep, out=log_keep, where=~certain)
+    log_keep[certain] = _LOG_CERTAIN
+    shots_cdf = pdtr(np.arange(_MAX_SHOTS), config.beta * config.tick)
+    service = np.stack([rng.exponential(1.0 / cp.mu, n) for rng in rngs])
+    states = np.full(service.shape, S, dtype=np.int8)
+    t_relay = np.full(service.shape, np.inf)
+    t_exclude = np.full(service.shape, np.inf)
+    seeds = list(config.seeds)
+    states[:, seeds] = R
+    t_exclude[:, seeds] = service[:, seeds]
+
+    num_ticks = _num_ticks(config)
+    informed = np.empty((len(rngs), num_ticks // config.record_every + 1))
+    informed[:, 0] = np.mean(states != S, axis=1)
+    rec_pos = 1
+    uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))
+    live = np.arange(len(rngs))
+    ended = np.empty(states.shape, dtype=np.int8)
+
+    for tick in range(num_ticks if seeds else 0):
+        k = tick % _BLOCK_TICKS
+        if k == 0:
+            for rng, u in zip(rngs, uniforms):
+                rng.random(out=u)
+        t = tick * config.tick
+        t_next = t + config.tick
+        due = np.nonzero(t_relay <= t_next)
+        _transition(states, due, R)
+        t_exclude[due] = t_relay[due] + service[due]
+        t_relay[due] = np.inf
+        due = np.nonzero(t_exclude <= t_next)
+        if due[0].size:
+            _transition(states, due, E)
+            t_exclude[due] = np.inf
+            row_states = states[due[0]]
+            done = due[0][~((row_states == H) | (row_states == R)).any(axis=1)]
+            if done.size:
+                ended[live[done]] = states[done]
+                informed[live[done], rec_pos:] = np.mean(states[done] != S, axis=1)[:, None]
+                keep = np.isin(np.arange(live.size), done, invert=True)
+                live, states, t_relay, t_exclude, service, uniforms = (
+                    a[keep] for a in (live, states, t_relay, t_exclude, service, uniforms))
+                rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+                if not live.size:
+                    break
+
+        u = uniforms[:, k]
+        fired = (states == R) & (u >= shots_cdf[0])
+        cols = np.flatnonzero(fired.any(axis=0))
+        if cols.size:
+            sub = fired[:, cols]
+            shots = np.zeros(sub.shape)
+            shots[sub] = np.searchsorted(shots_cdf, u[:, cols][sub], side="right")
+            p_hit = -np.expm1(shots @ log_keep[cols])
+            rows, vehicles = np.nonzero((states == S) & (u < p_hit))
+            if rows.size:
+                waits = _queue_waits(u[rows, vehicles], p_hit[rows, vehicles], xi, cp.slack)
+                held = waits > 0.0
+                hold = rows[held], vehicles[held]
+                _transition(states, hold, H)
+                t_relay[hold] = t + waits[held]
+                relay = rows[~held], vehicles[~held]
+                _transition(states, relay, R)
+                t_exclude[relay] = t + service[relay]
+
+        if (tick + 1) % config.record_every == 0 and rec_pos < informed.shape[1]:
+            informed[live, rec_pos] = np.mean(states != S, axis=1)
+            rec_pos += 1
+    ended[live] = states
+    informed[live, rec_pos:] = np.mean(states != S, axis=1)[:, None]
+
+    x = np.broadcast_to(np.asarray(config.positions, dtype=float), ended.shape)
+    hists = {name: np.histogram(x[ended == st], bins=_bin_edges(config))[0]
+             for name, st in (("s", S), ("h", H), ("r", R), ("e", E))}
+    return informed, hists
+
+
+def random_config(case):
+    """A seeded random small oracle: ring or line, 0-3 seeds.  Services
+    near the shortest the tick allows and heavily loaded queues (so most
+    packets wait) make a relay and its exclusion often fall in one tick."""
+    rng = np.random.default_rng(case)
+    n = int(rng.integers(10, 60))
+    length = float(rng.uniform(1.0, 5.0))
+    servers = int(rng.integers(1, 3))
+    mu = float(rng.uniform(1.5, 2.0))
+    lam = min(float(rng.uniform(0.8, 0.95)) * servers * mu, 2.0)
+    a = float(rng.uniform(0.2, 0.8))
+    return MicroConfig(
+        positions=tuple(make_positions(length, n, "uniform", rng=case)),
+        class_params=ClassParams(lam, servers, mu),
+        kernel=KernelParams(a, min(1.0, float(rng.uniform(0.35, 1.77)) * a)),
+        beta=2.0, horizon=20.0, tick=0.05,
+        replications=int(rng.integers(1, 17)),
+        rng_seed=int(rng.integers(1 << 30)),
+        seeds=tuple(rng.choice(n, int(rng.integers(0, 4)), replace=False).tolist()),
+        ring_length=length if rng.integers(2) else None,
+        record_every=int(rng.integers(1, 31)))
+
+
+class TestDenseReference:
+    """The event queues give the same curves and histograms, bit for bit,
+    as scanning every vehicle's scheduled times each tick."""
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_matches_dense_scan(self, case):
+        cfg = random_config(case)
+        streams = np.random.SeedSequence(cfg.rng_seed).spawn(cfg.replications)
+        curves, hists = _run_batch(cfg, streams)
+        ref_curves, ref_hists = dense_run_batch(cfg, streams)
+        np.testing.assert_array_equal(curves, ref_curves)
+        for name, counts in ref_hists.items():
+            np.testing.assert_array_equal(hists[name], counts)
 
 
 class TestCertainReception:
