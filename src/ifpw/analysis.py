@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import queueing
-from .errors import FrontNotFoundError, InsufficientRunError
+from .errors import ConfigurationError, FrontNotFoundError, InsufficientRunError
 from .queueing import ClassParams
 
 __all__ = [
@@ -62,14 +62,15 @@ class WaveSpeedEstimate:
 
 def gamma(beta: float, b: float, sigma: float, mu: float) -> float:
     """Threshold group beta*b*sigma/mu (sigma in veh/km, b the kernel mass)."""
-    if min(beta, b, sigma, mu) <= 0:
-        raise ValueError("all gamma inputs must be positive")
+    for name, value in (("beta", beta), ("b", b), ("sigma", sigma), ("mu", mu)):
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"gamma input {name} must be finite and positive, got {value}")
     return beta * b * sigma / mu
 
 
 def ifpw_exists(g: float) -> bool:
-    if g <= 0:
-        raise ValueError(f"gamma must be positive, got {g}")
+    if not 0 < g < math.inf:  # also rejects NaN
+        raise ValueError(f"gamma must be finite and positive, got {g}")
     return g > 1.0
 
 
@@ -78,9 +79,7 @@ def asymptotic_spread(g: float) -> float | None:
 
     Newton from alpha = 1 with a bisection safeguard; |residual| < SPREAD_TOL.
     """
-    if g <= 0:
-        raise ValueError(f"gamma must be positive, got {g}")
-    if g <= 1.0:
+    if not ifpw_exists(g):
         return None
     phi = lambda a: math.exp(-g * a) + a - 1.0
     dphi = lambda a: 1.0 - g * math.exp(-g * a)
@@ -259,12 +258,15 @@ def sweep(base_cfg, n_values, mu_values, t1: float, t2: float,
 
     Unstable points are recorded as skipped; invalid points (n < 1,
     mu <= 0) and per-point failures are captured in the row instead of
-    aborting the sweep.
+    aborting the sweep.  ``t1`` and ``t2`` must be distinct snapshot times
+    of ``coupling.run``, else ConfigurationError is raised before any run.
     """
     points = [(base_cfg, int(n), float(mu), t1, t2, reference_fraction)
               for mu in mu_values for n in n_values]
     if not points:
         raise ValueError("empty sweep grid")
+    if base_cfg.snapshot_index(t1, "t1") == base_cfg.snapshot_index(t2, "t2"):
+        raise ConfigurationError(f"t1 {t1} s and t2 {t2} s are the same snapshot")
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))

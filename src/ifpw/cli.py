@@ -174,6 +174,8 @@ def cmd_sweep(args) -> int:
     try:
         rows = analysis.sweep(cfg, args.n, args.mu, args.t1, args.t2,
                               workers=args.threads)
+    except ConfigurationError as exc:
+        return _fail(str(exc), EXIT_CONFIG)
     except Exception as exc:
         return _fail(str(exc), EXIT_DOMAIN)
     if all(not r.stable for r in rows):
@@ -235,7 +237,7 @@ def cmd_oracle(args) -> int:
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     try:
-        result = micro.simulate(cfg, workers=args.threads)
+        result = micro.simulate(cfg)
     except Exception as exc:
         return _fail(str(exc), EXIT_DOMAIN)
     try:
@@ -266,12 +268,12 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(func=cmd_run)
 
     a = sub.add_parser("analyze", help="asymptotic wave analytics")
-    a.add_argument("--beta", type=float, required=True, help="Hz")
-    a.add_argument("--b", type=float, required=True, help="kernel mass")
-    a.add_argument("--sigma", type=float, required=True, help="veh/km")
-    a.add_argument("--mu", type=float, required=True, help="1/s")
-    a.add_argument("--lambda", dest="lam", type=float, default=None, help="1/s")
-    a.add_argument("--n", type=int, default=None, help="servers")
+    a.add_argument("--beta", type=_rate_arg, required=True, help="Hz")
+    a.add_argument("--b", type=_rate_arg, required=True, help="kernel mass")
+    a.add_argument("--sigma", type=_rate_arg, required=True, help="veh/km")
+    a.add_argument("--mu", type=_rate_arg, required=True, help="1/s")
+    a.add_argument("--lambda", dest="lam", type=_rate_arg, default=None, help="1/s")
+    a.add_argument("--n", type=_server_count_arg, default=None, help="servers")
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("calibrate", help="fit kernel to samples")
@@ -307,10 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--config", required=True)
     o.add_argument("--out", required=True)
     o.add_argument("--seed", type=int, default=None)
-    o.add_argument("--threads", type=int, default=None,
-                   help="worker processes that share the replications; on 2 "
-                        "vCPUs, 2 workers are 1.5-2.5x slower than serial "
-                        "unless OPENBLAS_NUM_THREADS=1")
     o.set_defaults(func=cmd_oracle)
     return p
 

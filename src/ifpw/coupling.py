@@ -185,6 +185,17 @@ class ScenarioConfig:
         """Equipped-vehicle density W * k0 (veh/km)."""
         return self.penetration * self.k0
 
+    def snapshot_index(self, t: float, what: str = "time") -> int:
+        """Position in ``run``'s snapshots of the one taken at ``t`` seconds;
+        ConfigurationError if ``run`` takes none then."""
+        dt = self.grid.dt
+        i, last, every = (whole_steps(t, dt, what), round(self.horizon / dt),
+                          round(self.snapshot_every / dt))
+        if i > last or (i % every and i != last):
+            raise ConfigurationError(f"{what} {t} s is not a snapshot time: run takes one "
+                                     f"every {self.snapshot_every} s and at {self.horizon} s")
+        return math.ceil(i / every)  # the horizon may end off the cadence
+
     def warnings(self) -> list[str]:
         out = []
         total_servers = sum(c.n_servers for c in self.classes)

@@ -25,17 +25,15 @@ uniform per vehicle and tick, drawn a block of ``_BLOCK_TICKS`` ticks at
 a time, and nothing else.  A tick's uniform gives a relaying vehicle its
 Poisson shot count (by inverse CDF) and decides a susceptible vehicle's
 reception; given a reception, the same uniform, rescaled, draws its queue
-wait.  So replication i's curve does not depend on the replication count,
-on ``workers`` or on the other replications.
+wait.  So replication i's curve does not depend on the replication count
+or on the other replications.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +82,9 @@ class MicroConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(whole_number(i, "seed index") for i in self.seeds))
+        object.__setattr__(self, "rng_seed", whole_number(self.rng_seed, "rng_seed"))
+        if self.rng_seed < 0:
+            raise ConfigurationError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if len(self.positions) == 0:
             raise ConfigurationError("need at least one vehicle")
         if not 0 < self.beta < math.inf:  # also rejects NaN
@@ -350,29 +351,16 @@ def _one_replication(args) -> tuple[np.ndarray, dict]:
     return curves[0], hists
 
 
-def simulate(config: MicroConfig, workers: int | None = None) -> MicroResult:
-    """Ensemble of replications; returns averaged trajectories and histograms.
-
-    All replications run as one batch; with ``workers`` > 1 they are split
-    into that many contiguous chunks, each one batch, run in a pool of
-    processes.  The result does not depend on the split.
-    """
+def simulate(config: MicroConfig, workers: None = None) -> MicroResult:
+    """Ensemble of replications, run as one batch: averaged trajectories and
+    histograms.  ``workers`` is accepted only as None, which callers pass."""
+    if workers is not None:
+        raise ConfigurationError(f"workers must be None, got {workers!r}")
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.replications)
     reps = len(streams)
-    size = math.ceil(reps / max(workers or 1, 1))
-    chunks = [streams[i:i + size] for i in range(0, reps, size)]
-    if len(chunks) > 1:
-        with ProcessPoolExecutor(max_workers=len(chunks),
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_run_batch, [config] * len(chunks), chunks))
-    else:
-        results = [_run_batch(config, streams)]
-
-    curves = np.concatenate([r[0] for r in results])
+    curves, counts = _run_batch(config, streams)
     times = np.arange(0, _num_ticks(config) + 1, config.record_every) * config.tick
     se = curves.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(times)
-    hists = {name: sum(r[1][name] for r in results) / reps
-             for name in ("s", "h", "r", "e")}
     return MicroResult(
         times=times,
         curves=curves,
@@ -380,7 +368,7 @@ def simulate(config: MicroConfig, workers: int | None = None) -> MicroResult:
         informed_se=se,
         final_fractions=curves[:, -1],
         bin_edges=_bin_edges(config),
-        state_histograms=hists,
+        state_histograms={name: h / reps for name, h in counts.items()},
     )
 
 

@@ -19,7 +19,7 @@ from ifpw.analysis import (
     sweep,
 )
 from ifpw.coupling import ClassConfig, ScenarioConfig
-from ifpw.errors import FrontNotFoundError, InsufficientRunError
+from ifpw.errors import ConfigurationError, FrontNotFoundError, InsufficientRunError
 from ifpw.lwr import FundamentalDiagram
 from ifpw.shre import GridSpec
 
@@ -45,6 +45,22 @@ class TestGamma:
             gamma(0.0, 0.5, 20.0, 1.0)
         with pytest.raises(ValueError):
             gamma(2.0, 0.5, -1.0, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("position, name", enumerate(("beta", "b", "sigma", "mu")))
+    def test_rejects_non_finite(self, bad, position, name):
+        # NaN used to reach the root solve and inf to give gamma 0 or inf
+        args = [2.0, 0.5, 20.0, 1.0]
+        args[position] = bad
+        with pytest.raises(ValueError, match=f"gamma input {name} must be finite"):
+            gamma(*args)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_gamma_rejected(self, g):
+        # NaN used to run 200 Newton steps into a RuntimeError
+        for f in (ifpw_exists, asymptotic_spread):
+            with pytest.raises(ValueError, match="gamma must be finite and positive"):
+                f(g)
 
     def test_existence_threshold(self):
         assert not ifpw_exists(0.5)
@@ -265,6 +281,21 @@ class TestSweep:
         assert "n_servers must be a positive integer, got 0" in rows[1].error
         assert "service rate must be finite and positive" in rows[2].error
         assert rows[3].error  # both bad: the first check's message
+
+    @pytest.mark.parametrize("t1, t2, match", [
+        (30.0, 30.0, "are the same snapshot"),
+        (30.0, 45.0, "t2 45.0 s is not a snapshot time"),  # 10 s cadence
+        (30.0, 130.0, "t2 130.0 s is not a snapshot time"),  # past the horizon
+        (-10.0, 60.0, "t1 -10.0 s is not a non-negative whole number"),
+    ])
+    def test_bad_times_rejected_before_any_run(self, monkeypatch, t1, t2, match):
+        # these used to run every point, and 45 s measured at a neighbouring snapshot
+        def no_run(cfg):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(coupling, "run", no_run)
+        with pytest.raises(ConfigurationError, match=match):
+            sweep(jammed_ring(), [1, 2], [0.2], t1, t2, reference_fraction=0.1)
 
     @pytest.mark.parametrize("workers", [None, 2])
     def test_rows_equal_per_point_runs(self, workers):

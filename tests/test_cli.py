@@ -236,10 +236,33 @@ class TestAnalyze:
                      "--mu", "1.0", "--lambda", "1.0"])
         assert code == EXIT_DOMAIN
 
-    def test_nonpositive_input(self):
-        code = main(["analyze", "--beta", "-2", "--b", "0.5",
-                     "--sigma", "20", "--mu", "1.0"])
-        assert code == EXIT_DOMAIN
+    def test_nonpositive_input(self, capsys):
+        # parsed by argparse since nan and inf are rejected there too
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--beta", "-2", "--b", "0.5", "--sigma", "20", "--mu", "1.0"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --beta: not a finite positive number: '-2'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, value", [
+        ("--beta", "nan"), ("--b", "inf"), ("--sigma", "nan"), ("--mu", "inf"),
+        ("--mu", "0"), ("--lambda", "nan"), ("--lambda", "-1"), ("--n", "0"), ("--n", "2.5")])
+    def test_bad_number_is_usage_error(self, capsys, option, value):
+        # --beta nan used to end in a traceback after 200 Newton steps and
+        # --mu inf in "gamma must be positive, got 0.0"
+        values = {"--beta": "2", "--b": "0.5", "--sigma": "20", "--mu": "1.0",
+                  "--lambda": "1.0", "--n": "2", option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", *(arg for pair in values.items() for arg in pair)])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {option}: not a" in capsys.readouterr().err
+
+    def test_whole_valued_float_server_count(self, capsys):
+        outputs = []
+        for n in ("2", "2.0"):
+            assert main(["analyze", "--beta", "2", "--b", "0.5", "--sigma", "20",
+                         "--mu", "1.0", "--lambda", "1.0", "--n", n]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
 
 class TestCalibrate:
@@ -391,10 +414,26 @@ class TestSweep:
         assert (tmp_path / "int").read_text().splitlines()[1].startswith("11,")
 
     def test_threads_help_counts_processes(self, capsys):
-        for command in ("sweep", "oracle"):
-            with pytest.raises(SystemExit):
-                main([command, "--help"])
-            assert "worker processes" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "worker processes" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("t1, t2, message", [
+        ("5", "5", "t1 5.0 s and t2 5.0 s are the same snapshot"),
+        ("10", "25", "t2 25.0 s is not a snapshot time"),  # past the 20 s horizon
+        ("7.5", "10", "t1 7.5 s is not a snapshot time"),  # 5 s cadence
+        ("5", "nan", "t2 nan s is not a non-negative whole number"),
+    ])
+    def test_bad_times_are_config_errors(self, tmp_path, capsys, t1, t2, message):
+        # these used to run every point and exit 0, with rows whose error was
+        # "snapshots must be at distinct times" or measured at another snapshot
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = tmp_path / "sweep.csv"
+        code = main(["sweep", "--config", cfg, "--n", "11", "--mu", "0.05",
+                     "--t1", t1, "--t2", t2, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unwritable_out(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
@@ -424,14 +463,31 @@ class TestOracle:
         assert code == EXIT_OK
         assert json.loads((out / "manifest.json").read_text())["rng_seed"] == 99
 
-    def test_threads_write_identical_csvs(self, tmp_path):
-        cfg = write_json(tmp_path, "oracle.json", dict(ORACLE_CONFIG, replications=3))
-        for threads in ("1", "2"):
-            code = main(["oracle", "--config", cfg, "--out", str(tmp_path / threads),
-                         "--threads", threads])
-            assert code == EXIT_OK
-        for name in ("informed_fraction.csv", "state_histograms.csv"):
-            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes()
+    def test_threads_is_not_an_option(self, tmp_path, capsys):
+        # the replications run in one process
+        cfg = write_json(tmp_path, "oracle.json", ORACLE_CONFIG)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--config", cfg, "--out", str(out), "--threads", "2"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("placement", ["equal", "uniform"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, placement, where):
+        # with equal placement this used to exit 1 from inside the run
+        config = dict(ORACLE_CONFIG, placement=placement)
+        extra = []
+        if where == "config":
+            config["rng_seed"] = -1
+        else:
+            extra = ["--seed", "-1"]
+        cfg = write_json(tmp_path, "oracle.json", config)
+        out = tmp_path / "o"
+        assert main(["oracle", "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
+        assert "non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_is_a_file(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "oracle.json", ORACLE_CONFIG)

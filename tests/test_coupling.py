@@ -586,6 +586,17 @@ class TestConfigValidation:
             == [0.0, 0.5, 1.0, 1.5]
         make_config(snapshot_every=100.0)  # longer than the horizon: first and last
 
+    def test_snapshot_index_finds_run_snapshots(self):
+        cfg = make_config(horizon=5.0, snapshot_every=2.0)  # snapshots at 0, 2, 4 and 5 s
+        times = [s.time for s in run(cfg).snapshots]
+        assert [cfg.snapshot_index(t) for t in times] == list(range(len(times)))
+        for t, match in ((1.0, "not a snapshot time"), (3.0, "not a snapshot time"),
+                         (5.5, "not a snapshot time"), (-2.0, "not a non-negative whole"),
+                         (1.25, "not a non-negative whole"),
+                         (float("nan"), "not a non-negative whole")):
+            with pytest.raises(ConfigurationError, match=f"t1 {t} s is {match}"):
+                cfg.snapshot_index(t, "t1")
+
     @pytest.mark.parametrize("path", [
         ("k0_veh_per_km",), ("grid", "dx_km"), ("grid", "dt_s"), ("grid", "origin_km"),
         ("fundamental_diagram", "v_f_km_h"), ("fundamental_diagram", "q_max_veh_h"),

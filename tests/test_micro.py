@@ -108,11 +108,14 @@ class TestConfig:
         (dict(positions=(-0.1, 1.0), seeds=(0,)), "positions"),
         (dict(positions=(float("nan"), 1.0), seeds=(0,)), "positions"),
         (dict(positions=(-0.1, 1.0), seeds=(0,), ring_length=None), "positions"),
+        (dict(rng_seed=-1), "rng_seed must be non-negative, got -1"),
+        (dict(rng_seed=2.5), "rng_seed must be a whole number"),
     ])
     def test_bad_number_rejected(self, overrides, match):
         # tick 0 divided by zero, a fractional horizon was rounded, record_every 0
         # divided by zero, num_bins 0 ran, no vehicle failed in max(), ring
-        # length 0 divided by zero, and a negative position was accepted
+        # length 0 divided by zero, a negative position was accepted, and a
+        # negative rng_seed failed only inside simulate
         with pytest.raises(ConfigurationError, match=match):
             tiny_config(**overrides)
 
@@ -143,6 +146,15 @@ class TestSimulate:
         a = simulate(tiny_config())
         b = simulate(tiny_config())
         np.testing.assert_array_equal(a.curves, b.curves)
+
+    def test_workers_only_none(self):
+        # workers=2 used to run the replications in a pool of processes
+        cfg = tiny_config(horizon=5.0)
+        np.testing.assert_array_equal(simulate(cfg, workers=None).curves,
+                                      simulate(cfg).curves)
+        for workers in (1, 2):
+            with pytest.raises(ConfigurationError, match=f"workers must be None, got {workers}"):
+                simulate(cfg, workers=workers)
 
     def test_different_seeds_differ(self):
         a = simulate(tiny_config())
@@ -231,14 +243,6 @@ class TestRngStreams:
         np.testing.assert_array_equal(np.concatenate([c for c, _ in parts]), whole.curves)
         for name, counts in whole.state_histograms.items():
             np.testing.assert_array_equal(sum(h[name] for _, h in parts) / 5, counts)
-
-    def test_workers_match_one_batch(self):
-        cfg = tiny_config(replications=5)
-        serial = simulate(cfg)
-        pooled = simulate(cfg, workers=2)
-        np.testing.assert_array_equal(pooled.curves, serial.curves)
-        for name, counts in serial.state_histograms.items():
-            np.testing.assert_array_equal(pooled.state_histograms[name], counts)
 
 
 class TestRetirement:
