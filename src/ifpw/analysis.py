@@ -15,7 +15,6 @@ fronts, and how far a subcritical (gamma < 1) packet ever travelled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -268,6 +267,9 @@ def sweep(base_cfg, n_values, mu_values, t1: float, t2: float,
     if base_cfg.snapshot_index(t1, "t1") == base_cfg.snapshot_index(t2, "t2"):
         raise ConfigurationError(f"t1 {t1} s and t2 {t2} s are the same snapshot")
     if workers is not None and workers > 1:
+        # only this branch needs a pool; importing it pulls in multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_sweep_point, points))
     return [_sweep_point(p) for p in points]

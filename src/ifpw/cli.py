@@ -42,15 +42,32 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _server_count_arg(text: str) -> int:
-    """argparse type: a whole number of at least 1, written as 2 or as 2.0."""
+def _whole_arg(low: int):
+    """argparse type: a whole number of at least ``low``, written as 2 or as 2.0."""
+    def parse(text: str) -> int:
+        try:
+            value = whole_number(float(text), "value")
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not a whole number >= {low}: {text!r}")
+    return parse
+
+
+_server_count_arg = _whole_arg(1)
+_index_arg = _whole_arg(0)
+
+
+def _time_arg(text: str) -> float:
+    """argparse type: a finite non-negative float."""
     try:
-        value = whole_number(float(text), "value")
-        if value >= 1:
+        value = float(text)
+        if 0 <= value < math.inf:  # also rejects NaN
             return value
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"not a whole number >= 1: {text!r}")
+    raise argparse.ArgumentTypeError(f"not a finite non-negative number: {text!r}")
 
 
 def _rate_arg(text: str) -> float:
@@ -154,6 +171,9 @@ def cmd_speed(args) -> int:
     seed_cell = args.seed_cell
     if seed_cell is None:
         seed_cell = int(np.argmax(snaps[args.t1]))
+    elif seed_cell >= data.shape[1]:
+        return _fail(f"seed cell {seed_cell} is outside the run's {data.shape[1]} cells",
+                     EXIT_CONFIG)
     try:
         est = analysis.estimate_wave_speeds(snaps[args.t1], snaps[args.t2],
                                             args.t1, args.t2, args.reference,
@@ -204,8 +224,9 @@ def _micro_config_from_dict(d: dict, seed_override=None) -> micro.MicroConfig:
     cp = ClassParams(float(c["lambda_per_s"]), whole_number(c["n_servers"], "n_servers"),
                      float(c["mu_per_s"]))
     kp = KernelParams(float(d["kernel"]["a_km"]), float(d["kernel"]["b"]))
-    seed = (seed_override if seed_override is not None
-            else whole_number(d.get("rng_seed", 0), "rng_seed"))
+    # checked before make_positions, whose numpy error would not name rng_seed
+    seed = micro.checked_seed(seed_override if seed_override is not None
+                              else d.get("rng_seed", 0))
     if "positions_km" in d:
         positions = tuple(float(x) for x in d["positions_km"])
     else:
@@ -283,14 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("speed", help="front speeds from a run directory")
     s.add_argument("--run-dir", required=True)
-    s.add_argument("--t1", type=float, required=True)
-    s.add_argument("--t2", type=float, required=True)
-    s.add_argument("--reference", type=float, required=True, help="veh/km")
+    s.add_argument("--t1", type=_time_arg, required=True, help="s")
+    s.add_argument("--t2", type=_time_arg, required=True, help="s")
+    s.add_argument("--reference", type=_rate_arg, required=True, help="veh/km")
     s.add_argument("--field", default="informed",
                    choices=["s", "h", "r", "e", "informed"])
-    s.add_argument("--class", dest="cls", type=int, default=0)
-    s.add_argument("--seed-cell", type=int, default=None)
-    s.add_argument("--dx", type=float, default=None, help="km (if not in manifest)")
+    s.add_argument("--class", dest="cls", type=_index_arg, default=0)
+    s.add_argument("--seed-cell", type=_index_arg, default=None)
+    s.add_argument("--dx", type=_rate_arg, default=None, help="km (if not in manifest)")
     s.set_defaults(func=cmd_speed)
 
     w = sub.add_parser("sweep", help="(n, mu) parameter sweep")

@@ -9,6 +9,10 @@ with decay scale ``a`` (km) and total mass ``b`` (integral of K over the
 line).  A reference table of calibrated (a, b) pairs and the transmission
 capacity N_max per traffic density ships as a CSV data file; calibration
 from raw distance/success-rate samples is done by least squares.
+
+Only ``calibrate`` and ``kernel_mass`` need ``scipy.optimize`` and
+``scipy.integrate``; each imports its module when called, so simulation
+processes, which use neither, do not carry the ~26 MB they occupy.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
-from scipy import integrate, optimize
 
 from .errors import CalibrationError, ConvergenceError, DegenerateDataError
 
@@ -93,6 +96,8 @@ def kernel_mass(kp: KernelParams) -> float:
 
     Equals b to better than 1e-6 (the Gaussian tail beyond 8a is ~1e-29).
     """
+    from scipy import integrate  # ~25 MB with the optimize it loads; only used here
+
     val, _ = integrate.quad(lambda d: kernel_value(kp, d, 0.0), -8 * kp.a, 8 * kp.a)
     return float(val)
 
@@ -126,6 +131,8 @@ def calibrate(samples) -> tuple[KernelParams, float]:
             sse = float(np.sum((_predict((a0, b0), d) - y) ** 2))
             if sse < best_sse:
                 best, best_sse = (a0, b0), sse
+
+    from scipy import optimize  # ~22 MB; only calibration fits, so load it here
 
     res = optimize.least_squares(
         lambda p: _predict(p, d) - y,

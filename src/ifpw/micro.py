@@ -46,6 +46,7 @@ from .queueing import ClassParams, wait_probability
 __all__ = [
     "MicroConfig",
     "MicroResult",
+    "checked_seed",
     "make_positions",
     "simulate",
     "queue_validation",
@@ -82,9 +83,7 @@ class MicroConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(whole_number(i, "seed index") for i in self.seeds))
-        object.__setattr__(self, "rng_seed", whole_number(self.rng_seed, "rng_seed"))
-        if self.rng_seed < 0:
-            raise ConfigurationError(f"rng_seed must be non-negative, got {self.rng_seed}")
+        object.__setattr__(self, "rng_seed", checked_seed(self.rng_seed))
         if len(self.positions) == 0:
             raise ConfigurationError("need at least one vehicle")
         if not 0 < self.beta < math.inf:  # also rejects NaN
@@ -149,6 +148,15 @@ class MicroResult:
             if c[-1] > 0:
                 out[i] = self.times[np.argmax(c >= 0.5 * c[-1])]
         return out
+
+
+def checked_seed(value) -> int:
+    """``value`` as an ``rng_seed``: a non-negative whole number, else
+    ConfigurationError."""
+    seed = whole_number(value, "rng_seed")
+    if seed < 0:
+        raise ConfigurationError(f"rng_seed must be non-negative, got {seed}")
+    return seed
 
 
 def make_positions(length_km: float, num_vehicles: int, mode: str = "equal",

@@ -330,6 +330,35 @@ class TestSpeed:
                      "--t1", "0", "--t2", "5", "--reference", "1.0"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize("option, value", [
+        ("--t1", "nan"), ("--t2", "inf"), ("--t1", "-5"), ("--dx", "nan"), ("--dx", "-0.05"),
+        ("--reference", "nan"), ("--reference", "0"), ("--seed-cell", "-3"),
+        ("--seed-cell", "1.5"), ("--class", "-1")])
+    def test_bad_number_is_usage_error(self, run_dir, capsys, option, value):
+        # --t1 nan and --dx nan used to print nan speeds with exit 0, --dx -0.05
+        # positive speeds, and --seed-cell -3 counted back from the last cell
+        values = {"--t1": "5", "--t2": "10", "--reference": "1.0", "--seed-cell": "128",
+                  option: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["speed", "--run-dir", str(run_dir),
+                  *(arg for pair in values.items() for arg in pair)])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument {option}: not a" in capsys.readouterr().err
+
+    def test_whole_valued_float_seed_cell(self, run_dir, capsys):
+        outputs = []
+        for cell in ("128", "128.0"):
+            assert main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                         "--reference", "1.0", "--seed-cell", cell]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_seed_cell_outside_grid(self, run_dir, capsys):
+        code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                     "--reference", "1.0", "--seed-cell", "256"])
+        assert code == EXIT_CONFIG
+        assert "seed cell 256 is outside the run's 256 cells" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_grid(self, tmp_path, capsys):
@@ -486,7 +515,8 @@ class TestOracle:
         cfg = write_json(tmp_path, "oracle.json", config)
         out = tmp_path / "o"
         assert main(["oracle", "--config", cfg, "--out", str(out), *extra]) == EXIT_CONFIG
-        assert "non-negative" in capsys.readouterr().err
+        # uniform placement used to fail in numpy first, without naming the seed
+        assert "rng_seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_is_a_file(self, tmp_path, capsys):
