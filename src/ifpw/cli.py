@@ -152,7 +152,7 @@ def _load_field(run_dir, cls, field):
 
 def cmd_speed(args) -> int:
     if args.t1 == args.t2:
-        return _fail("t1 and t2 must differ", EXIT_DOMAIN)
+        return _fail("t1 and t2 must differ", EXIT_CONFIG)
     try:
         times, data = _load_field(args.run_dir, args.cls, args.field)
     except (OSError, ConfigurationError) as exc:
@@ -162,7 +162,7 @@ def cmd_speed(args) -> int:
     for t in (args.t1, args.t2):
         i = int(np.argmin(np.abs(times - t)))
         if abs(times[i] - t) > 1e-6:
-            return _fail(f"no snapshot at t={t}s (have {list(times)})", EXIT_DOMAIN)
+            return _fail(f"no snapshot at t={t}s (have {list(times)})", EXIT_CONFIG)
         snaps[t] = data[i]
     cfg = manifest.get("grid", {})
     dx = args.dx if args.dx is not None else cfg.get("dx_km")

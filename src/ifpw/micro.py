@@ -26,7 +26,9 @@ a time, and nothing else.  A tick's uniform gives a relaying vehicle its
 Poisson shot count (by inverse CDF) and decides a susceptible vehicle's
 reception; given a reception, the same uniform, rescaled, draws its queue
 wait.  So replication i's curve does not depend on the replication count
-or on the other replications.
+or on the other replications.  The shot-count CDF repeats cephes ``pdtr``
+operation by operation, so the draws are those scipy.special would give,
+without loading it.
 """
 
 from __future__ import annotations
@@ -37,11 +39,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import pdtr
 
 from .errors import ConfigurationError, whole_number, whole_steps
 from .kernel import KernelParams, kernel_value
-from .queueing import ClassParams, wait_probability
+from .queueing import ClassParams, lgam, wait_probability
 
 __all__ = [
     "MicroConfig",
@@ -64,6 +65,8 @@ _MAX_SHOTS = 16
 _LOG_CERTAIN = -1e3
 _QUEUE_WARMUP = 1000  # packets queue_validation discards before it records
 _TINY = np.finfo(float).tiny  # smallest normal float, the floor of a wait's uniform
+_MACHEP = 2.0 ** -53  # cephes' series tolerance
+_MAXLOG = 7.09782712893383996843e2  # cephes: log of the largest double
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,34 @@ def _pair_probs(config: MicroConfig) -> np.ndarray:
     return np.minimum(p, 1.0)
 
 
+def _poisson_cdf(m: float) -> np.ndarray:
+    """P(N <= k) for k < _MAX_SHOTS and N ~ Poisson(m), bit for bit as
+    scipy.special.pdtr (cephes ``igamc(k+1, m)``) gives it.
+
+    For 0 < m <= 0.5 cephes always takes ``1 - igam_series``: the
+    prefactor ``exp(a log m - m - lgam(a))`` times the power series
+    ``sum m^j / ((a+1)...(a+j))``, with a = k + 1.  Other m would take
+    branches not replicated here, so they are refused.
+    """
+    if not 0 < m <= 0.5:
+        raise ValueError(f"Poisson mean must be in (0, 0.5], got {m}")
+    cdf = np.ones(_MAX_SHOTS)
+    for k in range(_MAX_SHOTS):
+        a = k + 1.0
+        log_fac = a * math.log(m) - m - lgam(k + 1)
+        if log_fac < -_MAXLOG:  # cephes returns igam = 0 on underflow
+            continue
+        r, c, ans = a, 1.0, 1.0
+        for _ in range(2000):  # cephes' iteration cap
+            r += 1.0
+            c *= m / r
+            ans += c
+            if c <= _MACHEP * ans:
+                break
+        cdf[k] = 1.0 - ans * math.exp(log_fac) / a
+    return cdf
+
+
 def _queue_waits(u, p_hit, xi: float, slack: float) -> np.ndarray:
     """Stationary M/M/n queue waits of packets received with tick uniforms
     ``u < p_hit``: 0 with probability ``1 - xi``, else Exp(slack) (Erlang C).
@@ -256,7 +287,7 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     certain = log_keep == 1.0
     np.log1p(-log_keep, out=log_keep, where=~certain)
     log_keep[certain] = _LOG_CERTAIN
-    shots_cdf = pdtr(np.arange(_MAX_SHOTS), config.beta * config.tick)
+    shots_cdf = _poisson_cdf(config.beta * config.tick)
     service = np.stack([rng.exponential(1.0 / cp.mu, n) for rng in rngs])
     states = np.full(service.shape, S, dtype=np.int8)
     seeds = list(config.seeds)

@@ -8,6 +8,16 @@ parameters; factorial-sized terms are evaluated in log space so large
 server counts (n up to a few hundred) do not overflow.  The Erlang-C
 delay probability is memoised per ``ClassParams``, because the coupled
 stepper asks for it once per class and step.
+
+The log-factorials and the log-sum-exp replicate scipy.special's
+``gammaln`` and ``logsumexp``: ``lgam`` repeats cephes ``lgam`` on whole
+numbers (the exact product below 13, Stirling's series with cephes'
+constants above), and ``_logsumexp`` repeats the numpy operation sequence
+of scipy's ``_logsumexp``.  They give the same bits as those references,
+so ``xi`` is the number the stored benchmark references were made with,
+and a simulation process need not import scipy (~18 MB of resident
+memory).  A textbook ``math.lgamma`` or Erlang-B recurrence would move
+``xi`` by up to 8e-16, which rounding-chaotic runs amplify.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from scipy.special import gammaln, logsumexp
+import numpy as np
 
 from .errors import StabilityError
 
@@ -29,7 +39,47 @@ __all__ = [
     "service_time_ccdf",
     "mean_waiting_time",
     "queue_metrics",
+    "lgam",
 ]
+
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+# cephes' Stirling-series coefficients for 13 <= x < 1000
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+
+
+def lgam(k: int) -> float:
+    """log Gamma(k) = log((k-1)!) for whole k >= 1, as cephes ``lgam``
+    (scipy.special.gammaln) computes it, bit for bit."""
+    if k < 13:
+        return math.log(float(math.factorial(k - 1)))  # exact product, as cephes
+    x = float(k)
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    poly = _STIRLING[0]
+    for c in _STIRLING[1:]:
+        poly = poly * p + c
+    return q + poly / x
+
+
+def _logsumexp(terms) -> float:
+    """log(sum(exp(terms))) by scipy 1.17's ``_logsumexp`` steps, bit for bit:
+    the maximal terms are taken out of the shifted sum and added back as a
+    count.  numpy's ufuncs, not ``math``, because numpy's SIMD exp and log
+    need not round like libm."""
+    a = np.array(terms, dtype=float)
+    a_max = a.max(keepdims=True)
+    at_max = a == a_max
+    a[at_max] = -np.inf
+    count = np.sum(at_max, keepdims=True, dtype=float)
+    s = np.sum(np.exp(a - a_max), keepdims=True) / count
+    return float((np.log1p(s) + np.log(count) + a_max)[0])
 
 
 @dataclass(frozen=True)
@@ -86,9 +136,9 @@ def empty_system_probability(p: ClassParams) -> float:
     n = p.n_servers
     log_r = math.log(p.lam / p.mu)
     rho = p.lam / (n * p.mu)
-    log_terms = [l * log_r - gammaln(l + 1) for l in range(n)]
-    log_terms.append(n * log_r - gammaln(n + 1) - math.log1p(-rho))
-    return float(math.exp(-logsumexp(log_terms)))
+    log_terms = [l * log_r - lgam(l + 1) for l in range(n)]
+    log_terms.append(n * log_r - lgam(n + 1) - math.log1p(-rho))
+    return math.exp(-_logsumexp(log_terms))
 
 
 @lru_cache(maxsize=256)
@@ -99,8 +149,8 @@ def wait_probability(p: ClassParams) -> float:
     log_r = math.log(p.lam / p.mu)
     rho = p.lam / (n * p.mu)
     p0 = empty_system_probability(p)
-    log_xi = n * log_r - gammaln(n + 1) - math.log1p(-rho) + math.log(p0)
-    return float(min(1.0, math.exp(log_xi)))
+    log_xi = n * log_r - lgam(n + 1) - math.log1p(-rho) + math.log(p0)
+    return min(1.0, math.exp(log_xi))
 
 
 def waiting_time_ccdf(p: ClassParams, v: float) -> float:

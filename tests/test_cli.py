@@ -318,12 +318,12 @@ class TestSpeed:
     def test_equal_times_rejected(self, run_dir):
         code = main(["speed", "--run-dir", str(run_dir), "--t1", "5",
                      "--t2", "5", "--reference", "1.0"])
-        assert code == EXIT_DOMAIN
+        assert code == EXIT_CONFIG
 
     def test_missing_snapshot_time(self, run_dir):
         code = main(["speed", "--run-dir", str(run_dir), "--t1", "5",
                      "--t2", "7.3", "--reference", "1.0"])
-        assert code == EXIT_DOMAIN
+        assert code == EXIT_CONFIG
 
     def test_missing_run_dir(self, tmp_path):
         code = main(["speed", "--run-dir", str(tmp_path / "ghost"),

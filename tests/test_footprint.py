@@ -1,10 +1,11 @@
-"""The simulation paths load only numpy and scipy.special.
+"""The simulation paths load numpy and no scipy module.
 
 ``scipy.optimize`` and ``scipy.integrate`` (~25 MB of resident memory
 together) serve kernel calibration and ``kernel_mass`` alone, and the
-process pool serves only a sweep with more than one worker.  Each check
-runs in a fresh interpreter, because this test process has already
-imported them.
+process pool serves only a sweep with more than one worker.  The
+Erlang-C and Poisson terms use replicas of ``scipy.special`` routines, so
+that module (~18 MB more) is not loaded either.  Each check runs in a
+fresh interpreter, because this test process has already imported them.
 """
 
 import json
@@ -15,7 +16,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-UNUSED = ("scipy.optimize", "scipy.integrate", "concurrent.futures.process")
+# "scipy" itself is loaded with any of its modules
+UNUSED = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate",
+          "concurrent.futures.process")
 
 SCRIPT = """
 import json, sys

@@ -19,6 +19,7 @@ from ifpw.micro import (
     _num_ticks,
     _one_replication,
     _pair_probs,
+    _poisson_cdf,
     _queue_waits,
     _run_batch,
     _transition,
@@ -398,6 +399,24 @@ class TestDenseReference:
         np.testing.assert_array_equal(curves, ref_curves)
         for name, counts in ref_hists.items():
             np.testing.assert_array_equal(hists[name], counts)
+
+
+class TestPoissonCdf:
+    """The shot-count CDF is scipy.special.pdtr, bit for bit, over every
+    mean beta * tick that the tick bound allows."""
+
+    def test_matches_pdtr(self):
+        means = np.concatenate([np.linspace(0.0, 0.1 * (1 + 1e-12), 2001)[1:],
+                                np.logspace(-300, -1, 301), np.linspace(0.1, 0.5, 41)])
+        ks = np.arange(_MAX_SHOTS)
+        for m in means:
+            np.testing.assert_array_equal(_poisson_cdf(float(m)).view(np.int64),
+                                          pdtr(ks, m).view(np.int64), err_msg=f"m={m!r}")
+
+    @pytest.mark.parametrize("m", [0.0, -0.05, 0.5000001, 1.0, float("nan"), float("inf")])
+    def test_rejects_unreplicated_means(self, m):
+        with pytest.raises(ValueError, match="Poisson mean"):
+            _poisson_cdf(m)
 
 
 class TestCertainReception:

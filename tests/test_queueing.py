@@ -4,11 +4,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammaln, logsumexp
 
 from ifpw.errors import StabilityError
 from ifpw.queueing import (
     ClassParams,
     empty_system_probability,
+    lgam,
     mean_waiting_time,
     queue_metrics,
     service_time_ccdf,
@@ -27,6 +29,68 @@ def erlang_oracle(lam, n, mu):
     p0 = 1 / (acc + tail)
     xi = tail * p0
     return float(p0), float(xi)
+
+
+def scipy_p0_xi(p):
+    """P0 and xi by the log-space formulas on scipy.special's gammaln and
+    logsumexp, which the module's replicas must match bit for bit."""
+    n = p.n_servers
+    log_r = math.log(p.lam / p.mu)
+    log_tail = n * log_r - gammaln(n + 1) - math.log1p(-p.lam / (n * p.mu))
+    log_terms = [l * log_r - gammaln(l + 1) for l in range(n)] + [log_tail]
+    p0 = float(math.exp(-logsumexp(log_terms)))
+    return p0, float(min(1.0, math.exp(log_tail + math.log(p0))))
+
+
+# xi of the benchmark's and the acceptance tests' classes, as computed with
+# scipy.special; the rounding-sensitive corridor reference depends on them
+XI_PINS = [
+    ((0.5, 11, 0.05), "0x1.5d3e98ea4b386p-1"),
+    ((1.2, 5, 0.3), "0x1.1bb4a4046ed27p-1"),
+    ((1.2, 10, 0.3), "0x1.20d745f174f13p-7"),
+    ((1.2, 10, 0.15), "0x1.a3001f175f4eap-2"),
+    ((0.02, 1, 0.2), "0x1.9999999999998p-4"),
+    ((0.15, 1, 0.2), "0x1.7ffffffffffffp-1"),
+    ((0.15, 1, 0.26), "0x1.2762762762762p-1"),
+    ((0.15, 1, 0.32), "0x1.e000000000000p-2"),
+    ((0.15, 2, 0.2), "0x1.a2e8ba2e8ba2ep-3"),
+    ((0.15, 2, 0.26), "0x1.08860677545a7p-3"),
+    ((0.15, 2, 0.32), "0x1.6c8e951033d92p-4"),
+    ((0.15, 4, 0.2), "0x1.f61ecd2610da4p-8"),
+    ((0.15, 4, 0.26), "0x1.8d053e27193eep-9"),
+    ((0.15, 4, 0.32), "0x1.75cb5c2cf530ep-10"),
+    ((0.039825000000000006, 2, 0.39825000000000005), "0x1.3813813813815p-8"),
+    ((0.0499, 2, 0.499), "0x1.3813813813815p-8"),
+    ((0.05425, 2, 0.5425), "0x1.3813813813815p-8"),
+    ((0.1, 4, 0.2), "0x1.d92f2231e7f89p-10"),
+    ((0.05, 1, 0.323), "0x1.3d0722149b580p-3"),
+    ((0.05, 1, 0.9), "0x1.c71c71c71c71ep-5"),
+    ((0.1, 1, 1.0), "0x1.999999999999bp-4"),
+    ((0.5, 1, 1.0), "0x1.0000000000000p-1"),
+    ((0.9, 1, 1.0), "0x1.ccccccccccccdp-1"),
+    ((1.0, 2, 1.0), "0x1.5555555555555p-2"),
+    ((0.5, 2, 1.0), "0x1.9999999999998p-4"),
+]
+
+
+class TestScipyReplicas:
+    def test_lgam_matches_gammaln(self):
+        ks = list(range(1, 100_001)) + [10**8, 10**8 + 1, 10**9, 10**15]
+        ours = np.array([lgam(k) for k in ks])
+        np.testing.assert_array_equal(ours.view(np.int64),
+                                      gammaln(np.array(ks, dtype=float)).view(np.int64))
+
+    def test_p0_and_xi_match_scipy_formula(self):
+        rng = np.random.default_rng(20261019)
+        for _ in range(2000):
+            n = int(rng.integers(1, 301))
+            mu = float(10 ** rng.uniform(-3, 2))
+            p = ClassParams(float(rng.uniform(1e-6, 0.999999)) * n * mu, n, mu)
+            assert (empty_system_probability(p), wait_probability(p)) == scipy_p0_xi(p), p
+
+    @pytest.mark.parametrize("params, xi_hex", XI_PINS)
+    def test_pinned_xi(self, params, xi_hex):
+        assert wait_probability(ClassParams(*params)).hex() == xi_hex
 
 
 class TestEmptySystem:
