@@ -234,8 +234,8 @@ def _sweep_point(args):
         out = coupling.run(cfg)
         sigma = cfg.sigma
         g = gamma(cfg.beta, out.kernel_mass[0], sigma, mu)
-        snap1 = out.snapshot_at(t1)
-        snap2 = out.snapshot_at(t2)
+        snap1 = out.snapshots[cfg.snapshot_index(t1, "t1")]
+        snap2 = out.snapshots[cfg.snapshot_index(t2, "t2")]
         seed_cell = cfg.classes[0].seeds[0][0]
         informed1 = sigma - snap1.classes[0].s
         informed2 = sigma - snap2.classes[0].s

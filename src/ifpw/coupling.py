@@ -323,6 +323,9 @@ class RunOutput:
     finished: float = 0.0
 
     def snapshot_at(self, t: float) -> WorldState:
+        """The snapshot nearest to ``t`` seconds, for any ``t``;
+        ``ScenarioConfig.snapshot_index`` finds the one taken at ``t`` or
+        raises."""
         return min(self.snapshots, key=lambda s: abs(s.time - t))
 
     def write(self, out_dir):

@@ -15,9 +15,13 @@ scheduled transitions sit in two heaps of (time, replication, vehicle)
 events, one for H->R (a wait ends) and one for R->E (a service ends), as
 in the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000):
 a tick pops the events due by its end, relays first, so an exclusion due
-in the same tick as its relay is applied in that tick.  Every holding or
-relaying vehicle has one queued event; a replication with none left can
-no longer change and leaves the batch.
+in the same tick as its relay is applied in that tick.  Each queue moves
+vehicles out of one state only (H for relays, R for exclusions) and
+checks that state before it moves them.  Every holding or relaying
+vehicle has exactly one queued event, so a replication whose state row
+holds no H or R vehicle has none left: it can no longer change and
+leaves the batch.  The informed fractions are recorded every
+``record_every`` ticks and at the horizon.
 
 RNG streams: replication i draws from its own generator, spawned by
 index from the master seed: first one service time per vehicle, then one
@@ -54,8 +58,6 @@ __all__ = [
 ]
 
 S, H, R, E = 0, 1, 2, 3
-_LEGAL = np.zeros((4, 4), dtype=bool)  # [old, new]
-_LEGAL[S, H] = _LEGAL[S, R] = _LEGAL[H, R] = _LEGAL[R, E] = True
 
 _BLOCK_TICKS = 4  # ticks of uniforms drawn at once per replication
 # the tick bound keeps beta*tick <= 0.1, where P(16 or more shots) < 1e-29
@@ -236,18 +238,6 @@ def _queue_waits(u, p_hit, xi: float, slack: float) -> np.ndarray:
     return np.where(v < xi, np.log(xi / v) / slack, 0.0)
 
 
-def _transition(states, where, new):
-    """Move the vehicles at ``where`` (replication and vehicle index
-    arrays, as from ``np.nonzero``) to state ``new``, all at once."""
-    old = states[where]
-    legal = _LEGAL[old, new]
-    if not legal.all():
-        i = int(np.argmin(legal))
-        raise RuntimeError(f"illegal transition {old[i]}->{new} for vehicle "
-                           f"{where[1][i]} in replication {where[0][i]}")
-    states[where] = new
-
-
 def _num_ticks(config: MicroConfig) -> int:
     return int(round(config.horizon / config.tick))
 
@@ -257,14 +247,26 @@ def _bin_edges(config: MicroConfig) -> np.ndarray:
                        config.num_bins + 1)
 
 
-def _pop_due(queue: list, t_next: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _pop_due(queue: list, t_next: float, states: np.ndarray, row_of: np.ndarray,
+             old: int, new: int) -> tuple[np.ndarray, ...]:
     """Pop the events of ``queue`` due by ``t_next`` (there is at least
-    one): their times, replications and vehicles, as arrays."""
+    one) and move their vehicles from state ``old`` to ``new``, all at
+    once.  Returns their times, replications, state rows and vehicles.
+
+    RuntimeError, moving none, if a vehicle is not in state ``old``.
+    """
     due = []
     while queue and queue[0][0] <= t_next:
         due.append(heapq.heappop(queue))
-    times, reps, vehicles = zip(*due)
-    return np.array(times), np.array(reps), np.array(vehicles)
+    times, reps, vehicles = (np.array(a) for a in zip(*due))
+    rows = row_of[reps]
+    wrong = states[rows, vehicles] != old
+    if np.count_nonzero(wrong):
+        i = int(np.argmax(wrong))
+        raise RuntimeError(f"illegal transition {states[rows[i], vehicles[i]]}->{new} "
+                           f"for vehicle {vehicles[i]} in replication {reps[i]}")
+    states[rows, vehicles] = new
+    return times, reps, rows, vehicles
 
 
 def _push(queue: list, times: np.ndarray, reps: np.ndarray, vehicles: np.ndarray):
@@ -298,17 +300,16 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     relays = []
     excludes = [(service[r, v].item(), r, v) for r in range(len(rngs)) for v in seeds]
     heapq.heapify(excludes)
-    # queued events per replication, one per holding or relaying vehicle
-    pending = [len(seeds)] * len(rngs)
 
     num_ticks = _num_ticks(config)
-    informed = np.empty((len(rngs), num_ticks // config.record_every + 1))
+    # records every record_every ticks, and at the horizon
+    informed = np.empty((len(rngs), -(-num_ticks // config.record_every) + 1))
     informed[:, 0] = np.mean(states != S, axis=1)
     rec_pos = 1
     uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))  # per vehicle and tick
     # the arrays above keep only live replications (row i is replication
     # live[i], and replication j is row row_of[j] while live); one with no
-    # event left (no holding or relaying vehicle) never changes again
+    # holding or relaying vehicle has no event left and never changes again
     live = np.arange(len(rngs))
     row_of = live.copy()
     ended = np.empty(states.shape, dtype=np.int8)  # final states
@@ -323,20 +324,17 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
         # scheduled transitions due inside this tick; an exclusion that
         # falls due in the same tick as its relay is applied in this tick
         if relays and relays[0][0] <= t_next:
-            times, reps, vehicles = _pop_due(relays, t_next)
-            due = row_of[reps], vehicles
-            _transition(states, due, R)
-            _push(excludes, times + service[due], reps, vehicles)
+            times, reps, rows, vehicles = _pop_due(relays, t_next, states, row_of, H, R)
+            _push(excludes, times + service[rows, vehicles], reps, vehicles)
         if excludes and excludes[0][0] <= t_next:
-            _, reps, vehicles = _pop_due(excludes, t_next)
-            _transition(states, (row_of[reps], vehicles), E)
-            for rep in reps.tolist():
-                pending[rep] -= 1
-            done = row_of[[rep for rep in set(reps.tolist()) if not pending[rep]]]
+            _, _, rows, _ = _pop_due(excludes, t_next, states, row_of, R, E)
+            touched = states[rows]  # a row may repeat
+            done = rows[~((touched == H) | (touched == R)).any(axis=1)]
             if done.size:  # retire these rows
                 ended[live[done]] = states[done]
                 informed[live[done], rec_pos:] = np.mean(states[done] != S, axis=1)[:, None]
-                keep = np.isin(np.arange(live.size), done, invert=True)
+                keep = np.ones(live.size, dtype=bool)
+                keep[done] = False
                 live, states, service, uniforms = (
                     a[keep] for a in (live, states, service, uniforms))
                 rngs = [rng for rng, kept in zip(rngs, keep) if kept]
@@ -359,17 +357,13 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
             if rows.size:
                 waits = _queue_waits(u[rows, vehicles], p_hit[rows, vehicles], xi, cp.slack)
                 held = waits > 0.0
-                hold = rows[held], vehicles[held]
-                _transition(states, hold, H)
-                relay = rows[~held], vehicles[~held]
-                _transition(states, relay, R)
+                states[rows, vehicles] = np.where(held, H, R)  # all were S
                 reps = live[rows]
-                for rep in reps.tolist():
-                    pending[rep] += 1
-                _push(relays, t + waits[held], reps[held], hold[1])
+                _push(relays, t + waits[held], reps[held], vehicles[held])
+                relay = rows[~held], vehicles[~held]
                 _push(excludes, t + service[relay], reps[~held], relay[1])
 
-        if (tick + 1) % config.record_every == 0 and rec_pos < informed.shape[1]:
+        if (tick + 1) % config.record_every == 0 or tick + 1 == num_ticks:
             informed[live, rec_pos] = np.mean(states != S, axis=1)
             rec_pos += 1
     ended[live] = states
@@ -398,7 +392,8 @@ def simulate(config: MicroConfig, workers: None = None) -> MicroResult:
     streams = np.random.SeedSequence(config.rng_seed).spawn(config.replications)
     reps = len(streams)
     curves, counts = _run_batch(config, streams)
-    times = np.arange(0, _num_ticks(config) + 1, config.record_every) * config.tick
+    num_ticks, every = _num_ticks(config), config.record_every
+    times = np.minimum(np.arange(0, num_ticks + every, every), num_ticks) * config.tick
     se = curves.std(axis=0, ddof=1) / np.sqrt(reps) if reps > 1 else np.zeros_like(times)
     return MicroResult(
         times=times,

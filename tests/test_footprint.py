@@ -1,11 +1,13 @@
-"""The simulation paths load numpy and no scipy module.
+"""The simulation paths load numpy and no scipy module, nor ``numpy.ma``.
 
 ``scipy.optimize`` and ``scipy.integrate`` (~25 MB of resident memory
 together) serve kernel calibration and ``kernel_mass`` alone, and the
 process pool serves only a sweep with more than one worker.  The
 Erlang-C and Poisson terms use replicas of ``scipy.special`` routines, so
-that module (~18 MB more) is not loaded either.  Each check runs in a
-fresh interpreter, because this test process has already imported them.
+that module (~18 MB more) is not loaded either.  ``np.unique`` of a real
+array imports ``numpy.ma`` (~1.7 MB), so the run, sweep and oracle paths
+avoid it.  Each check runs in a fresh interpreter, because this test
+process has already imported them.
 """
 
 import json
@@ -18,7 +20,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # "scipy" itself is loaded with any of its modules
 UNUSED = ("scipy", "scipy.special", "scipy.optimize", "scipy.integrate",
-          "concurrent.futures.process")
+          "concurrent.futures.process", "numpy.ma")
 
 SCRIPT = """
 import json, sys

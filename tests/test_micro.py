@@ -1,3 +1,4 @@
+import heapq
 from dataclasses import replace
 
 import numpy as np
@@ -20,9 +21,9 @@ from ifpw.micro import (
     _one_replication,
     _pair_probs,
     _poisson_cdf,
+    _pop_due,
     _queue_waits,
     _run_batch,
-    _transition,
     make_positions,
     queue_validation,
     simulate,
@@ -192,6 +193,19 @@ class TestSimulate:
         assert np.all(np.isfinite(th))
         assert np.all(th >= 0) and np.all(th <= 40.0)
 
+    def test_records_end_at_the_horizon(self):
+        # 20 ticks recorded every 3: the last record used to be at 0.9 s,
+        # while the histograms held the 1.0 s states
+        cfg = tiny_config(positions=tuple(make_positions(2.0, 40)), ring_length=None,
+                          seeds=(20,), horizon=1.0, record_every=3, rng_seed=3)
+        res = simulate(cfg)
+        np.testing.assert_allclose(res.times, [0.0, 0.15, 0.3, 0.45, 0.6, 0.75, 0.9, 1.0])
+        assert res.times[-1] == cfg.horizon
+        assert res.curves.shape == (4, 8)
+        informed = 1.0 - res.state_histograms["s"].sum() / 40
+        assert res.final_mean == pytest.approx(informed, rel=1e-12)
+        assert res.final_mean > res.informed_mean[-2]  # a vehicle was informed after 0.9 s
+
     def test_csv_output(self, tmp_path):
         res = simulate(tiny_config(horizon=5.0, replications=2))
         files = write_result_csv(res, tmp_path)
@@ -202,22 +216,40 @@ class TestSimulate:
 
 
 class TestTransitions:
+    """Each event queue moves vehicles out of one known state: H for
+    relays, R for exclusions."""
+
+    @staticmethod
+    def queue(*events):
+        heap = list(events)
+        heapq.heapify(heap)
+        return heap
+
     def test_illegal_transition_raises(self):
         # an explicit error, not an assert that python -O strips
         states = np.array([[S, E]], dtype=np.int8)
-        with pytest.raises(RuntimeError, match="illegal transition"):
-            _transition(states, np.nonzero([[True, False]]), E)
-        with pytest.raises(RuntimeError, match="for vehicle 1 in replication 0"):
-            _transition(states, np.nonzero([[False, True]]), S)
+        row_of = np.array([0])
+        with pytest.raises(RuntimeError, match="illegal transition 0->3"):
+            _pop_due(self.queue((0.5, 0, 0)), 1.0, states, row_of, R, E)
+        with pytest.raises(RuntimeError, match="3->2 for vehicle 1 in replication 0"):
+            _pop_due(self.queue((0.5, 0, 1)), 1.0, states, row_of, H, R)
         np.testing.assert_array_equal(states, [[S, E]])
 
     def test_batch_moves_all_or_nothing(self):
-        states = np.array([[S, S], [S, E]], dtype=np.int8)
-        with pytest.raises(RuntimeError, match="vehicle 1 in replication 1"):
-            _transition(states, np.nonzero([[True, False], [False, True]]), R)
-        np.testing.assert_array_equal(states, [[S, S], [S, E]])
-        _transition(states, np.nonzero([[True, True], [True, False]]), R)
+        # replication 2 sits in row 1 once replication 1 has left the batch
+        states = np.array([[H, H], [H, E]], dtype=np.int8)
+        row_of = np.array([0, -1, 1])
+        with pytest.raises(RuntimeError, match="vehicle 1 in replication 2"):
+            _pop_due(self.queue((0.1, 0, 0), (0.2, 2, 1)), 1.0, states, row_of, H, R)
+        np.testing.assert_array_equal(states, [[H, H], [H, E]])
+        queue = self.queue((0.3, 2, 0), (0.1, 0, 1), (0.2, 0, 0), (1.5, 0, 0))
+        times, reps, rows, vehicles = _pop_due(queue, 1.0, states, row_of, H, R)
         np.testing.assert_array_equal(states, [[R, R], [R, E]])
+        np.testing.assert_array_equal(times, [0.1, 0.2, 0.3])
+        np.testing.assert_array_equal(reps, [0, 0, 2])
+        np.testing.assert_array_equal(rows, [0, 0, 1])
+        np.testing.assert_array_equal(vehicles, [1, 0, 0])
+        assert queue == [(1.5, 0, 0)]  # not due yet
 
 
 class TestRngStreams:
@@ -275,11 +307,23 @@ class TestRetirement:
         assert all(res.state_histograms[k].sum() == 0 for k in "hre")
 
 
+LEGAL = np.zeros((4, 4), dtype=bool)  # [old, new]
+LEGAL[S, H] = LEGAL[S, R] = LEGAL[H, R] = LEGAL[R, E] = True
+
+
+def legal_transition(states, where, new):
+    """Move the vehicles at ``where`` (row and vehicle index arrays) to
+    state ``new``, after checking every move against ``LEGAL``."""
+    assert LEGAL[states[where], new].all(), (states[where], new)
+    states[where] = new
+
+
 def dense_run_batch(config, streams):
     """Reference for ``_run_batch``: the same RNG contract and arithmetic,
     but each tick finds its due H->R and R->E transitions by scanning
-    (reps, N) arrays of scheduled times, and a row retires when a scan of
-    its states finds no holding or relaying vehicle."""
+    (reps, N) arrays of scheduled times, checks every move against a
+    table of legal transitions, and retires a row when a scan of its
+    states finds no holding or relaying vehicle."""
     rngs = [np.random.default_rng(s) for s in streams]
     cp = config.class_params
     xi = wait_probability(cp)
@@ -298,7 +342,9 @@ def dense_run_batch(config, streams):
     t_exclude[:, seeds] = service[:, seeds]
 
     num_ticks = _num_ticks(config)
-    informed = np.empty((len(rngs), num_ticks // config.record_every + 1))
+    every = config.record_every  # and the horizon, if it falls between two records
+    record_ticks = {min(t, num_ticks) for t in range(every, num_ticks + every, every)}
+    informed = np.empty((len(rngs), len(record_ticks) + 1))
     informed[:, 0] = np.mean(states != S, axis=1)
     rec_pos = 1
     uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))
@@ -313,12 +359,12 @@ def dense_run_batch(config, streams):
         t = tick * config.tick
         t_next = t + config.tick
         due = np.nonzero(t_relay <= t_next)
-        _transition(states, due, R)
+        legal_transition(states, due, R)
         t_exclude[due] = t_relay[due] + service[due]
         t_relay[due] = np.inf
         due = np.nonzero(t_exclude <= t_next)
         if due[0].size:
-            _transition(states, due, E)
+            legal_transition(states, due, E)
             t_exclude[due] = np.inf
             row_states = states[due[0]]
             done = due[0][~((row_states == H) | (row_states == R)).any(axis=1)]
@@ -345,13 +391,13 @@ def dense_run_batch(config, streams):
                 waits = _queue_waits(u[rows, vehicles], p_hit[rows, vehicles], xi, cp.slack)
                 held = waits > 0.0
                 hold = rows[held], vehicles[held]
-                _transition(states, hold, H)
+                legal_transition(states, hold, H)
                 t_relay[hold] = t + waits[held]
                 relay = rows[~held], vehicles[~held]
-                _transition(states, relay, R)
+                legal_transition(states, relay, R)
                 t_exclude[relay] = t + service[relay]
 
-        if (tick + 1) % config.record_every == 0 and rec_pos < informed.shape[1]:
+        if tick + 1 in record_ticks:
             informed[live, rec_pos] = np.mean(states != S, axis=1)
             rec_pos += 1
     ended[live] = states
