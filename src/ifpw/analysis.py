@@ -223,7 +223,7 @@ def _sweep_point(args):
 
     base_cfg, n, mu, t1, t2, reference = args
     try:
-        cp = ClassParams(base_cfg.classes[0].lam, n, mu)
+        cp = ClassParams(base_cfg.classes[0].params.lam, n, mu)
     except ValueError as exc:  # an invalid (n, mu) fails its own row only
         return SweepRow(n_servers=n, mu=mu, stable=False, error=str(exc))
     # an unstable class is rejected by the config, so test it first

@@ -55,7 +55,7 @@ def _whole_arg(low: int):
     return parse
 
 
-_server_count_arg = _whole_arg(1)
+_count_arg = _whole_arg(1)
 _index_arg = _whole_arg(0)
 
 
@@ -164,10 +164,9 @@ def cmd_speed(args) -> int:
         if abs(times[i] - t) > 1e-6:
             return _fail(f"no snapshot at t={t}s (have {list(times)})", EXIT_CONFIG)
         snaps[t] = data[i]
-    cfg = manifest.get("grid", {})
-    dx = args.dx if args.dx is not None else cfg.get("dx_km")
+    dx = manifest.get("grid", {}).get("dx_km")
     if dx is None:
-        return _fail("grid spacing unknown; pass --dx", EXIT_DOMAIN)
+        return _fail(f"{args.run_dir}/manifest.json records no grid.dx_km", EXIT_DOMAIN)
     seed_cell = args.seed_cell
     if seed_cell is None:
         seed_cell = int(np.argmax(snaps[args.t1]))
@@ -240,12 +239,12 @@ def _micro_config_from_dict(d: dict, seed_override=None) -> micro.MicroConfig:
         beta=float(d["beta_hz"]),
         horizon=float(d["horizon_s"]),
         tick=float(d["tick_s"]),
-        replications=whole_number(d.get("replications", 1), "replications"),
+        replications=d.get("replications", 1),
         rng_seed=seed,
         seeds=tuple(d.get("seed_vehicles", (0,))),
         ring_length=float(d["ring_length_km"]) if "ring_length_km" in d else None,
-        record_every=whole_number(d.get("record_every", 1), "record_every"),
-        num_bins=whole_number(d.get("num_bins", 20), "num_bins"),
+        record_every=d.get("record_every", 1),
+        num_bins=d.get("num_bins", 20),
     )
 
 
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--sigma", type=_rate_arg, required=True, help="veh/km")
     a.add_argument("--mu", type=_rate_arg, required=True, help="1/s")
     a.add_argument("--lambda", dest="lam", type=_rate_arg, default=None, help="1/s")
-    a.add_argument("--n", type=_server_count_arg, default=None, help="servers")
+    a.add_argument("--n", type=_count_arg, default=None, help="servers")
     a.set_defaults(func=cmd_analyze)
 
     c = sub.add_parser("calibrate", help="fit kernel to samples")
@@ -311,18 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["s", "h", "r", "e", "informed"])
     s.add_argument("--class", dest="cls", type=_index_arg, default=0)
     s.add_argument("--seed-cell", type=_index_arg, default=None)
-    s.add_argument("--dx", type=_rate_arg, default=None, help="km (if not in manifest)")
     s.set_defaults(func=cmd_speed)
 
     w = sub.add_parser("sweep", help="(n, mu) parameter sweep")
     w.add_argument("--config", required=True)
-    w.add_argument("--n", type=_server_count_arg, nargs="+", required=True,
+    w.add_argument("--n", type=_count_arg, nargs="+", required=True,
                    help="server counts")
     w.add_argument("--mu", type=_rate_arg, nargs="+", required=True, help="1/s")
     w.add_argument("--t1", type=float, required=True)
     w.add_argument("--t2", type=float, required=True)
     w.add_argument("--out", required=True)
-    w.add_argument("--threads", type=int, default=None,
+    w.add_argument("--threads", type=_count_arg, default=None,
                    help="worker processes that share the sweep points")
     w.set_defaults(func=cmd_sweep)
 

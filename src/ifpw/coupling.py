@@ -16,7 +16,7 @@ import hashlib
 import json
 import math
 import time as _time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -51,38 +51,16 @@ KERNEL_MODES = ("global", "table")
 
 @dataclass(frozen=True)
 class ClassConfig:
-    """One information class: its M/M/n control triple, its kernel and
-    its seeds.  ``params`` and ``kernel`` (None in table mode) are built
-    once, here."""
+    """One information class: its M/M/n control triple, its one-hop kernel
+    (None for the density-dependent table kernel) and its seeds."""
 
-    lam: float
-    n_servers: int
-    mu: float
-    kernel_mode: str = "global"  # "global" | "table"
-    a: float | None = None  # km, global mode
-    b: float | None = None
+    params: ClassParams
+    kernel: KernelParams | None = None
     seeds: tuple = ()  # ((cell, density_veh_per_km), ...)
-    params: ClassParams = field(init=False, repr=False, compare=False)
-    kernel: KernelParams | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_servers", whole_number(self.n_servers, "n_servers"))
-        object.__setattr__(self, "seeds", tuple((whole_number(cell, "seed cell"), density)
+        object.__setattr__(self, "seeds", tuple((whole_number(cell, "seed cell"), float(density))
                                                 for cell, density in self.seeds))
-        try:
-            object.__setattr__(self, "params", ClassParams(self.lam, self.n_servers, self.mu))
-        except ValueError as exc:
-            raise ConfigurationError(f"bad class parameters: {exc}") from exc
-        if self.kernel_mode not in KERNEL_MODES:
-            raise ConfigurationError(
-                f"unknown kernel mode {self.kernel_mode!r}; expected one of {KERNEL_MODES}")
-        kernel = None
-        if self.kernel_mode == "global":
-            try:
-                kernel = KernelParams(float(self.a), float(self.b))
-            except (TypeError, ValueError) as exc:
-                raise ConfigurationError(f"global kernel needs valid a and b: {exc}") from exc
-        object.__setattr__(self, "kernel", kernel)
 
 
 @dataclass(frozen=True)
@@ -118,7 +96,6 @@ class ScenarioConfig:
     snapshot_every: float = 1.0  # seconds
     demand: float | None = None  # veh/h, open boundary; default v_f * k0
     conv_mode: str = "fft"
-    raw: dict = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.boundary not in lwr.BOUNDARIES:
@@ -148,7 +125,8 @@ class ScenarioConfig:
         for c in self.classes:
             if not c.params.stable:
                 raise ConfigurationError(
-                    f"class (lambda={c.lam}, n={c.n_servers}, mu={c.mu}) is unstable")
+                    f"class (lambda={c.params.lam}, n={c.params.n_servers}, "
+                    f"mu={c.params.mu}) is unstable")
             seeded = {}  # cell -> density seeded so far
             for cell, density in c.seeds:
                 if not 0 <= cell < n:
@@ -178,7 +156,7 @@ class ScenarioConfig:
     @cached_property
     def table_kernel(self) -> bool:
         """Whether any class reads the density-dependent table kernel."""
-        return any(c.kernel_mode == "table" for c in self.classes)
+        return any(c.kernel is None for c in self.classes)
 
     @property
     def sigma(self) -> float:
@@ -198,7 +176,7 @@ class ScenarioConfig:
 
     def warnings(self) -> list[str]:
         out = []
-        total_servers = sum(c.n_servers for c in self.classes)
+        total_servers = sum(c.params.n_servers for c in self.classes)
         try:
             n_max = kern.lookup_reference(self.k0).n_max
             if total_servers > n_max:
@@ -210,9 +188,9 @@ class ScenarioConfig:
         return out
 
     def digest(self) -> str:
-        src = self.raw if self.raw is not None else repr(self)
-        blob = json.dumps(src, sort_keys=True) if isinstance(src, dict) else src
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """SHA-256 of the parsed config: keys the parser ignores and the
+        spelling of a number (40 or 40.0) do not change it."""
+        return hashlib.sha256(repr(self).encode()).hexdigest()
 
 
 # The row layout of WorldState.layers is written only in these two functions.
@@ -296,7 +274,7 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
     table = _table_kernel(k_new, grid) if config.table_kernel else None
     fields = []
     for j, (cc, st) in enumerate(zip(config.classes, _class_fields(advected))):
-        kobj = table if cc.kernel_mode == "table" else cc.kernel
+        kobj = table if cc.kernel is None else cc.kernel
         params = ShreParams(config.beta, cc.params, kobj, conv_mode=config.conv_mode)
         try:
             fields.append(shre.rk4_step(ClassState(st), params, grid).fields)
@@ -387,7 +365,7 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     """
     started = _time.time()
     world = initialize(config)
-    kmass = [cc.kernel.b if cc.kernel_mode == "global"
+    kmass = [cc.kernel.b if cc.kernel is not None
              else float(kern.interp_kernel_params([config.k0])[1][0])
              for cc in config.classes]
 
@@ -440,8 +418,7 @@ def config_from_dict(d: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from the unit-suffixed JSON schema."""
     try:
         g = d["grid"]
-        grid = GridSpec(dx=float(g["dx_km"]), dt=float(g["dt_s"]),
-                        num_cells=whole_number(g["num_cells"], "num_cells"),
+        grid = GridSpec(dx=float(g["dx_km"]), dt=float(g["dt_s"]), num_cells=g["num_cells"],
                         origin_km=float(g.get("origin_km", 0.0)))
         f = d["fundamental_diagram"]
         fd = FundamentalDiagram(v_f=float(f["v_f_km_h"]),
@@ -449,19 +426,29 @@ def config_from_dict(d: dict) -> ScenarioConfig:
                                 k_jam=float(f["k_jam_veh_per_km"]))
         classes = []
         for c in d["classes"]:
+            n_servers = whole_number(c["n_servers"], "n_servers")
+            try:
+                params = ClassParams(float(c["lambda_per_s"]), n_servers, float(c["mu_per_s"]))
+            except ValueError as exc:
+                raise ConfigurationError(f"bad class parameters: {exc}") from exc
             # a kernel without "mode" is global if it gives a_km or b
             kcfg = c.get("kernel", {})
-            mode = kcfg.get("mode", "global" if {"a_km", "b"} & kcfg.keys() else "table")
-            classes.append(ClassConfig(
-                lam=float(c["lambda_per_s"]),
-                n_servers=c["n_servers"],
-                mu=float(c["mu_per_s"]),
-                kernel_mode=mode,
-                a=float(kcfg["a_km"]) if mode == "global" else None,
-                b=float(kcfg["b"]) if mode == "global" else None,
-                seeds=tuple((s["cell"], float(s["density_veh_per_km"]))
-                            for s in c.get("seeds", ())),
-            ))
+            given = sorted({"a_km", "b"} & kcfg.keys())
+            mode = kcfg.get("mode", "global" if given else "table")
+            kernel = None
+            if mode == "global":
+                try:
+                    kernel = KernelParams(float(kcfg["a_km"]), float(kcfg["b"]))
+                except (TypeError, ValueError) as exc:
+                    raise ConfigurationError(f"global kernel needs valid a and b: {exc}") from exc
+            elif mode not in KERNEL_MODES:
+                raise ConfigurationError(
+                    f"unknown kernel mode {mode!r}; expected one of {KERNEL_MODES}")
+            elif given:
+                raise ConfigurationError(f"table kernel takes no {' or '.join(given)}")
+            classes.append(ClassConfig(params, kernel,
+                                       seeds=tuple((s["cell"], s["density_veh_per_km"])
+                                                   for s in c.get("seeds", ()))))
         incident = None
         if "incident" in d and d["incident"] is not None:
             i = d["incident"]
@@ -481,7 +468,6 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             snapshot_every=float(d.get("snapshot_every_s", 1.0)),
             demand=float(d["demand_veh_h"]) if "demand_veh_h" in d else None,
             conv_mode=d.get("convolution_mode", "fft"),
-            raw=d,
         )
     except (AttributeError, KeyError, TypeError) as exc:
         raise ConfigurationError(f"bad scenario config: {exc}") from exc
@@ -492,5 +478,6 @@ def config_with_class_override(cfg: ScenarioConfig, n_servers: int,
     """Copy of cfg with (n, mu) of the single information class replaced."""
     if len(cfg.classes) != 1:
         raise ConfigurationError("sweeps require a single-class base config")
-    cc = replace(cfg.classes[0], n_servers=n_servers, mu=mu)
-    return replace(cfg, classes=(cc,), raw=None)
+    cc = cfg.classes[0]
+    params = ClassParams(cc.params.lam, n_servers, mu)
+    return replace(cfg, classes=(replace(cc, params=params),))

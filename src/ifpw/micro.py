@@ -87,6 +87,8 @@ class MicroConfig:
     num_bins: int = 20  # spatial histogram bins
 
     def __post_init__(self):
+        for name in ("replications", "record_every", "num_bins"):
+            object.__setattr__(self, name, whole_number(getattr(self, name), name))
         object.__setattr__(self, "seeds", tuple(whole_number(i, "seed index") for i in self.seeds))
         object.__setattr__(self, "rng_seed", checked_seed(self.rng_seed))
         if len(self.positions) == 0:

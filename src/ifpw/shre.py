@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import queueing
-from .errors import ConfigurationError, NumericalBlowupError
+from .errors import ConfigurationError, NumericalBlowupError, whole_number
 from .kernel import SQRT_PI, KernelParams
 from .queueing import ClassParams
 
@@ -66,6 +66,7 @@ class GridSpec:
     origin_km: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "num_cells", whole_number(self.num_cells, "num_cells"))
         if not (0 < self.dx < math.inf and 0 < self.dt < math.inf):  # also rejects NaN
             raise ConfigurationError(
                 f"dx and dt must be finite and positive, got {self.dx} km and {self.dt} s")

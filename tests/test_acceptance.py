@@ -68,8 +68,8 @@ def test_criterion_03_plateau_matches_asymptotics():
         cfg = ScenarioConfig(
             grid=GridSpec(0.05, 0.5, 256), fd=FD, boundary="periodic",
             k0=float(k0), penetration=0.5, beta=beta,
-            classes=(ClassConfig(0.1 * mu, 2, mu, kernel_mode="global",
-                                 a=a, b=b, seeds=((128, 5.0),)),),
+            classes=(ClassConfig(ClassParams(0.1 * mu, 2, mu), KernelParams(a, b),
+                                 seeds=((128, 5.0),)),),
             horizon=300.0, snapshot_every=50.0, conv_mode="periodic")
         out = coupling.run(cfg)
         g = analysis.gamma(beta, b, sigma, mu)
@@ -87,8 +87,8 @@ def test_criterion_04_wave_speed_identity():
     cfg = ScenarioConfig(
         grid=GridSpec(0.05, 5.0 / 3.0, 512), fd=FD, boundary="periodic",
         k0=40.0, penetration=0.5, beta=0.04,
-        classes=(ClassConfig(0.1, 4, 0.2, kernel_mode="global",
-                             a=0.292, b=0.499, seeds=((256, 5.0),)),),
+        classes=(ClassConfig(ClassParams(0.1, 4, 0.2), KernelParams(0.292, 0.499),
+                             seeds=((256, 5.0),)),),
         horizon=60.0, snapshot_every=10.0, conv_mode="periodic")
     out = coupling.run(cfg)
     s1, s2 = out.snapshot_at(20.0), out.snapshot_at(60.0)
@@ -109,8 +109,8 @@ def test_criterion_05_subcritical_local_propagation():
         cfg = ScenarioConfig(
             grid=GridSpec(0.05, 0.5, 512), fd=FD, boundary="periodic",
             k0=40.0, penetration=0.5, beta=0.02,
-            classes=(ClassConfig(0.05, 1, mu, kernel_mode="global",
-                                 a=0.292, b=0.499, seeds=((256, 5.0),)),),
+            classes=(ClassConfig(ClassParams(0.05, 1, mu), KernelParams(0.292, 0.499),
+                                 seeds=((256, 5.0),)),),
             horizon=150.0, snapshot_every=5.0, conv_mode="periodic")
         assert analysis.gamma(0.02, 0.499, cfg.sigma, mu) < 1.0
         out = coupling.run(cfg)
@@ -130,8 +130,8 @@ def test_criterion_06_control_monotonicities():
     base = ScenarioConfig(
         grid=GridSpec(0.05, 0.5, 512), fd=FD, boundary="periodic",
         k0=300.0, penetration=20.0 / 300.0, beta=0.04,
-        classes=(ClassConfig(0.15, 1, 0.2, kernel_mode="global",
-                             a=0.292, b=0.499, seeds=((256, 5.0),)),),
+        classes=(ClassConfig(ClassParams(0.15, 1, 0.2), KernelParams(0.292, 0.499),
+                             seeds=((256, 5.0),)),),
         horizon=420.0, snapshot_every=10.0, conv_mode="periodic")
     n_values, mu_values = [1, 2, 4], [0.2, 0.26, 0.32]
     rows = analysis.sweep(base, n_values, mu_values, 30.0, 60.0,
@@ -258,7 +258,7 @@ def test_criterion_10_incident_scenario():
     fd = FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=120.0)
 
     def info_class(n, mu):
-        return ClassConfig(1.2, n, mu, kernel_mode="table", seeds=((40, 5.0),))
+        return ClassConfig(ClassParams(1.2, n, mu), seeds=((40, 5.0),))
 
     cfg = ScenarioConfig(
         grid=GridSpec(0.05, 0.5, 600), fd=fd, boundary="open",

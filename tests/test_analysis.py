@@ -20,7 +20,9 @@ from ifpw.analysis import (
 )
 from ifpw.coupling import ClassConfig, ScenarioConfig
 from ifpw.errors import ConfigurationError, FrontNotFoundError, InsufficientRunError
+from ifpw.kernel import KernelParams
 from ifpw.lwr import FundamentalDiagram
+from ifpw.queueing import ClassParams
 from ifpw.shre import GridSpec
 
 
@@ -236,14 +238,15 @@ def jammed_ring():
         grid=GridSpec(0.05, 0.5, 128),
         fd=FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=300.0),
         boundary="periodic", k0=300.0, penetration=20.0 / 300.0, beta=0.04,
-        classes=(ClassConfig(0.15, 1, 0.2, kernel_mode="global",
-                             a=0.292, b=0.499, seeds=((64, 5.0),)),),
+        classes=(ClassConfig(ClassParams(0.15, 1, 0.2), KernelParams(0.292, 0.499),
+                             seeds=((64, 5.0),)),),
         horizon=120.0, snapshot_every=10.0, conv_mode="periodic")
 
 
 def point_row(cfg, t1, t2, reference):
     """The sweep metrics of one (n, mu) point, from its own coupling.run."""
     cc = cfg.classes[0]
+    cp = cc.params
     out = coupling.run(cfg)
     sigma = cfg.sigma
     try:
@@ -254,11 +257,17 @@ def point_row(cfg, t1, t2, reference):
         spread = measured_spread(out.snapshots[-1].classes[0].s,
                                  np.full(cfg.grid.num_cells, sigma))
     except FrontNotFoundError as exc:
-        return SweepRow(cc.n_servers, cc.mu, stable=True, error=str(exc))
-    g = gamma(cfg.beta, cc.b, sigma, cc.mu)
-    return SweepRow(cc.n_servers, cc.mu, stable=True, gamma=g, alpha_star=asymptotic_spread(g),
+        return SweepRow(cp.n_servers, cp.mu, stable=True, error=str(exc))
+    g = gamma(cfg.beta, cc.kernel.b, sigma, cp.mu)
+    return SweepRow(cp.n_servers, cp.mu, stable=True, gamma=g, alpha_star=asymptotic_spread(g),
                     spread=spread, c_forward=speeds.c_forward, c_backward=speeds.c_backward,
-                    mean_wait=queueing.mean_waiting_time(cc.params))
+                    mean_wait=queueing.mean_waiting_time(cp))
+
+
+def with_point(cfg, n, mu):
+    """``cfg`` with the (n, mu) of its one class replaced."""
+    cc = cfg.classes[0]
+    return replace(cfg, classes=(replace(cc, params=ClassParams(cc.params.lam, n, mu)),))
 
 
 class TestSweep:
@@ -273,8 +282,7 @@ class TestSweep:
         cfg = jammed_ring()
         rows = sweep(cfg, [1, 0], [0.2, -0.1], 30.0, 60.0, reference_fraction=0.1)
         assert [(r.n_servers, r.mu) for r in rows] == [(1, 0.2), (0, 0.2), (1, -0.1), (0, -0.1)]
-        cc = replace(cfg.classes[0], n_servers=1, mu=0.2)
-        assert rows[0] == point_row(replace(cfg, classes=(cc,)), 30.0, 60.0, 0.1)
+        assert rows[0] == point_row(with_point(cfg, 1, 0.2), 30.0, 60.0, 0.1)
         assert rows[0].error is None
         for r in rows[1:]:
             assert not r.stable and r.gamma is None and r.spread is None
@@ -306,7 +314,6 @@ class TestSweep:
             (n, mu) for mu in (0.1, 0.2, 0.32) for n in (1, 2)]
         assert rows[0] == SweepRow(1, 0.1, stable=False)
         for r in rows[1:]:
-            cc = replace(cfg.classes[0], n_servers=r.n_servers, mu=r.mu)
-            assert r == point_row(replace(cfg, classes=(cc,)), 30.0, 60.0, 0.1)
+            assert r == point_row(with_point(cfg, r.n_servers, r.mu), 30.0, 60.0, 0.1)
         # (2, 0.2) fails to find its front, the other four are measured
         assert [r.error is None for r in rows[1:]] == [True, True, False, True, True]

@@ -331,12 +331,12 @@ class TestSpeed:
         assert code == EXIT_DOMAIN
 
     @pytest.mark.parametrize("option, value", [
-        ("--t1", "nan"), ("--t2", "inf"), ("--t1", "-5"), ("--dx", "nan"), ("--dx", "-0.05"),
+        ("--t1", "nan"), ("--t2", "inf"), ("--t1", "-5"),
         ("--reference", "nan"), ("--reference", "0"), ("--seed-cell", "-3"),
         ("--seed-cell", "1.5"), ("--class", "-1")])
     def test_bad_number_is_usage_error(self, run_dir, capsys, option, value):
-        # --t1 nan and --dx nan used to print nan speeds with exit 0, --dx -0.05
-        # positive speeds, and --seed-cell -3 counted back from the last cell
+        # --t1 nan used to print nan speeds with exit 0, and --seed-cell -3
+        # counted back from the last cell
         values = {"--t1": "5", "--t2": "10", "--reference": "1.0", "--seed-cell": "128",
                   option: value}
         with pytest.raises(SystemExit) as exc:
@@ -344,6 +344,24 @@ class TestSpeed:
                   *(arg for pair in values.items() for arg in pair)])
         assert exc.value.code == EXIT_CONFIG
         assert f"argument {option}: not a" in capsys.readouterr().err
+
+    def test_dx_is_not_an_option(self, run_dir, capsys):
+        # the grid spacing is the run's, read from its manifest
+        with pytest.raises(SystemExit) as exc:
+            main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                  "--reference", "1.0", "--dx", "0.05"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --dx 0.05" in capsys.readouterr().err
+
+    def test_manifest_without_dx(self, run_dir, capsys):
+        path = run_dir / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["grid"]["dx_km"]
+        path.write_text(json.dumps(manifest))
+        code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                     "--reference", "1.0"])
+        assert code == EXIT_DOMAIN
+        assert "manifest.json records no grid.dx_km" in capsys.readouterr().err
 
     def test_whole_valued_float_seed_cell(self, run_dir, capsys):
         outputs = []
@@ -441,6 +459,17 @@ class TestSweep:
             assert code == EXIT_OK
         assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
         assert (tmp_path / "int").read_text().splitlines()[1].startswith("11,")
+
+    @pytest.mark.parametrize("threads", ["0", "-1", "1.5"])
+    def test_bad_thread_count_is_usage_error(self, capsys, threads):
+        # 0 and -1 used to run the points serially; argparse stops before any run
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["sweep", "--config", "c.json", "--n", "2", "--mu", "0.1", "--t1", "5",
+                 "--t2", "10", "--out", "o.csv", "--threads", threads])
+        assert exc.value.code == EXIT_CONFIG
+        assert f"argument --threads: not a whole number >= 1: {threads!r}" \
+            in capsys.readouterr().err
 
     def test_threads_help_counts_processes(self, capsys):
         with pytest.raises(SystemExit):

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 
 import numpy as np
@@ -37,8 +38,8 @@ def make_config(**overrides):
         k0=40.0,
         penetration=0.5,
         beta=2.0,
-        classes=(ClassConfig(0.5, 11, 0.05, kernel_mode="global",
-                             a=0.292, b=0.499, seeds=((32, 5.0),)),),
+        classes=(ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                             seeds=((32, 5.0),)),),
         horizon=10.0,
         snapshot_every=2.0,
     )
@@ -90,8 +91,8 @@ class TestInitialize:
         np.testing.assert_allclose(st.s + st.r, 40.0)
 
     def test_seed_exceeding_equipped_density(self):
-        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
-                         a=0.292, b=0.499, seeds=((32, 25.0),))
+        cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                         seeds=((32, 25.0),))
         # sigma = 0.5 * 40 = 20 veh/km of equipped vehicles per cell
         with pytest.raises(ConfigurationError, match="seeds total 25.0 veh/km in cell 32"):
             make_config(classes=(cc,))
@@ -102,19 +103,19 @@ class TestInitialize:
         (((32, 15.0), (10, 15.0), (32, 10.0)), "seeds total 25.0 veh/km in cell 32"),
     ])
     def test_bad_seed_density_rejected_at_config_time(self, seeds, message):
-        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global", a=0.292, b=0.499, seeds=seeds)
+        cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499), seeds=seeds)
         with pytest.raises(ConfigurationError, match=message):
             make_config(classes=(cc,))
 
     def test_seeds_may_fill_a_cell(self):
-        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
-                         a=0.292, b=0.499, seeds=((32, 12.5), (32, 7.5)))
+        cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                         seeds=((32, 12.5), (32, 7.5)))
         st = initialize(make_config(classes=(cc,))).classes[0]
         assert st.r[32] == 20.0
         assert st.s[32] == 0.0
 
     def test_unstable_class_rejected(self):
-        cc = ClassConfig(2.0, 1, 0.05, kernel_mode="global", a=0.292, b=0.499)
+        cc = ClassConfig(ClassParams(2.0, 1, 0.05), KernelParams(0.292, 0.499))
         with pytest.raises(ConfigurationError):
             make_config(classes=(cc,))
 
@@ -127,7 +128,7 @@ class TestInitialize:
     def test_server_budget_warning(self):
         # 11 servers fit under N_max=31 at 40 veh/km; 40 do not
         assert make_config().warnings() == []
-        cc = ClassConfig(0.5, 40, 0.05, kernel_mode="global", a=0.292, b=0.499)
+        cc = ClassConfig(ClassParams(0.5, 40, 0.05), KernelParams(0.292, 0.499))
         w = make_config(classes=(cc,)).warnings()
         assert len(w) == 1 and "N_max" in w[0]
 
@@ -145,7 +146,7 @@ class TestStep:
                                    cfg.penetration * world.k_total, atol=1e-8)
 
     def test_no_seed_is_stationary_information(self):
-        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global", a=0.292, b=0.499)
+        cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499))
         cfg = make_config(classes=(cc,))
         world = initialize(cfg)
         for _ in range(20):
@@ -272,9 +273,9 @@ class TestRun:
 
 
 def three_table_classes():
-    return (ClassConfig(1.2, 5, 0.3, kernel_mode="table", seeds=((30, 5.0),)),
-            ClassConfig(1.2, 10, 0.3, kernel_mode="table", seeds=((40, 5.0),)),
-            ClassConfig(1.2, 10, 0.15, kernel_mode="table", seeds=((50, 4.0),)))
+    return (ClassConfig(ClassParams(1.2, 5, 0.3), seeds=((30, 5.0),)),
+            ClassConfig(ClassParams(1.2, 10, 0.3), seeds=((40, 5.0),)),
+            ClassConfig(ClassParams(1.2, 10, 0.15), seeds=((50, 4.0),)))
 
 
 class TestClassIndependence:
@@ -401,14 +402,12 @@ class TestConfigParsing:
     def test_class_override(self):
         cfg = config_from_dict(copy.deepcopy(JSON_CONFIG))
         new = config_with_class_override(cfg, n_servers=5, mu=0.2)
-        assert new.classes[0].n_servers == 5
-        assert new.classes[0].mu == 0.2
-        assert new.classes[0].lam == cfg.classes[0].lam
+        assert new.classes[0].params == ClassParams(cfg.classes[0].params.lam, 5, 0.2)
+        assert new.classes[0].kernel is cfg.classes[0].kernel
+        assert new.classes[0].seeds == cfg.classes[0].seeds
 
     def test_override_requires_single_class(self):
-        cfg = make_config()
-        two = ScenarioConfig(**{**cfg.__dict__, "classes": cfg.classes * 2,
-                                "raw": None})
+        two = make_config(classes=make_config().classes * 2)
         with pytest.raises(ConfigurationError):
             config_with_class_override(two, n_servers=2, mu=0.1)
 
@@ -423,8 +422,6 @@ class TestConfigValidation:
             config_from_dict(bad)
 
     def test_unknown_kernel_mode(self):
-        with pytest.raises(ConfigurationError, match="kernel mode"):
-            ClassConfig(0.5, 11, 0.05, kernel_mode="bogus", a=0.292, b=0.499)
         bad = copy.deepcopy(JSON_CONFIG)
         bad["classes"][0]["kernel"]["mode"] = "bogus"
         with pytest.raises(ConfigurationError, match="kernel mode"):
@@ -432,8 +429,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("cell", [-1, 64, 1000])
     def test_seed_cell_outside_grid(self, cell):
-        cc = ClassConfig(0.5, 11, 0.05, kernel_mode="global",
-                         a=0.292, b=0.499, seeds=((cell, 5.0),))
+        cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                         seeds=((cell, 5.0),))
         with pytest.raises(ConfigurationError, match="seed cell"):
             make_config(classes=(cc,))
 
@@ -447,19 +444,31 @@ class TestConfigValidation:
         (0.292, 1.5, "mass b"), (-0.1, 0.1, "decay scale"),
         (float("nan"), 0.1, "decay scale"), (float("inf"), 0.1, "decay scale")])
     def test_bad_global_kernel(self, a, b, match):
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["classes"][0]["kernel"] = {"mode": "global", "a_km": a, "b": b}
         with pytest.raises(ConfigurationError, match="global kernel needs valid a and b"):
-            ClassConfig(0.5, 11, 0.05, a=a, b=b)
+            config_from_dict(bad)
         with pytest.raises(ConfigurationError, match=match):
-            ClassConfig(0.5, 11, 0.05, a=a, b=b)
-        ClassConfig(0.5, 11, 0.05, kernel_mode="table")  # table mode needs neither
+            config_from_dict(bad)
+        bad["classes"][0]["kernel"] = {"mode": "table"}  # table mode needs neither
+        assert config_from_dict(bad).classes[0].kernel is None
+
+    @pytest.mark.parametrize("given", [{"a_km": 0.292, "b": 0.499}, {"a_km": 0.292},
+                                       {"b": 0.499}])
+    def test_table_kernel_with_a_or_b_rejected(self, given):
+        # these used to drop a_km and b silently and run the table kernel
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["classes"][0]["kernel"] = {"mode": "table", **given}
+        with pytest.raises(ConfigurationError, match="table kernel takes no "
+                                                     + " or ".join(sorted(given))):
+            config_from_dict(bad)
 
     def test_kernel_mode_default(self):
         # a kernel block without "mode" is global if it gives a_km or b,
         # and a class without a kernel block is table
         d = copy.deepcopy(JSON_CONFIG)
         del d["classes"][0]["kernel"]["mode"]
-        cc = config_from_dict(d).classes[0]
-        assert (cc.kernel_mode, cc.a, cc.b) == ("global", 0.292, 0.499)
+        assert config_from_dict(d).classes[0].kernel == KernelParams(0.292, 0.499)
         del d["classes"][0]["kernel"]["b"]
         with pytest.raises(ConfigurationError, match="'b'"):
             config_from_dict(d)
@@ -468,20 +477,18 @@ class TestConfigValidation:
                 del d["classes"][0]["kernel"]
             else:
                 d["classes"][0]["kernel"] = kernel
-            cc = config_from_dict(d).classes[0]
-            assert (cc.kernel_mode, cc.a, cc.b) == ("table", None, None)
+            assert config_from_dict(d).classes[0].kernel is None
 
     def test_fractional_seed_cell_rejected(self):
         with pytest.raises(ConfigurationError, match="seed cell must be a whole number"):
-            ClassConfig(0.5, 11, 0.05, a=0.292, b=0.499, seeds=((32.7, 5.0),))
+            ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                        seeds=((32.7, 5.0),))
         bad = copy.deepcopy(JSON_CONFIG)
         bad["classes"][0]["seeds"][0]["cell"] = 32.7
         with pytest.raises(ConfigurationError, match="seed cell must be a whole number"):
             config_from_dict(bad)
 
     def test_fractional_server_count_rejected(self):
-        with pytest.raises(ConfigurationError, match="n_servers must be a whole number"):
-            ClassConfig(0.5, 2.5, 0.05, a=0.292, b=0.499)
         bad = copy.deepcopy(JSON_CONFIG)
         bad["classes"][0]["n_servers"] = 2.5
         with pytest.raises(ConfigurationError, match="n_servers must be a whole number"):
@@ -502,9 +509,10 @@ class TestConfigValidation:
 
     def test_whole_valued_floats_accepted(self):
         # 32.0 seeds cell 32 and 11.0 runs 11 servers, the same as the ints
-        cc = ClassConfig(0.5, 11.0, 0.05, a=0.292, b=0.499, seeds=((32.0, 5.0),))
+        cc = ClassConfig(ClassParams(0.5, 11.0, 0.05), KernelParams(0.292, 0.499),
+                         seeds=((32.0, 5.0),))
         assert cc == make_config().classes[0]
-        assert type(cc.n_servers) is int and type(cc.seeds[0][0]) is int
+        assert type(cc.params.n_servers) is int and type(cc.seeds[0][0]) is int
         a, b = run(make_config(classes=(cc,))), run(make_config())
         assert len(a.snapshots) == len(b.snapshots)
         for sa, sb in zip(a.snapshots, b.snapshots):
@@ -540,6 +548,13 @@ class TestConfigValidation:
         bad["beta_hz"] = beta
         with pytest.raises(ConfigurationError, match="communication frequency beta"):
             config_from_dict(bad)
+
+    def test_fractional_library_cell_count_rejected(self):
+        # 64.5 used to pass here and fail inside run with numpy's TypeError
+        with pytest.raises(ConfigurationError, match="num_cells must be a whole number"):
+            GridSpec(0.05, 0.5, 64.5)
+        grid = GridSpec(0.05, 0.5, 64.0)
+        assert grid == GRID and type(grid.num_cells) is int
 
     def test_fractional_library_incident_cell_rejected(self):
         with pytest.raises(ConfigurationError, match="incident cell_start must be a whole"):
@@ -643,8 +658,6 @@ class TestConfigValidation:
     def test_bad_rate_rejected(self, field, match, value):
         # mu = inf used to fail at step one with "math domain error"
         rates = {"lam": 0.5, "mu": 0.05, field: value}
-        with pytest.raises(ConfigurationError, match=match):
-            ClassConfig(rates["lam"], 11, rates["mu"], a=0.292, b=0.499)
         bad = copy.deepcopy(JSON_CONFIG)
         bad["classes"][0][f"{field.replace('lam', 'lambda')}_per_s"] = value
         with pytest.raises(ConfigurationError, match=match):
@@ -655,6 +668,56 @@ class TestConfigValidation:
         d = copy.deepcopy(JSON_CONFIG)
         d["rng_seed"] = 5
         assert config_from_dict(d) == config_from_dict(copy.deepcopy(JSON_CONFIG))
+
+
+class TestDigest:
+    def test_equal_parses_have_equal_digests(self):
+        # the digest used to hash the JSON dict, so an ignored key or 40 for
+        # 40.0 changed it while the configs compared equal
+        base = config_from_dict(copy.deepcopy(JSON_CONFIG))
+        d = copy.deepcopy(JSON_CONFIG)
+        d["rng_seed"] = 5
+        d["k0_veh_per_km"] = 40
+        d["grid"]["num_cells"] = 64.0
+        d["classes"][0]["n_servers"] = 11.0
+        d["classes"][0]["seeds"][0] = {"cell": 32.0, "density_veh_per_km": 5}
+        other = config_from_dict(d)
+        assert other == base and other.digest() == base.digest()
+        assert make_config().digest() == base.digest()
+
+    def test_int_seed_density_is_a_float(self):
+        cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                         seeds=((32, 5),))
+        assert type(cc.seeds[0][1]) is float
+        assert make_config(classes=(cc,)).digest() == make_config().digest()
+
+    def test_every_field_changes_the_digest(self):
+        # replace() used to keep the digest of the JSON the config was parsed from
+        cfg = config_from_dict(copy.deepcopy(JSON_CONFIG))
+        cc = cfg.classes[0]
+        changes = {
+            "grid": [GridSpec(0.05, 0.5, 128)],
+            "fd": [FundamentalDiagram(v_f=100.0, q_max=7200.0, k_jam=300.0)],
+            "boundary": ["closed"],
+            "k0": [41.0],
+            "penetration": [0.4],
+            "beta": [0.5],
+            "classes": [(dataclasses.replace(cc, params=ClassParams(0.5, 12, 0.05)),),
+                        (dataclasses.replace(cc, kernel=KernelParams(0.3, 0.499)),),
+                        (dataclasses.replace(cc, kernel=None),),
+                        (dataclasses.replace(cc, seeds=((31, 5.0),)),)],
+            "incident": [IncidentProfile(10, 20, 0.0, 20.0, 0.5)],
+            "horizon": [20.0],
+            "snapshot_every": [5.0],
+            "demand": [1800.0],
+            "conv_mode": ["direct"],
+        }
+        assert changes.keys() == {f.name for f in dataclasses.fields(ScenarioConfig)}
+        variants = [dataclasses.replace(cfg, **{name: v})
+                    for name, values in changes.items() for v in values]
+        assert all(new != cfg for new in variants)
+        digests = {new.digest() for new in variants} | {cfg.digest()}
+        assert len(digests) == len(variants) + 1
 
 
 class TestOperatorSplitting:

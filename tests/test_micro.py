@@ -138,6 +138,14 @@ class TestConfig:
         np.testing.assert_array_equal(simulate(tiny_config(seeds=(10.0,))).curves,
                                       simulate(tiny_config()).curves)
 
+    @pytest.mark.parametrize("name", ["replications", "record_every", "num_bins"])
+    def test_fractional_count_rejected(self, name):
+        # 2.5 used to pass here and fail inside simulate with numpy's TypeError
+        with pytest.raises(ConfigurationError, match=f"{name} must be a whole number, got 2.5"):
+            tiny_config(**{name: 2.5})
+        count = getattr(tiny_config(**{name: 2.0}), name)
+        assert count == 2 and type(count) is int
+
 
 class TestSimulate:
     def test_seed_counts_at_t0(self):

@@ -80,9 +80,9 @@ def scenarios(draw, num_classes=st.integers(1, 3)):
         seeds = draw(st.lists(st.integers(0, num_cells - 1), max_size=2, unique=True))
         share = draw(st.floats(0.0, 1.0))
         kp = draw(kernels(b_max=0.2))
-        return ClassConfig(draw(st.floats(0.05, 0.5)), draw(st.integers(1, 4)),
-                           draw(st.floats(0.6, 1.0)), kernel_mode="global", a=kp.a, b=kp.b,
-                           seeds=tuple((c, share * penetration * k0) for c in seeds))
+        params = ClassParams(draw(st.floats(0.05, 0.5)), draw(st.integers(1, 4)),
+                             draw(st.floats(0.6, 1.0)))
+        return ClassConfig(params, kp, seeds=tuple((c, share * penetration * k0) for c in seeds))
 
     incident = None
     if draw(st.booleans()):

@@ -548,7 +548,7 @@ def incident_density(num_cells=600, seconds=20.0):
         grid=GridSpec(0.05, 0.5, num_cells),
         fd=FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=120.0),
         boundary="open", k0=60.0, penetration=0.5, beta=0.04,
-        classes=(coupling.ClassConfig(1.2, 5, 0.3, kernel_mode="table"),),
+        classes=(coupling.ClassConfig(ClassParams(1.2, 5, 0.3)),),
         incident=coupling.IncidentProfile(400, 410, 0.0, 240.0, 1.0 / 3.0))
     world = coupling.initialize(config)
     for _ in range(round(seconds / config.grid.dt)):
