@@ -12,9 +12,9 @@ step advects every row, and the SHRE step reads a class's four rows.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
+import re
 import time as _time
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -188,9 +188,13 @@ class ScenarioConfig:
         return out
 
     def digest(self) -> str:
-        """SHA-256 of the parsed config: keys the parser ignores and the
-        spelling of a number (40 or 40.0) do not change it."""
-        return hashlib.sha256(repr(self).encode()).hexdigest()
+        """SHA-256 of the parsed config: keys the parser ignores, the
+        spelling of a number (40 or 40.0) and the sign of a zero (-0.0 or
+        0.0, which compare equal) do not change it."""
+        import hashlib  # OpenSSL's ~3.5 MB; only a manifest needs the digest
+
+        text = re.sub(r"-0\.0(?!\d)", "0.0", repr(self))  # repr alone tells -0.0 from 0.0
+        return hashlib.sha256(text.encode()).hexdigest()
 
 
 # The row layout of WorldState.layers is written only in these two functions.

@@ -10,7 +10,11 @@ relays while it is in service, and is excluded once service completes.
 Allowed transitions are S->H, S->R, H->R, R->E only.
 
 All replications of a batch advance together as (replications, vehicles)
-state arrays, with one matrix product per tick for the receptions.  The
+state arrays, with one matrix product per tick for the receptions.  Its
+table, log P(one shot misses) per vehicle pair, is the one (N, N) array
+a run holds: it is built a block of rows at a time and turned into
+logarithms in place, so besides it a tick holds only the gather of the
+relaying vehicles' rows.  The
 scheduled transitions sit in two heaps of (time, replication, vehicle)
 events, one for H->R (a wait ends) and one for R->E (a service ends), as
 in the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000):
@@ -60,6 +64,7 @@ __all__ = [
 S, H, R, E = 0, 1, 2, 3
 
 _BLOCK_TICKS = 4  # ticks of uniforms drawn at once per replication
+_BLOCK_PAIRS = 1 << 16  # vehicle pairs of the reception table built at once
 # the tick bound keeps beta*tick <= 0.1, where P(16 or more shots) < 1e-29
 _MAX_SHOTS = 16
 # log(1 - P) for certain reception (P = 1): finite, so a zero shot count
@@ -185,20 +190,28 @@ def _pair_probs(config: MicroConfig) -> np.ndarray:
 
     On a ring the kernel is periodized (summed over wrap-around images),
     matching the circular convolution used by the continuum solver on the
-    same domain; on a line it is just K(|x_i - x_j|).
+    same domain; on a line it is just K(|x_i - x_j|).  The matrix is the
+    one (N, N) array built: it is filled a block of rows, at most
+    ``_BLOCK_PAIRS`` entries, at a time, so the temporaries of the kernel
+    and of the image sum stay small.
     """
     x = np.asarray(config.positions, dtype=float)
-    delta = x[:, None] - x[None, :]
     if config.ring_length is None:
-        p = kernel_value(config.kernel, np.abs(delta), 0.0)
+        shifts = [0.0]
     else:
         L = config.ring_length
         wraps = int(np.ceil(8 * config.kernel.a / L)) + 1
-        p = np.zeros_like(delta)
-        for m in range(-wraps, wraps + 1):
-            p += kernel_value(config.kernel, delta + m * L, 0.0)
+        shifts = [m * L for m in range(-wraps, wraps + 1)]
+    p = np.zeros((x.size, x.size))
+    rows = max(1, _BLOCK_PAIRS // x.size)
+    for i in range(0, x.size, rows):
+        block = p[i:i + rows]
+        delta = x[i:i + rows, None] - x
+        # on a line, 0 + K(delta + 0.0) is K(|delta|) bit for bit: K squares delta
+        for shift in shifts:
+            block += kernel_value(config.kernel, delta + shift, 0.0)
     np.fill_diagonal(p, 0.0)
-    return np.minimum(p, 1.0)
+    return np.minimum(p, 1.0, out=p)
 
 
 def _poisson_cdf(m: float) -> np.ndarray:
@@ -288,9 +301,10 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     xi = wait_probability(cp)
     n = len(config.positions)
     log_keep = _pair_probs(config)  # becomes log P(one shot misses), per pair
-    certain = log_keep == 1.0
-    np.log1p(-log_keep, out=log_keep, where=~certain)
-    log_keep[certain] = _LOG_CERTAIN
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf where reception is certain
+        np.log1p(np.negative(log_keep, out=log_keep), out=log_keep)
+    # every P < 1 gives log1p(-P) >= log(2**-53) > _LOG_CERTAIN, so only -inf moves
+    np.maximum(log_keep, _LOG_CERTAIN, out=log_keep)
     shots_cdf = _poisson_cdf(config.beta * config.tick)
     service = np.stack([rng.exponential(1.0 / cp.mu, n) for rng in rngs])
     states = np.full(service.shape, S, dtype=np.int8)

@@ -685,6 +685,29 @@ class TestDigest:
         assert other == base and other.digest() == base.digest()
         assert make_config().digest() == base.digest()
 
+    @pytest.mark.parametrize("path", [("classes", 0, "seeds", 0, "density_veh_per_km"),
+                                      ("grid", "origin_km")])
+    def test_sign_of_zero_keeps_the_digest(self, path):
+        # repr tells -0.0 from 0.0, so the digest did too while == did not
+        configs = []
+        for zero in (0.0, -0.0):
+            d = copy.deepcopy(JSON_CONFIG)
+            node = d
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = zero
+            configs.append(config_from_dict(d))
+        unsigned, signed = configs
+        assert signed == unsigned and signed.digest() == unsigned.digest()
+
+    def test_sign_of_nonzero_changes_the_digest(self):
+        digests = set()
+        for origin in (0.05, -0.05, -0.0501):
+            d = copy.deepcopy(JSON_CONFIG)
+            d["grid"]["origin_km"] = origin
+            digests.add(config_from_dict(d).digest())
+        assert len(digests) == 3
+
     def test_int_seed_density_is_a_float(self):
         cc = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
                          seeds=((32, 5),))

@@ -6,8 +6,11 @@ process pool serves only a sweep with more than one worker.  The
 Erlang-C and Poisson terms use replicas of ``scipy.special`` routines, so
 that module (~18 MB more) is not loaded either.  ``np.unique`` of a real
 array imports ``numpy.ma`` (~1.7 MB), so the run, sweep and oracle paths
-avoid it.  Each check runs in a fresh interpreter, because this test
-process has already imported them.
+avoid it.  OpenSSL (``_hashlib``, ~3.5 MB) loads only to hash a run's
+manifest or through ``numpy.random``, which imports ``secrets``; so a
+coupled run and a sweep leave it unloaded, while the oracle loads it.
+Each check runs in a fresh interpreter, because this test process has
+already imported them.
 """
 
 import json
@@ -35,6 +38,7 @@ with open(config_path) as fh:
 coupling.run(cfg)
 rows = analysis.sweep(cfg, [11], [0.05], 5.0, 10.0)
 assert rows[0].error is None, rows[0].error
+print("openssl", json.dumps("_hashlib" in sys.modules))
 micro.simulate(micro.MicroConfig(
     positions=tuple(micro.make_positions(2.0, 20, "uniform", rng=1)),
     class_params=ClassParams(0.02, 1, 0.2), kernel=kernel.KernelParams(0.3, 0.5),
@@ -80,6 +84,8 @@ def test_simulation_paths_skip_calibration_modules(tmp_path):
                                      for line in proc.stdout.splitlines()
                                      if line.startswith("loaded "))
     assert after_runs == []
+    # import ifpw.cli, coupling.run and analysis.sweep hash nothing
+    assert "openssl false" in proc.stdout.splitlines()
     # calibration still finds its solvers when it is asked for
     assert {"scipy.optimize", "scipy.integrate"} <= set(after_calibration)
     assert (tmp_path / "out" / "manifest.json").exists()

@@ -1,4 +1,5 @@
 import heapq
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.special import pdtr
 
 from ifpw.errors import ConfigurationError
-from ifpw.kernel import KernelParams
+from ifpw.kernel import KernelParams, kernel_value
 from ifpw.micro import (
     _BLOCK_TICKS,
     _LOG_CERTAIN,
@@ -453,6 +454,58 @@ class TestDenseReference:
         np.testing.assert_array_equal(curves, ref_curves)
         for name, counts in ref_hists.items():
             np.testing.assert_array_equal(hists[name], counts)
+
+
+def dense_pair_probs(config):
+    """Reference for ``_pair_probs``: the whole table in one expression,
+    with an (N, N) distance array and, on a ring, one (N, N) term per
+    image."""
+    x = np.asarray(config.positions, dtype=float)
+    delta = x[:, None] - x[None, :]
+    if config.ring_length is None:
+        p = kernel_value(config.kernel, np.abs(delta), 0.0)
+    else:
+        L = config.ring_length
+        wraps = int(np.ceil(8 * config.kernel.a / L)) + 1
+        p = np.zeros_like(delta)
+        for m in range(-wraps, wraps + 1):
+            p += kernel_value(config.kernel, delta + m * L, 0.0)
+    np.fill_diagonal(p, 0.0)
+    return np.minimum(p, 1.0)
+
+
+class TestReceptionTable:
+    """The reception table, built a block of rows at a time, equals the
+    whole-table formula bit for bit and is the one (N, N) array a
+    simulation holds."""
+
+    # several blocks each, the last one short
+    @pytest.mark.parametrize("positions, kernel, ring_length", [
+        (make_positions(100.0, 2000), KernelParams(0.292, 0.499), None),
+        # a kernel wider than its ring, as in criterion 09
+        (make_positions(10.0, 1000), KernelParams(4.0, 0.01), 10.0),
+        (make_positions(50.0, 1000), KernelParams(0.292, 0.499), 50.0),
+        (np.random.default_rng(3).uniform(0.0, 20.0, 700), KernelParams(0.5, 0.8), 20.0),
+    ], ids=["line", "narrow_ring", "long_ring", "unsorted"])
+    def test_blocks_equal_dense_table(self, positions, kernel, ring_length):
+        config = tiny_config(positions=tuple(positions), kernel=kernel, ring_length=ring_length)
+        np.testing.assert_array_equal(_pair_probs(config).view(np.int64),
+                                      dense_pair_probs(config).view(np.int64))
+
+    def test_simulation_holds_one_table(self):
+        # building the table whole, with its distances, the kernel's
+        # temporaries and the log conversion's mask and negation, peaked
+        # at 40.2 bytes per vehicle pair
+        n = 2000
+        config = tiny_config(positions=tuple(make_positions(100.0, n)), ring_length=None,
+                             seeds=(n // 2,), replications=1, horizon=0.05)
+        tracemalloc.start()
+        try:
+            simulate(config)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11 * n * n
 
 
 class TestPoissonCdf:
