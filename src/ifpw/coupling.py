@@ -114,6 +114,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"unknown convolution mode {self.conv_mode!r}; expected one of "
                 f"{shre.CONV_MODES}")
+        if self.conv_mode == "periodic" and self.boundary != "periodic":
+            raise ConfigurationError(
+                f"convolution mode 'periodic' wraps the kernel around a ring; a "
+                f"{self.boundary!r} road has ends, so use 'direct' or 'fft'")
         self.fd.check_cfl(self.grid)
         whole_steps(self.horizon, self.grid.dt, "horizon")
         if whole_steps(self.snapshot_every, self.grid.dt, "snapshot_every") < 1:

@@ -164,6 +164,11 @@ class TestRun:
         bad = with_values(RUN_CONFIG, (("convolution_mode",), "spectral"))
         assert_config_error(tmp_path, capsys, "run", bad, "unknown convolution mode 'spectral'")
 
+    def test_periodic_convolution_on_closed_road_is_config_error(self, tmp_path, capsys):
+        bad = with_values(RUN_CONFIG, (("boundary",), "closed"),
+                          (("convolution_mode",), "periodic"))
+        assert_config_error(tmp_path, capsys, "run", bad, "wraps the kernel around a ring")
+
     @pytest.mark.parametrize("every", [NAN, 0.0, -1.0, 0.3])
     def test_bad_snapshot_cadence_is_config_error(self, tmp_path, capsys, every):
         # 0, -1 and 0.3 s (dt is 0.5 s) used to snapshot every 0.5 s and exit 0

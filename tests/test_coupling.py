@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from ifpw import lwr, shre
+from ifpw import analysis, lwr, shre
 from ifpw.coupling import (
     FIELDS,
     ClassConfig,
@@ -213,6 +213,25 @@ class TestStep:
 
 
 class TestRun:
+    def test_ring_runs_without_fft(self, monkeypatch):
+        # 'periodic' is an exact banded sum; no circular FFT is left
+        def no_fft(*args, **kwargs):
+            raise AssertionError("numpy.fft called on a ring")
+
+        monkeypatch.setattr(np.fft, "rfft", no_fft)
+        monkeypatch.setattr(np.fft, "irfft", no_fft)
+        cfg = make_config(conv_mode="periodic")
+        assert run(cfg).snapshots[-1].classes[0].r.max() > 0
+        # criterion 06's jammed ring; a sweep row records any error
+        jammed = make_config(
+            grid=GridSpec(dx=0.05, dt=0.5, num_cells=128), k0=300.0,
+            penetration=20.0 / 300.0, beta=0.04, conv_mode="periodic",
+            classes=(ClassConfig(ClassParams(0.15, 1, 0.2), KernelParams(0.292, 0.499),
+                                 seeds=((64, 5.0),)),),
+            horizon=60.0, snapshot_every=10.0)
+        rows = analysis.sweep(jammed, [1, 2], [0.26], 30.0, 60.0, reference_fraction=0.1)
+        assert [(row.stable, row.error) for row in rows] == [(True, None)] * 2
+
     def test_zero_horizon_single_snapshot(self):
         out = run(make_config(horizon=0.0))
         assert len(out.snapshots) == 1
@@ -583,6 +602,18 @@ class TestConfigValidation:
         bad["convolution_mode"] = "spectral"
         with pytest.raises(ConfigurationError, match="convolution mode"):
             config_from_dict(bad)
+
+    @pytest.mark.parametrize("boundary", ["closed", "open"])
+    def test_periodic_convolution_needs_a_ring(self, boundary):
+        # the kernel would wrap across the road's ends
+        with pytest.raises(ConfigurationError, match=f"'periodic' .*{boundary!r} road"):
+            make_config(boundary=boundary, conv_mode="periodic")
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad.update(boundary=boundary, convolution_mode="periodic")
+        with pytest.raises(ConfigurationError, match="wraps the kernel around a ring"):
+            config_from_dict(bad)
+        make_config(boundary=boundary, conv_mode="direct")
+        make_config(conv_mode="periodic")
 
     @pytest.mark.parametrize("every, match", [
         (float("nan"), "not a non-negative whole number"),

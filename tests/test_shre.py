@@ -36,6 +36,22 @@ def direct_convolution(r_field, kp, grid):
     return out
 
 
+# Summed in another order, the banded product and the double sums below
+# agree to 2.3e-15 of the largest value; 1e-14 leaves room for that and
+# still catches any tap lost or misplaced within 5a of the kernel's centre.
+BANDED_RTOL = 1e-14
+
+
+def circular_double_sum(r_field, kp, grid):
+    """The kernel integral on a ring: every tap of the 8a-truncated kernel,
+    summed one offset at a time with the field rolled around the ring."""
+    m = int(math.ceil(8 * kp.a / grid.dx))
+    out = np.zeros_like(r_field)
+    for off in range(-m, m + 1):
+        out += kernel_value(kp, 0.0, off * grid.dx) * np.roll(r_field, off)
+    return grid.dx * out
+
+
 class TestConvolution:
     def test_zero_field(self):
         out = convolve_relaying(np.zeros(GRID.num_cells), KP, GRID)
@@ -80,7 +96,7 @@ class TestConvolution:
     def test_cached_spectra_are_read_only(self):
         a, b, dx = KP.a, KP.b, 0.015
         for arr in (shre._sampled_kernel(a, b, dx), shre._fft_spectrum(a, b, dx, 1024),
-                    shre._periodic_spectrum(a, b, dx, 128)):
+                    shre._folded_kernel(a, b, dx, 128)):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
                 arr[0] = 1.0
@@ -88,25 +104,48 @@ class TestConvolution:
     @pytest.mark.parametrize("n", [16, 128, 500, 4096])
     def test_cached_spectra_equal_fresh_spectra(self, n):
         # the reference transforms the kernel afresh; the cached spectrum
-        # must give the same bits, also on rings narrower than the kernel
-        # (wrapped several times)
+        # must give the same bits
         grid = GridSpec(dx=0.015, dt=0.5, num_cells=n)
         k = (KP.b / (KP.a * math.sqrt(math.pi))) * np.exp(
             -((np.arange(-156, 157) * grid.dx) / KP.a) ** 2)
         assert k.size == shre._sampled_kernel(KP.a, KP.b, grid.dx).size
         m = k.size // 2
         nfft = int(2 ** math.ceil(math.log2(n + k.size)))
-        wrapped = np.zeros(n)
-        np.add.at(wrapped, (np.arange(k.size) - m) % n, k)
         r = np.random.default_rng(n).uniform(0, 20, n)
         fft_ref = grid.dx * np.fft.irfft(
             np.fft.rfft(r, nfft) * np.fft.rfft(k, nfft), nfft)[m:m + n]
-        periodic_ref = grid.dx * np.fft.irfft(np.fft.rfft(r) * np.fft.rfft(wrapped), n)
         for _ in range(2):  # first call fills the cache, second reads it
             np.testing.assert_array_equal(
                 convolve_relaying(r, KP, grid, mode="fft"), fft_ref)
-            np.testing.assert_array_equal(
-                convolve_relaying(r, KP, grid, mode="periodic"), periodic_ref)
+
+    # README kernel on the README grid: 95 taps, so a 94-cell ring folds
+    # it and a 95-cell ring does not
+    @pytest.mark.parametrize("n", [16, 94, 95, 128, 500])
+    def test_periodic_equals_circular_double_sum(self, n):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        r = np.random.default_rng(n).uniform(0, 20, n)
+        ref = circular_double_sum(r, KP, grid)
+        np.testing.assert_allclose(convolve_relaying(r, KP, grid, mode="periodic"), ref,
+                                   rtol=0, atol=BANDED_RTOL * np.abs(ref).max())
+
+    def test_kernel_wider_than_ring_is_folded(self):
+        # criterion 09's continuum run: a = 4 km, 1281 taps on 200 cells
+        kp = KernelParams(4.0, 0.5)
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=200)
+        assert shre._sampled_kernel(kp.a, kp.b, grid.dx).size == 1281
+        assert shre._folded_kernel(kp.a, kp.b, grid.dx, 200).size == 201
+        r = np.random.default_rng(4).uniform(0, 20, 200)
+        ref = circular_double_sum(r, kp, grid)
+        np.testing.assert_allclose(convolve_relaying(r, kp, grid, mode="periodic"), ref,
+                                   rtol=0, atol=BANDED_RTOL * np.abs(ref).max())
+
+    @pytest.mark.parametrize("n", [16, 95, 500])
+    def test_direct_equals_double_loop(self, n):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        r = np.random.default_rng(n).uniform(0, 20, n)
+        ref = direct_convolution(r, KP, grid)
+        np.testing.assert_allclose(convolve_relaying(r, KP, grid, mode="direct"), ref,
+                                   rtol=0, atol=BANDED_RTOL * np.abs(ref).max())
 
     def test_cell_kernel_matches_uniform_case(self):
         n = 200
@@ -169,6 +208,36 @@ class TestRhs:
         np.testing.assert_allclose(cur.s, ref.y[:128, -1], atol=1e-6)
         np.testing.assert_allclose(cur.r, ref.y[128:256, -1], atol=1e-6)
         np.testing.assert_allclose(cur.h, 0.0, atol=1e-6)
+
+
+    def test_unknown_convolution_mode_rejected_when_built(self):
+        # it used to fail only at the first step
+        with pytest.raises(ValueError, match="unknown convolution mode 'spectral'"):
+            ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP, conv_mode="spectral")
+
+
+class TestExactRing:
+    def test_cells_out_of_reach_stay_untouched(self):
+        # README kernel and grid on a 4096-cell ring: 2 s is 4 RK4 steps of
+        # 4 convolutions, each reaching m = 47 cells farther
+        n, sigma, seed = 4096, 20.0, 2048
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        p = ShreParams(0.5, ClassParams(0.5, 11, 0.05), KP, conv_mode="periodic")
+        state = seed_information(ClassState.all_susceptible(sigma, n), seed, 5.0)
+        calls = []
+        conv = shre.convolve_relaying
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shre, "convolve_relaying",
+                       lambda *a, **kw: calls.append(1) or conv(*a, **kw))
+            for _ in range(4):
+                state = rk4_step(state, p, grid)
+        reach = len(calls) * (shre._sampled_kernel(KP.a, KP.b, grid.dx).size // 2)
+        assert reach == 16 * 47  # no sub-step retry widened it
+        dist = np.abs(np.arange(n) - seed)
+        far = np.minimum(dist, n - dist) > reach
+        assert far.sum() == n - 2 * reach - 1 and state.r[~far].max() > 0
+        assert np.all(state.fields[1:, far] == 0.0)
+        assert np.all(state.s[far] == sigma)
 
 
 class TestRk4:
@@ -292,14 +361,16 @@ def reference_convolution(r, kernel, grid, mode):
         return kernel.dx * np.einsum("ij,ij->i", kernel.band, windows)
     k = shre._sampled_kernel(kernel.a, kernel.b, grid.dx)
     n, m = r.size, k.size // 2
-    if mode == "direct":
-        return grid.dx * np.convolve(r, k)[m:m + n]
     if mode == "fft":
         nfft = int(2 ** math.ceil(math.log2(n + k.size)))
         spectrum = shre._fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
         return grid.dx * np.fft.irfft(np.fft.rfft(r, nfft) * spectrum, nfft)[m:m + n]
-    spectrum = shre._periodic_spectrum(kernel.a, kernel.b, grid.dx, n)
-    return grid.dx * np.fft.irfft(np.fft.rfft(r) * spectrum, n)
+    if mode == "direct":
+        return grid.dx * np.correlate(np.pad(r, m), k, "valid")
+    if k.size > n:
+        k = shre._folded_kernel(kernel.a, kernel.b, grid.dx, n)
+        m = k.size // 2
+    return grid.dx * np.correlate(np.concatenate([r[n - m:], r, r[:m]]), k, "valid")
 
 
 def reference_rhs(fields, p, grid):
@@ -350,6 +421,7 @@ def seeded_state(n, sigma=10.0):
 def workspace_buffers(n):
     ws = shre._workspace(n)
     return [ws.k, ws.stage, ws.phi, ws.tmp, ws.padded, *ws._windows.values(),
+            *ws._banded.values(),
             *(buf for nfft in ws._spectral for buf in ws.spectral(nfft))]
 
 
@@ -408,9 +480,11 @@ class TestWorkspaceStep:
         results = [rk4_step(state, p, grid).fields, shre_rhs(state.fields, p, grid),
                    convolve_relaying(state.r, KP, grid),
                    convolve_relaying(state.r, KP, grid, mode="periodic"),
+                   convolve_relaying(state.r, KP, grid, mode="direct"),
                    rk4_step(state, p_cell, grid).fields, cell.apply(state.r),
                    convolve_relaying(state.r, cell, grid)]
-        assert shre._workspace(96)._windows  # the table kernel's views are checked too
+        # the table kernel's views and both banded buffers are checked too
+        assert shre._workspace(96)._windows and len(shre._workspace(96)._banded) == 2
         for res in results:
             for buf in workspace_buffers(96):
                 assert not np.shares_memory(res, buf)
