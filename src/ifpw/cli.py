@@ -2,7 +2,8 @@
 
 Subcommands: run, analyze, calibrate, speed, sweep, oracle.  Outputs are
 batch CSV files plus a manifest; there is no plotting here.  Exit codes:
-0 success, 1 domain or usage error, 2 config parse error.
+0 success, 1 domain error (a run or fit that fails, a file that cannot be
+read or written), 2 usage or config error.
 """
 
 from __future__ import annotations
@@ -98,6 +99,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if (args.lam is None) != (args.n is None):
+        return _fail("--lambda and --n must be given together", EXIT_CONFIG)
     try:
         res = analysis.asymptotics(args.beta, args.b, args.sigma, args.mu)
     except ValueError as exc:
@@ -108,9 +111,7 @@ def cmd_analyze(args) -> int:
     else:
         print(f"alpha* = {res.alpha_star:.6f}")
         print(f"asymptotic informed density = {res.informed_density:.6f} veh/km")
-    if args.lam is not None or args.n is not None:
-        if args.lam is None or args.n is None:
-            return _fail("--lambda and --n must be given together", EXIT_DOMAIN)
+    if args.lam is not None:
         try:
             cp = ClassParams(args.lam, args.n, args.mu)
             m = queueing.queue_metrics(cp)

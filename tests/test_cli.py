@@ -239,7 +239,17 @@ class TestAnalyze:
     def test_lambda_without_n(self):
         code = main(["analyze", "--beta", "2", "--b", "0.5", "--sigma", "20",
                      "--mu", "1.0", "--lambda", "1.0"])
-        assert code == EXIT_DOMAIN
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("given", [("--lambda", "1.0"), ("--n", "2")])
+    def test_half_of_the_queue_pair_is_usage_error_before_output(self, capsys, given):
+        # it used to print gamma and alpha* and then exit 1
+        code = main(["analyze", "--beta", "2", "--b", "0.5", "--sigma", "20",
+                     "--mu", "1.0", *given])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--lambda and --n must be given together" in err
 
     def test_nonpositive_input(self, capsys):
         # parsed by argparse since nan and inf are rejected there too

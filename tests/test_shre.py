@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from ifpw.shre import (
 
 GRID = GridSpec(dx=0.015, dt=0.5, num_cells=256)
 KP = KernelParams(0.292, 0.499)
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def direct_convolution(r_field, kp, grid):
@@ -50,6 +55,29 @@ def circular_double_sum(r_field, kp, grid):
     for off in range(-m, m + 1):
         out += kernel_value(kp, 0.0, off * grid.dx) * np.roll(r_field, off)
     return grid.dx * out
+
+
+def line_double_sum(r_field, kp, grid):
+    """The kernel integral on an open line, one offset at a time like
+    circular_double_sum; zeros past the ends.  Unlike direct_convolution it
+    never subtracts cell positions, whose rounding 200 km out moves the
+    sum by 1.5e-14 of its largest value."""
+    m = int(math.ceil(8 * kp.a / grid.dx))
+    padded = np.pad(r_field, m)
+    out = np.zeros_like(r_field)
+    for off in range(-m, m + 1):
+        out += kernel_value(kp, 0.0, off * grid.dx) * padded[m + off:m + off + r_field.size]
+    return grid.dx * out
+
+
+def banded_results():
+    """Banded products on a ring, a line and a folded ring, up to 8192
+    cells; each must have the same bits whatever BLAS's thread count."""
+    cases = [(512, 0.05, KP, "periodic"), (4097, 0.05, KP, "direct"),
+             (8192, 0.015, KP, "periodic"), (200, 0.05, KernelParams(4.0, 0.5), "periodic")]
+    return [convolve_relaying(np.random.default_rng(n).uniform(0, 20, n), kp,
+                              GridSpec(dx=dx, dt=0.5, num_cells=n), mode)
+            for n, dx, kp, mode in cases]
 
 
 class TestConvolution:
@@ -147,6 +175,55 @@ class TestConvolution:
         np.testing.assert_allclose(convolve_relaying(r, KP, grid, mode="direct"), ref,
                                    rtol=0, atol=BANDED_RTOL * np.abs(ref).max())
 
+    # sizes that leave the last block of the banded product part empty
+    @pytest.mark.parametrize("n", [17, 95, 501, 4097])
+    @pytest.mark.parametrize("mode", ["periodic", "direct"], ids=["ring", "line"])
+    def test_partial_last_block_equals_double_sum(self, mode, n):
+        assert n % shre.BLOCK
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        r = np.random.default_rng(n).uniform(0, 20, n)
+        double_sum = circular_double_sum if mode == "periodic" else line_double_sum
+        ref = double_sum(r, KP, grid)
+        np.testing.assert_allclose(convolve_relaying(r, KP, grid, mode=mode), ref,
+                                   rtol=0, atol=BANDED_RTOL * np.abs(ref).max())
+
+    def test_kernel_wider_than_road(self):
+        # a = 4 km: 1281 taps on a 200-cell line, most of them past its ends
+        kp = KernelParams(4.0, 0.5)
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=200)
+        r = np.random.default_rng(5).uniform(0, 20, 200)
+        ref = direct_convolution(r, kp, grid)
+        np.testing.assert_allclose(convolve_relaying(r, kp, grid, mode="direct"), ref,
+                                   rtol=0, atol=BANDED_RTOL * np.abs(ref).max())
+
+    @pytest.mark.parametrize("ring", [0, 128, 94], ids=["road", "ring", "folded"])
+    def test_cached_toeplitz_is_read_only_band_of_taps(self, ring):
+        a, b, dx = KP.a, KP.b, 0.05
+        k = shre._sampled_kernel(a, b, dx)
+        if k.size > ring > 0:
+            k = shre._folded_kernel(a, b, dx, ring)
+        t = shre._toeplitz(a, b, dx, ring)
+        assert t.shape == (shre.BLOCK + k.size - 1, shre.BLOCK)
+        for j in range(shre.BLOCK):
+            column = np.zeros(t.shape[0])
+            column[j:j + k.size] = dx * k
+            assert_bitwise(t[:, j], column)
+        assert not t.flags.writeable
+        with pytest.raises(ValueError):
+            t[0, 0] = 1.0
+
+    def test_blas_threads_give_the_same_bits(self, tmp_path):
+        # the product in a process whose BLAS runs one thread
+        path = tmp_path / "one_thread.npy"
+        script = ("import sys; sys.path[:0] = sys.argv[2:]; import numpy as np; "
+                  "from test_shre import banded_results; "
+                  "np.save(sys.argv[1], np.concatenate(banded_results()))")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script, str(path), str(TESTS), str(SRC)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert_bitwise(np.load(path), np.concatenate(banded_results()))
+
     def test_cell_kernel_matches_uniform_case(self):
         n = 200
         grid = GridSpec(dx=0.015, dt=0.5, num_cells=n)
@@ -236,6 +313,23 @@ class TestExactRing:
         dist = np.abs(np.arange(n) - seed)
         far = np.minimum(dist, n - dist) > reach
         assert far.sum() == n - 2 * reach - 1 and state.r[~far].max() > 0
+        assert np.all(state.fields[1:, far] == 0.0)
+        assert np.all(state.s[far] == sigma)
+
+
+class TestExactLine:
+    def test_cells_out_of_reach_stay_untouched(self):
+        # TestExactRing on an open line seeded near its first cell: the
+        # line's last cells, in reach across a ring's seam, stay untouched
+        n, sigma, seed = 4096, 20.0, 10
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        p = ShreParams(0.5, ClassParams(0.5, 11, 0.05), KP, conv_mode="direct")
+        state = seed_information(ClassState.all_susceptible(sigma, n), seed, 5.0)
+        for _ in range(4):
+            state = rk4_step(state, p, grid)
+        reach = 16 * (shre._sampled_kernel(KP.a, KP.b, grid.dx).size // 2)
+        far = np.abs(np.arange(n) - seed) > reach
+        assert far.sum() == n - seed - reach - 1 and state.r[~far].max() > 0
         assert np.all(state.fields[1:, far] == 0.0)
         assert np.all(state.s[far] == sigma)
 
@@ -354,7 +448,9 @@ class TestRetryGuard:
 
 
 def reference_convolution(r, kernel, grid, mode):
-    """The allocating convolution expressions that the workspace replaced."""
+    """The allocating convolution expressions that the workspace replaced;
+    for ``direct`` and ``periodic``, the blocked Toeplitz product built
+    from the taps."""
     if isinstance(kernel, CellKernel):
         padded = np.pad(r, kernel.m)
         windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * kernel.m + 1)
@@ -365,12 +461,20 @@ def reference_convolution(r, kernel, grid, mode):
         nfft = int(2 ** math.ceil(math.log2(n + k.size)))
         spectrum = shre._fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
         return grid.dx * np.fft.irfft(np.fft.rfft(r, nfft) * spectrum, nfft)[m:m + n]
-    if mode == "direct":
-        return grid.dx * np.correlate(np.pad(r, m), k, "valid")
-    if k.size > n:
+    if mode == "periodic" and k.size > n:
         k = shre._folded_kernel(kernel.a, kernel.b, grid.dx, n)
-        m = k.size // 2
-    return grid.dx * np.correlate(np.concatenate([r[n - m:], r, r[:m]]), k, "valid")
+    m, width, block = k.size // 2, k.size + shre.BLOCK - 1, shre.BLOCK
+    blocks = -(-n // block)
+    if mode == "direct":
+        margined = np.pad(r, m)
+    else:
+        margined = np.concatenate([r[n - m:], r, r[:m]])
+    padded = np.pad(margined, (0, blocks * block - n))
+    rows = np.array([padded[i * block:i * block + width] for i in range(blocks)])
+    toeplitz = np.zeros((width, block))
+    for j in range(block):
+        toeplitz[j:j + k.size, j] = grid.dx * k
+    return (rows @ toeplitz).ravel()[:n]
 
 
 def reference_rhs(fields, p, grid):
@@ -421,7 +525,7 @@ def seeded_state(n, sigma=10.0):
 def workspace_buffers(n):
     ws = shre._workspace(n)
     return [ws.k, ws.stage, ws.phi, ws.tmp, ws.padded, *ws._windows.values(),
-            *ws._banded.values(),
+            *(buf for bufs in ws._blocks.values() for buf in bufs),
             *(buf for nfft in ws._spectral for buf in ws.spectral(nfft))]
 
 
@@ -483,8 +587,9 @@ class TestWorkspaceStep:
                    convolve_relaying(state.r, KP, grid, mode="direct"),
                    rk4_step(state, p_cell, grid).fields, cell.apply(state.r),
                    convolve_relaying(state.r, cell, grid)]
-        # the table kernel's views and both banded buffers are checked too
-        assert shre._workspace(96)._windows and len(shre._workspace(96)._banded) == 2
+        # the table kernel's views and both banded products' buffers are
+        # checked too
+        assert shre._workspace(96)._windows and len(shre._workspace(96)._blocks) == 2
         for res in results:
             for buf in workspace_buffers(96):
                 assert not np.shares_memory(res, buf)
@@ -513,10 +618,11 @@ class TestWorkspaceStep:
             assert_bitwise(first, kept)
 
     @staticmethod
-    def assert_threads_give_serial_results(kernels):
+    def assert_threads_give_serial_results(kernels, mode="fft"):
         n = 1024
         grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
-        params = [ShreParams(2.0, ClassParams(0.5, 11, 0.05), k) for k in kernels]
+        params = [ShreParams(2.0, ClassParams(0.5, 11, 0.05), k, conv_mode=mode)
+                  for k in kernels]
         starts = [seed_information(ClassState.all_susceptible(20.0, n), cell, 5.0)
                   for cell in (300, 700)]
 
@@ -543,6 +649,11 @@ class TestWorkspaceStep:
     def test_threads_give_serial_results(self):
         self.assert_threads_give_serial_results([KP, KP])
 
+    @pytest.mark.parametrize("mode", ["periodic", "direct"])
+    def test_threads_give_serial_results_banded(self, mode):
+        # each thread's kernel has its own width
+        self.assert_threads_give_serial_results([KP, KernelParams(0.35, 0.5)], mode)
+
     def test_threads_give_serial_results_with_cell_kernels(self):
         # each thread's kernel has its own half-width
         rng = np.random.default_rng(2)
@@ -550,13 +661,11 @@ class TestWorkspaceStep:
             [CellKernel(rng.uniform(0.2, hi, 1024), rng.uniform(0.3, 0.6, 1024), 0.05)
              for hi in (0.25, 0.35)])
 
-    def test_warm_step_allocates_one_result(self):
-        # the step's only large allocation is the returned (4, N) array; the
-        # allocating stages peaked at 6 arrays
-        n = 8192
-        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
-        p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
-        state = seed_information(ClassState.all_susceptible(20.0, n), n // 2, 5.0)
+    @staticmethod
+    def warm_step_peak(p, grid, sigma=20.0):
+        """tracemalloc's peak over one warm rk4_step, and its result's bytes."""
+        n = grid.num_cells
+        state = seed_information(ClassState.all_susceptible(sigma, n), n // 2, 5.0)
         for _ in range(3):
             state = rk4_step(state, p, grid)
         tracemalloc.start()
@@ -566,7 +675,23 @@ class TestWorkspaceStep:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * state.fields.nbytes
+        return peak, state.fields.nbytes
+
+    def test_warm_step_allocates_one_result(self):
+        # the step's only large allocation is the returned (4, N) array; the
+        # allocating stages peaked at 6 arrays
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=8192)
+        peak, nbytes = self.warm_step_peak(ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP), grid)
+        assert peak <= 1.5 * nbytes
+
+    @pytest.mark.parametrize("mode", ["periodic", "direct"])
+    def test_warm_banded_step_allocates_one_result(self, mode):
+        # the banded product's buffer, row copy and result are the
+        # workspace's, so the step allocates only what it returns
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=8192)
+        p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP, conv_mode=mode)
+        peak, nbytes = self.warm_step_peak(p, grid)
+        assert peak <= 1.5 * nbytes
 
     def test_warm_cell_kernel_apply_copies_no_padded_field(self):
         # np.pad's (N + 2m) copy and the einsum result peaked at 2.8 (N,)
@@ -592,17 +717,8 @@ class TestWorkspaceStep:
         rng = np.random.default_rng(6)
         cell = CellKernel(rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n), grid.dx)
         p = ShreParams(0.04, ClassParams(1.2, 5, 0.3), cell)
-        state = seed_information(ClassState.all_susceptible(30.0, n), n // 2, 5.0)
-        for _ in range(3):
-            state = rk4_step(state, p, grid)
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            rk4_step(state, p, grid)
-            _current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.5 * state.fields.nbytes
+        peak, nbytes = self.warm_step_peak(p, grid, sigma=30.0)
+        assert peak <= 1.5 * nbytes
 
 
 def per_cell_band(a, b, dx):
