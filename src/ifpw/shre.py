@@ -188,9 +188,8 @@ def _toeplitz(a: float, b: float, dx: float, ring: int) -> np.ndarray:
     """The (BLOCK + L - 1, BLOCK) matrix of the banded product: column j
     holds the L dx-scaled taps in rows j .. j + L - 1, so a row of BLOCK +
     L - 1 margined cells starting at cell i times it gives cells i ..
-    i + BLOCK - 1.  The taps are the sampled kernel's, folded first when
-    ``ring`` is the cell count of a ring narrower than the kernel (0 for
-    a road)."""
+    i + BLOCK - 1.  ``ring`` is a ring's cell count, 0 for a road; the
+    sampled kernel is folded onto a ring it is wider than."""
     k = _sampled_kernel(a, b, dx)
     if k.size > ring > 0:
         k = _folded_kernel(a, b, dx, ring)
