@@ -127,6 +127,10 @@ class ScenarioConfig:
         n = self.grid.num_cells
         sigma = self.sigma
         for c in self.classes:
+            if c.kernel is None and self.conv_mode == "periodic":
+                raise ConfigurationError(
+                    "convolution mode 'periodic' wraps the kernel around the ring, but the "
+                    "table kernel never wraps; use 'direct' or 'fft', or global kernels")
             if not c.params.stable:
                 raise ConfigurationError(
                     f"class (lambda={c.params.lam}, n={c.params.n_servers}, "
@@ -257,7 +261,8 @@ def _add_context(exc: Exception, context: str):
     exc.args = (f"{context}: {msg}",) + exc.args[1:]
 
 
-def step(world: WorldState, config: ScenarioConfig) -> WorldState:
+def step(world: WorldState, config: ScenarioConfig,
+         workspace: shre.Workspace | None = None) -> WorldState:
     grid = config.grid
     t = world.time
     factors = (config.incident.factors(t, grid.num_cells)
@@ -285,7 +290,7 @@ def step(world: WorldState, config: ScenarioConfig) -> WorldState:
         kobj = table if cc.kernel is None else cc.kernel
         params = ShreParams(config.beta, cc.params, kobj, conv_mode=config.conv_mode)
         try:
-            fields.append(shre.rk4_step(ClassState(st), params, grid).fields)
+            fields.append(shre.rk4_step(ClassState(st), params, grid, workspace).fields)
         except Exception as exc:
             _add_context(exc, f"SHRE step for class {j} failed at t={t}")
             raise
@@ -372,6 +377,7 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     error recorded in the manifest before the exception propagates.
     """
     started = _time.time()
+    workspace = shre.Workspace(config.grid.num_cells)
     world = initialize(config)
     kmass = [cc.kernel.b if cc.kernel is not None
              else float(kern.interp_kernel_params([config.k0])[1][0])
@@ -386,7 +392,7 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     every = round(config.snapshot_every / config.grid.dt)
     try:
         for i in range(1, n_steps + 1):
-            world = step(world, config)
+            world = step(world, config, workspace)
             if i % every == 0 or i == n_steps:
                 out.snapshots.append(snap(world))
     except Exception as exc:

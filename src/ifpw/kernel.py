@@ -10,9 +10,9 @@ line).  A reference table of calibrated (a, b) pairs and the transmission
 capacity N_max per traffic density ships as a CSV data file; calibration
 from raw distance/success-rate samples is done by least squares.
 
-Only ``calibrate`` and ``kernel_mass`` need ``scipy.optimize`` and
-``scipy.integrate``; each imports its module when called, so simulation
-processes, which use neither, do not carry the ~26 MB they occupy.
+Only ``calibrate`` needs ``scipy.optimize``; it imports the module when
+called, so simulation processes, which never calibrate, do not carry the
+~22 MB it occupies.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "CalibrationSample",
     "DensityReferenceRow",
     "kernel_value",
-    "kernel_mass",
     "calibrate",
     "r_squared",
     "max_servers",
@@ -89,17 +88,6 @@ def kernel_value(kp: KernelParams, x, y):
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     out = kp.peak * np.exp(-(d * d) / (kp.a * kp.a))
     return float(out) if out.ndim == 0 else out
-
-
-def kernel_mass(kp: KernelParams) -> float:
-    """Quadrature of the kernel over the line, truncated at +-8a.
-
-    Equals b to better than 1e-6 (the Gaussian tail beyond 8a is ~1e-29).
-    """
-    from scipy import integrate  # ~25 MB with the optimize it loads; only used here
-
-    val, _ = integrate.quad(lambda d: kernel_value(kp, d, 0.0), -8 * kp.a, 8 * kp.a)
-    return float(val)
 
 
 def _predict(params, distances):

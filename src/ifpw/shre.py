@@ -27,20 +27,21 @@ RK4 with automatic sub-step halving on blow-up.
 
 The reaction step allocates no scratch memory once warm: the RK4 stage
 state, its four derivatives, Phi, the margined buffers, row copies and
-results of the banded products and the FFT buffers are made once per
-thread and grid size (``_workspace``) and reused by every step.  They
-are written with the same IEEE operations in the same order as the plain
-array expressions, so results are bit-for-bit those of an allocating
-step.  No array a public function returns is one of these
-buffers or a view into them: ``rk4_step``, ``shre_rhs`` and
-``convolve_relaying`` hand back fresh arrays unless the caller passes
-``out``.
+results of the banded products and the FFT buffers live in a
+``Workspace`` for the grid, which ``coupling.run`` makes once and hands
+down every reaction call of the run as the optional ``workspace``
+argument.  A function given none makes its own, so no two threads share
+one unless a caller hands them the same.  The buffers are written with
+the same IEEE operations in the same order as the plain array
+expressions, so a workspace decides only where scratch lives, never a
+result.  No array a public function returns is one of these buffers or
+a view into them: ``rk4_step``, ``shre_rhs`` and ``convolve_relaying``
+hand back fresh arrays unless the caller passes ``out``.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -56,6 +57,7 @@ __all__ = [
     "ClassState",
     "ShreParams",
     "CellKernel",
+    "Workspace",
     "convolve_relaying",
     "shre_rhs",
     "rk4_step",
@@ -130,8 +132,8 @@ class CellKernel:
     at 8 * max(a); outside-domain contributions are zero.  Row i of the
     (N, 2m+1) ``band`` samples K at cell i; it is built once per distinct
     (a, b) pair and gathered to the cells that share it.  apply() reads
-    the field through a zero-margined window buffer of the thread's
-    workspace, not a padded copy.
+    the field through a zero-margined window buffer of ``workspace``, not
+    a padded copy.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, dx: float):
@@ -159,12 +161,15 @@ class CellKernel:
             -(offsets[None, :] ** 2) / (a_u[:, None] ** 2))
         self.band = rows[inverse.ravel()]
 
-    def apply(self, r_field: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def apply(self, r_field: np.ndarray, out: np.ndarray | None = None,
+              workspace: Workspace | None = None) -> np.ndarray:
         if np.shape(r_field) != (self.a.size,):
             raise ValueError(
                 f"field shape {np.shape(r_field)} does not match the kernel's "
                 f"{self.a.size} cells")
-        field_slot, windows = _workspace(self.a.size).window(self.m)
+        if workspace is None:
+            workspace = Workspace(self.a.size)
+        field_slot, windows = workspace.window(self.m)
         field_slot[...] = r_field
         return np.multiply(self.dx, np.einsum("ij,ij->i", self.band, windows), out=out)
 
@@ -219,11 +224,18 @@ def _folded_kernel(a: float, b: float, dx: float, n: int) -> np.ndarray:
     return _read_only(folded)
 
 
-class _Workspace:
-    """Scratch arrays of one thread for one grid size: the RK4 stage state
-    and derivatives, Phi, a temporary, the buffers of the global kernel's
-    banded product, the FFT buffers per length and the zero-margined
-    window buffer of the table kernel."""
+class Workspace:
+    """Scratch arrays of the reaction step on an n-cell grid: the RK4 stage
+    state and derivatives, Phi, a temporary, the buffers of the global
+    kernels' banded products, the FFT buffers per length and the
+    zero-margined window buffer of the table kernel.
+
+    ``coupling.run`` makes one per run and passes it to every reaction
+    call, so a run owns its scratch and threads running their own runs
+    share none.  Buffers are made on first use per kernel width, FFT
+    length and band half-width, and kept for the workspace's life.  One
+    workspace serves one thread at a time.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -250,8 +262,6 @@ class _Workspace:
         """
         bufs = self._blocks.get((width, ring))
         if bufs is None:
-            if len(self._blocks) >= _MAX_WINDOWS:
-                del self._blocks[next(iter(self._blocks))]  # the oldest
             p = -(-self.n // BLOCK)
             buf = np.zeros(p * BLOCK + width - 1)
             rows = np.lib.stride_tricks.sliding_window_view(
@@ -281,37 +291,15 @@ class _Workspace:
             self._windows = {}
         windows = self._windows.get(m)
         if windows is None:
-            if len(self._windows) >= _MAX_WINDOWS:
-                del self._windows[next(iter(self._windows))]  # the oldest m
             lo = self.margin - m
             windows = self._windows[m] = np.lib.stride_tricks.sliding_window_view(
                 self.padded[lo:lo + self.n + 2 * m], 2 * m + 1)
         return self.padded[self.margin:self.margin + self.n], windows
 
 
-_local = threading.local()
-_MAX_WORKSPACES = 4  # grid sizes kept per thread
-_MAX_WINDOWS = 16  # band half-widths kept per workspace
-
-
-def _workspace(n: int) -> _Workspace:
-    ws = getattr(_local, "last", None)
-    if ws is not None and ws.n == n:
-        return ws
-    cache = getattr(_local, "workspaces", None)
-    if cache is None:
-        cache = _local.workspaces = {}
-    ws = cache.get(n)
-    if ws is None:
-        if len(cache) >= _MAX_WORKSPACES:
-            del cache[next(iter(cache))]  # the oldest grid size
-        ws = cache[n] = _Workspace(n)
-    _local.last = ws
-    return ws
-
-
 def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
-                      mode: str = "fft", out: np.ndarray | None = None) -> np.ndarray:
+                      mode: str = "fft", out: np.ndarray | None = None,
+                      workspace: Workspace | None = None) -> np.ndarray:
     """Discretized integral K(x,y) R(y) dy on the grid.
 
     'direct' and 'periodic' are the exact banded sum of the sampled
@@ -328,15 +316,17 @@ def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
     if r_field.shape != (grid.num_cells,):
         raise ValueError(
             f"field length {r_field.shape} does not match grid ({grid.num_cells},)")
-    if isinstance(kernel, CellKernel):
-        return kernel.apply(r_field, out)
     n = r_field.size
+    if workspace is None:
+        workspace = Workspace(n)
+    if isinstance(kernel, CellKernel):
+        return kernel.apply(r_field, out, workspace)
     if mode == "fft":
         k = _sampled_kernel(kernel.a, kernel.b, grid.dx)
         m = k.size // 2
         nfft = int(2 ** math.ceil(math.log2(n + k.size)))
         spectrum = _fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
-        padded, coeffs, signal = _workspace(n).spectral(nfft)
+        padded, coeffs, signal = workspace.spectral(nfft)
         padded[:n] = r_field  # the tail past n stays zero
         np.fft.rfft(padded, out=coeffs)
         np.multiply(coeffs, spectrum, out=coeffs)
@@ -348,7 +338,7 @@ def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
     t = _toeplitz(kernel.a, kernel.b, grid.dx, n if ring else 0)
     width = t.shape[0] - BLOCK + 1
     m = width // 2
-    buf, x, rows, y = _workspace(n).blocks(width, ring)
+    buf, x, rows, y = workspace.blocks(width, ring)
     buf[m:m + n] = r_field
     if ring:
         buf[:m] = r_field[n - m:]
@@ -381,17 +371,19 @@ class ShreParams:
 
 
 def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec,
-             out: np.ndarray | None = None) -> np.ndarray:
+             out: np.ndarray | None = None,
+             workspace: Workspace | None = None) -> np.ndarray:
     """Time derivative of the (4, N) S/H/R/E fields (sums to zero per cell),
     written to ``out`` (which must not overlap ``fields``) or a fresh array."""
     s, h, r = fields[0], fields[1], fields[2]
     cp = p.class_params
-    ws = _workspace(grid.num_cells)
-    phi, tmp = ws.phi, ws.tmp
+    if workspace is None:
+        workspace = Workspace(grid.num_cells)
+    phi, tmp = workspace.phi, workspace.tmp
     if out is None:
         out = np.empty_like(fields)
     # phi = (beta * s) * conv
-    convolve_relaying(r, p.kernel, grid, p.conv_mode, out=phi)
+    convolve_relaying(r, p.kernel, grid, p.conv_mode, phi, workspace)
     np.multiply(p.beta, s, out=tmp)
     np.multiply(tmp, phi, out=phi)
     np.negative(phi, out=out[0])
@@ -407,17 +399,17 @@ def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec,
     return out
 
 
-def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float) -> np.ndarray:
+def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float,
+              workspace: Workspace) -> np.ndarray:
     """arr + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) as a fresh array; the
-    stages and derivatives live in the thread's workspace."""
-    ws = _workspace(grid.num_cells)
-    k1, k2, k3, k4 = ws.k
-    stage = ws.stage
-    shre_rhs(arr, p, grid, out=k1)
+    stages and derivatives live in ``workspace``."""
+    k1, k2, k3, k4 = workspace.k
+    stage = workspace.stage
+    shre_rhs(arr, p, grid, k1, workspace)
     for k_prev, k_next, scale in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
         np.multiply(scale, k_prev, out=stage)
         np.add(arr, stage, out=stage)
-        shre_rhs(stage, p, grid, out=k_next)
+        shre_rhs(stage, p, grid, k_next, workspace)
     np.multiply(2.0, k2, out=k2)
     np.add(k1, k2, out=k1)
     np.multiply(2.0, k3, out=k3)
@@ -427,7 +419,8 @@ def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float) -> np.n
     return arr + k1
 
 
-def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec) -> ClassState:
+def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec,
+             workspace: Workspace | None = None) -> ClassState:
     """Advance one coupling step ``grid.dt`` by RK4.
 
     If the step produces NaN/inf or densities below the -1e-9 tolerance,
@@ -435,13 +428,15 @@ def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec) -> ClassState:
     up.  Values in (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.
     """
     arr0 = state.fields
+    if workspace is None:
+        workspace = Workspace(grid.num_cells)
     for halving in range(MAX_HALVINGS + 1):
         nsub = 2 ** halving
         h = grid.dt / nsub
         arr = arr0
         ok = True
         for _ in range(nsub):
-            arr = _rk4_once(arr, p, grid, h)
+            arr = _rk4_once(arr, p, grid, h, workspace)
             # NaN makes min() NaN, which fails the comparison
             if not (arr.min() >= NEG_TOL and arr.max() < math.inf):
                 ok = False

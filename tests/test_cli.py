@@ -169,6 +169,17 @@ class TestRun:
                           (("convolution_mode",), "periodic"))
         assert_config_error(tmp_path, capsys, "run", bad, "wraps the kernel around a ring")
 
+    def test_periodic_convolution_with_table_kernel_is_config_error(self, tmp_path, capsys):
+        bad = with_values(RUN_CONFIG, (("classes", 0, "kernel"), {"mode": "table"}),
+                          (("convolution_mode",), "periodic"))
+        assert_config_error(tmp_path, capsys, "run", bad, "table kernel never wraps")
+        cfg = write_json(tmp_path, "sweep.json", bad)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--n", "11", "--mu", "0.05",
+                     "--t1", "5", "--t2", "10", "--out", str(out)]) == EXIT_CONFIG
+        assert "table kernel never wraps" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("every", [NAN, 0.0, -1.0, 0.3])
     def test_bad_snapshot_cadence_is_config_error(self, tmp_path, capsys, every):
         # 0, -1 and 0.3 s (dt is 0.5 s) used to snapshot every 0.5 s and exit 0

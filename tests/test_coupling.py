@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -318,6 +320,40 @@ class TestClassIndependence:
                                                   getattr(sa.classes[0], f))
 
 
+class TestConcurrentRuns:
+    def test_threaded_runs_equal_serial_runs(self):
+        # each run owns its reaction scratch, so runs in threads at once
+        # give the serial bits: a ring with a periodic global kernel, and
+        # a smaller open road with the table kernel
+        ring = make_config(grid=GridSpec(dx=0.05, dt=0.5, num_cells=256),
+                           conv_mode="periodic", horizon=20.0,
+                           classes=(ClassConfig(ClassParams(0.5, 11, 0.05),
+                                                KernelParams(0.292, 0.499),
+                                                seeds=((128, 5.0),)),))
+        road = ScenarioConfig(
+            grid=GridSpec(0.05, 0.5, 120), boundary="open",
+            fd=FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=120.0),
+            k0=60.0, penetration=0.5, beta=0.04, classes=three_table_classes(),
+            incident=IncidentProfile(80, 85, 0.0, 20.0, 1.0 / 3.0),
+            horizon=20.0, snapshot_every=5.0)
+        configs = [ring, road]
+        serial = [run(cfg) for cfg in configs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(run, cfg) for cfg in configs]
+                threaded = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for ser, thr in zip(serial, threaded):
+            assert len(ser.snapshots) == len(thr.snapshots) > 1
+            for a, b in zip(ser.snapshots, thr.snapshots):
+                assert a.time == b.time
+                assert a.k_total.tobytes() == b.k_total.tobytes()
+                assert a.layers.tobytes() == b.layers.tobytes()
+
+
 def write_per_value(out, out_dir):
     """Reference writer: one f-string per value, as the CSV format defines."""
     centers = out.config.grid.centers
@@ -614,6 +650,20 @@ class TestConfigValidation:
             config_from_dict(bad)
         make_config(boundary=boundary, conv_mode="direct")
         make_config(conv_mode="periodic")
+
+    def test_periodic_convolution_rejects_a_table_kernel(self):
+        # the table kernel's banded product never wraps around the ring
+        table = (ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499)),
+                 ClassConfig(ClassParams(0.5, 11, 0.05), seeds=((32, 5.0),)))
+        with pytest.raises(ConfigurationError, match="table kernel never wraps"):
+            make_config(classes=table, conv_mode="periodic")
+        bad = copy.deepcopy(JSON_CONFIG)
+        bad["convolution_mode"] = "periodic"
+        del bad["classes"][0]["kernel"]
+        with pytest.raises(ConfigurationError, match="table kernel never wraps"):
+            config_from_dict(bad)
+        for mode in ("fft", "direct"):
+            make_config(classes=table, conv_mode=mode)
 
     @pytest.mark.parametrize("every, match", [
         (float("nan"), "not a non-negative whole number"),

@@ -1,14 +1,14 @@
 """The simulation paths load numpy and no scipy module, nor ``numpy.ma``.
 
-``scipy.optimize`` and ``scipy.integrate`` (~25 MB of resident memory
-together) serve kernel calibration and ``kernel_mass`` alone, and the
-process pool serves only a sweep with more than one worker.  The
-Erlang-C and Poisson terms use replicas of ``scipy.special`` routines, so
-that module (~18 MB more) is not loaded either.  ``np.unique`` of a real
-array imports ``numpy.ma`` (~1.7 MB), so the run, sweep and oracle paths
-avoid it.  OpenSSL (``_hashlib``, ~3.5 MB) loads only to hash a run's
-manifest or through ``numpy.random``, which imports ``secrets``; so a
-coupled run and a sweep leave it unloaded, while the oracle loads it.
+``scipy.optimize`` (~22 MB of resident memory) serves kernel calibration
+alone, and the process pool serves only a sweep with more than one
+worker.  The Erlang-C and Poisson terms use replicas of
+``scipy.special`` routines, so that module (~18 MB more) is not loaded
+either.  ``np.unique`` of a real array imports ``numpy.ma`` (~1.7 MB),
+so the run, sweep and oracle paths avoid it.  OpenSSL (``_hashlib``,
+~3.5 MB) loads only to hash a run's manifest or through
+``numpy.random``, which imports ``secrets``; so a coupled run and a
+sweep leave it unloaded, while the oracle loads it.
 Each check runs in a fresh interpreter, because this test process has
 already imported them.
 """
@@ -47,7 +47,6 @@ assert ifpw.cli.main(["run", "--config", config_path, "--out", out_dir]) == 0
 print("loaded", json.dumps(sorted(m for m in {unused!r} if m in sys.modules)))
 
 kp = kernel.KernelParams(0.3, 0.5)
-assert abs(kernel.kernel_mass(kp) - 0.5) < 1e-6
 samples = [kernel.CalibrationSample(d, kernel.kernel_value(kp, d, 0.0))
            for d in (0.0, 0.1, 0.2, 0.4, 0.6)]
 fit, r2 = kernel.calibrate(samples)
@@ -87,5 +86,5 @@ def test_simulation_paths_skip_calibration_modules(tmp_path):
     # import ifpw.cli, coupling.run and analysis.sweep hash nothing
     assert "openssl false" in proc.stdout.splitlines()
     # calibration still finds its solvers when it is asked for
-    assert {"scipy.optimize", "scipy.integrate"} <= set(after_calibration)
+    assert "scipy.optimize" in after_calibration
     assert (tmp_path / "out" / "manifest.json").exists()

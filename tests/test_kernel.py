@@ -10,7 +10,6 @@ from ifpw.kernel import (
     KernelParams,
     calibrate,
     interp_kernel_params,
-    kernel_mass,
     kernel_value,
     load_reference_table,
     lookup_reference,
@@ -51,6 +50,12 @@ class TestKernelValue:
     def test_peak_probability_bound_enforced(self):
         with pytest.raises(ValueError):
             KernelParams(0.1, 0.9)  # peak would exceed 1
+
+
+def kernel_mass(kp):
+    """Trapezoid sum of the kernel over +-8a; its tail beyond is ~1e-29."""
+    d = np.linspace(-8 * kp.a, 8 * kp.a, 4001)
+    return float(np.trapezoid(kernel_value(kp, d, 0.0), d))
 
 
 class TestKernelMass:

@@ -403,14 +403,17 @@ class TestRetryGuard:
     P = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
 
     @staticmethod
-    def inject(monkeypatch, bad, times):
-        """Spoil the first ``times`` sub-steps; returns the list of calls."""
+    def inject(monkeypatch, bad, times, workspaces=None):
+        """Spoil the first ``times`` sub-steps; returns the list of calls.
+        Each sub-step's workspace is appended to ``workspaces`` if given."""
         calls = []
         once = shre._rk4_once
 
-        def spoiled(arr, p, grid, dt):
-            out = once(arr, p, grid, dt)
+        def spoiled(arr, p, grid, dt, workspace):
+            out = once(arr, p, grid, dt, workspace)
             calls.append(dt)
+            if workspaces is not None:
+                workspaces.append(workspace)
             if len(calls) <= times:
                 out[2, 7] = bad
             return out
@@ -421,14 +424,18 @@ class TestRetryGuard:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-8, -1.0])
     def test_bad_substep_is_retried(self, monkeypatch, bad):
         state = seeded_state(16)
-        once = shre._rk4_once
+        once, ws = shre._rk4_once, shre.Workspace(16)
         want = state.fields
         for _ in range(2):
-            want = once(want, self.P, self.GRID, self.GRID.dt / 2)
-        calls = self.inject(monkeypatch, bad, times=1)
+            want = once(want, self.P, self.GRID, self.GRID.dt / 2, ws)
+        workspaces = []
+        calls = self.inject(monkeypatch, bad, times=1, workspaces=workspaces)
         out = rk4_step(state, self.P, self.GRID)
         assert calls == [self.GRID.dt] + [self.GRID.dt / 2] * 2
         assert_bitwise(out.fields, np.maximum(want, 0.0))
+        # every sub-step of one step, retries too, uses one workspace
+        assert isinstance(workspaces[0], shre.Workspace)
+        assert all(w is workspaces[0] for w in workspaces)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-8])
     def test_blowup_names_the_cell(self, monkeypatch, bad):
@@ -522,8 +529,7 @@ def seeded_state(n, sigma=10.0):
     return seed_information(ClassState.all_susceptible(sigma, n), n // 2, 5.0)
 
 
-def workspace_buffers(n):
-    ws = shre._workspace(n)
+def workspace_buffers(ws):
     return [ws.k, ws.stage, ws.phi, ws.tmp, ws.padded, *ws._windows.values(),
             *(buf for bufs in ws._blocks.values() for buf in bufs),
             *(buf for nfft in ws._spectral for buf in ws.spectral(nfft))]
@@ -581,32 +587,57 @@ class TestWorkspaceStep:
         p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KP)
         cell = self.kernels(96, grid.dx)[3][1]
         p_cell = ShreParams(2.0, ClassParams(0.5, 2, 1.0), cell)
-        results = [rk4_step(state, p, grid).fields, shre_rhs(state.fields, p, grid),
-                   convolve_relaying(state.r, KP, grid),
-                   convolve_relaying(state.r, KP, grid, mode="periodic"),
-                   convolve_relaying(state.r, KP, grid, mode="direct"),
-                   rk4_step(state, p_cell, grid).fields, cell.apply(state.r),
-                   convolve_relaying(state.r, cell, grid)]
+        ws = shre.Workspace(96)
+        results = [rk4_step(state, p, grid, ws).fields,
+                   shre_rhs(state.fields, p, grid, workspace=ws),
+                   convolve_relaying(state.r, KP, grid, workspace=ws),
+                   convolve_relaying(state.r, KP, grid, mode="periodic", workspace=ws),
+                   convolve_relaying(state.r, KP, grid, mode="direct", workspace=ws),
+                   rk4_step(state, p_cell, grid, ws).fields, cell.apply(state.r, workspace=ws),
+                   convolve_relaying(state.r, cell, grid, workspace=ws)]
         # the table kernel's views and both banded products' buffers are
         # checked too
-        assert shre._workspace(96)._windows and len(shre._workspace(96)._blocks) == 2
+        assert ws._windows and len(ws._blocks) == 2
         for res in results:
-            for buf in workspace_buffers(96):
+            for buf in workspace_buffers(ws):
                 assert not np.shares_memory(res, buf)
 
     def test_grids_of_different_sizes_keep_results_and_inputs(self):
         p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KP)
         g1 = GridSpec(dx=0.05, dt=0.5, num_cells=96)
         g2 = GridSpec(dx=0.05, dt=0.5, num_cells=700)  # another N and nfft
+        w1, w2 = shre.Workspace(96), shre.Workspace(700)
         s1, s2 = seeded_state(96), seeded_state(700, sigma=12.0)
         in1, in2 = s1.fields.copy(), s2.fields.copy()
-        r1 = rk4_step(s1, p, g1)
+        r1 = rk4_step(s1, p, g1, w1)
         kept = r1.fields.copy()
-        rk4_step(s2, p, g2)
-        rk4_step(r1, p, g1)
+        rk4_step(s2, p, g2, w2)
+        rk4_step(r1, p, g1, w1)  # w1's second step must not touch r1
         assert_bitwise(r1.fields, kept)
         assert_bitwise(s1.fields, in1)
         assert_bitwise(s2.fields, in2)
+
+    @pytest.mark.parametrize("which", range(4), ids=["fft", "periodic", "direct", "cell"])
+    def test_given_workspace_equals_omitted_one(self, which):
+        # a workspace decides where scratch lives, never a result: one warmed
+        # by a wider kernel first gives the bits of a fresh one
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
+        mode, kernel = self.kernels(96, grid.dx)[which]
+        p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), kernel, conv_mode=mode)
+        rng = np.random.default_rng(9)
+        wider = (CellKernel(rng.uniform(0.3, 0.45, 96), rng.uniform(0.3, 0.6, 96), grid.dx)
+                 if isinstance(kernel, CellKernel) else KernelParams(0.4, 0.5))
+        ws = shre.Workspace(96)
+        rk4_step(seeded_state(96, sigma=12.0),
+                 ShreParams(2.0, ClassParams(0.5, 2, 1.0), wider, conv_mode=mode), grid, ws)
+        given, omitted = seeded_state(96), seeded_state(96)
+        for _ in range(10):
+            assert_bitwise(convolve_relaying(given.r, kernel, grid, mode, workspace=ws),
+                           convolve_relaying(given.r, kernel, grid, mode))
+            assert_bitwise(shre_rhs(given.fields, p, grid, workspace=ws),
+                           shre_rhs(given.fields, p, grid))
+            given, omitted = rk4_step(given, p, grid, ws), rk4_step(omitted, p, grid)
+            assert_bitwise(given.fields, omitted.fields)
 
     def test_convolution_results_are_not_overwritten(self):
         rng = np.random.default_rng(5)
@@ -666,12 +697,13 @@ class TestWorkspaceStep:
         """tracemalloc's peak over one warm rk4_step, and its result's bytes."""
         n = grid.num_cells
         state = seed_information(ClassState.all_susceptible(sigma, n), n // 2, 5.0)
+        ws = shre.Workspace(n)
         for _ in range(3):
-            state = rk4_step(state, p, grid)
+            state = rk4_step(state, p, grid, ws)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            rk4_step(state, p, grid)
+            rk4_step(state, p, grid, ws)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -699,13 +731,13 @@ class TestWorkspaceStep:
         n = 600
         rng = np.random.default_rng(4)
         cell = CellKernel(rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n), 0.05)
-        r, out = rng.uniform(0, 10, n), np.empty(n)
+        r, out, ws = rng.uniform(0, 10, n), np.empty(n), shre.Workspace(n)
         for _ in range(3):
-            cell.apply(r, out)
+            cell.apply(r, out, ws)
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            cell.apply(r, out)
+            cell.apply(r, out, ws)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
