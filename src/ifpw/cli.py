@@ -89,7 +89,10 @@ def cmd_run(args) -> int:
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     try:
+        os.makedirs(args.out, exist_ok=True)
         out = coupling.run(cfg, out_dir=args.out)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", EXIT_DOMAIN)
     except Exception as exc:
         return _fail(f"run failed (partial outputs flushed): {exc}", EXIT_DOMAIN)
     for w in out.warnings:
@@ -154,11 +157,17 @@ def _load_field(run_dir, cls, field):
 def cmd_speed(args) -> int:
     if args.t1 == args.t2:
         return _fail("t1 and t2 must differ", EXIT_CONFIG)
+    if not os.path.isdir(args.run_dir):
+        return _fail(f"no run directory {args.run_dir}", EXIT_DOMAIN)
+    manifest = _load_json(os.path.join(args.run_dir, "manifest.json"))
+    classes = sum(f.endswith("_s.csv") for f in manifest.get("files", ()))  # class{j}_s.csv
+    if args.cls >= classes:
+        return _fail(f"class {args.cls} is outside the run's classes [0, {classes})",
+                     EXIT_CONFIG)
     try:
         times, data = _load_field(args.run_dir, args.cls, args.field)
     except (OSError, ConfigurationError) as exc:
         return _fail(str(exc), EXIT_DOMAIN)
-    manifest = _load_json(os.path.join(args.run_dir, "manifest.json"))
     snaps = {}
     for t in (args.t1, args.t2):
         i = int(np.argmin(np.abs(times - t)))

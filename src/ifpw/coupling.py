@@ -8,6 +8,8 @@ densities.  The state is two arrays: the total density ``k_total`` (N,)
 and ``layers`` (4C, N), whose rows 4j .. 4j+3 hold the S/H/R/E densities
 of information class j.  They are the single source of truth: the traffic
 step advects every row, and the SHRE step reads a class's four rows.
+What the steps of a run share (each class's ``ShreParams`` and ``xi``, the
+kernels' operators, the reaction's scratch) lives in its ``Stepper``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import math
 import re
 import time as _time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +36,7 @@ __all__ = [
     "IncidentProfile",
     "ScenarioConfig",
     "WorldState",
+    "Stepper",
     "RunOutput",
     "initialize",
     "step",
@@ -161,11 +163,6 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"incident capacity_factor {inc.capacity_factor} is not in [0, 1]")
 
-    @cached_property
-    def table_kernel(self) -> bool:
-        """Whether any class reads the density-dependent table kernel."""
-        return any(c.kernel is None for c in self.classes)
-
     @property
     def sigma(self) -> float:
         """Equipped-vehicle density W * k0 (veh/km)."""
@@ -244,13 +241,6 @@ def initialize(config: ScenarioConfig) -> WorldState:
     return WorldState(0.0, np.full(n, float(config.k0)), layers)
 
 
-def _table_kernel(k_total: np.ndarray, grid: GridSpec) -> CellKernel:
-    """Density-dependent kernel; it depends only on k_total, so all table
-    classes of a step share it."""
-    a, b = kern.interp_kernel_params(k_total)
-    return CellKernel(a, b, grid.dx)
-
-
 def _add_context(exc: Exception, context: str):
     """Prefix ``context`` to the message of ``exc`` in place.
 
@@ -261,36 +251,53 @@ def _add_context(exc: Exception, context: str):
     exc.args = (f"{context}: {msg}",) + exc.args[1:]
 
 
+class Stepper:
+    """What the steps of one run share: a ``shre.Workspace``, a ``ShreParams``
+    per class (so Erlang-C ``xi`` is evaluated once per run; ``table`` holds
+    the table classes'), and an open road's demand and inflow composition.
+    ``run`` builds one; ``step`` builds its own when given none."""
+
+    def __init__(self, config: ScenarioConfig):
+        self.workspace = shre.Workspace(config.grid.num_cells)
+        # a table class's kernel is None here, and each step's CellKernel
+        self.params = [ShreParams(config.beta, cc.params, cc.kernel, conv_mode=config.conv_mode)
+                       for cc in config.classes]
+        self.table = [p for p in self.params if p.kernel is None]
+        # only an open road reads them; the vehicles entering it are uninformed
+        self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
+        self.inflow = _fresh_layers(config, 1, 1.0)[:, 0] if config.boundary == "open" else None
+
+
 def step(world: WorldState, config: ScenarioConfig,
-         workspace: shre.Workspace | None = None) -> WorldState:
+         stepper: Stepper | None = None) -> WorldState:
+    if stepper is None:
+        stepper = Stepper(config)
     grid = config.grid
     t = world.time
     factors = (config.incident.factors(t, grid.num_cells)
                if config.incident is not None else 1.0)
-    demand = config.demand
-    if demand is None and config.boundary == "open":
-        demand = config.fd.v_f * config.k0
 
     try:
         k_new, flows = lwr.advance_total(world.k_total, config.fd, grid,
-                                         config.boundary, factors, demand)
-        # vehicles entering an open road are uninformed
-        inflow = (_fresh_layers(config, 1, 1.0)[:, 0]
-                  if config.boundary == "open" else None)
+                                         config.boundary, factors, stepper.demand)
         class_flows = lwr.split_class_flows(world.k_total, world.layers, flows,
-                                            config.boundary, inflow)
+                                            config.boundary, stepper.inflow)
         advected = lwr.update_class_densities(world.layers, class_flows, grid)
     except Exception as exc:
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
-    table = _table_kernel(k_new, grid) if config.table_kernel else None
+    if stepper.table:
+        # the density-dependent kernel depends only on k_total, so all
+        # table classes of a step share it
+        a, b = kern.interp_kernel_params(k_new)
+        table = CellKernel(a, b, grid.dx)
+        for p in stepper.table:
+            p.kernel = table
     fields = []
-    for j, (cc, st) in enumerate(zip(config.classes, _class_fields(advected))):
-        kobj = table if cc.kernel is None else cc.kernel
-        params = ShreParams(config.beta, cc.params, kobj, conv_mode=config.conv_mode)
+    for j, (p, st) in enumerate(zip(stepper.params, _class_fields(advected))):
         try:
-            fields.append(shre.rk4_step(ClassState(st), params, grid, workspace).fields)
+            fields.append(shre.rk4_step(ClassState(st), p, grid, stepper.workspace).fields)
         except Exception as exc:
             _add_context(exc, f"SHRE step for class {j} failed at t={t}")
             raise
@@ -377,7 +384,7 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     error recorded in the manifest before the exception propagates.
     """
     started = _time.time()
-    workspace = shre.Workspace(config.grid.num_cells)
+    stepper = Stepper(config)
     world = initialize(config)
     kmass = [cc.kernel.b if cc.kernel is not None
              else float(kern.interp_kernel_params([config.k0])[1][0])
@@ -392,7 +399,7 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     every = round(config.snapshot_every / config.grid.dt)
     try:
         for i in range(1, n_steps + 1):
-            world = step(world, config, workspace)
+            world = step(world, config, stepper)
             if i % every == 0 or i == n_steps:
                 out.snapshots.append(snap(world))
     except Exception as exc:

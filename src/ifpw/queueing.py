@@ -5,9 +5,9 @@ packets arrive at rate ``lambda``, are broadcast by one of ``n_servers``
 communication servers, and leave after an exponential service time with
 mean ``1/mu``.  Everything here is a pure function of the class
 parameters; factorial-sized terms are evaluated in log space so large
-server counts (n up to a few hundred) do not overflow.  The Erlang-C
-delay probability is memoised per ``ClassParams``, because the coupled
-stepper asks for it once per class and step.
+server counts (n up to a few hundred) do not overflow.  A coupled run
+evaluates the Erlang-C delay probability once per class, when its
+``coupling.Stepper`` is built.
 
 The log-factorials and the log-sum-exp replicate scipy.special's
 ``gammaln`` and ``logsumexp``: ``lgam`` repeats cephes ``lgam`` on whole
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -141,9 +140,8 @@ def empty_system_probability(p: ClassParams) -> float:
     return math.exp(-_logsumexp(log_terms))
 
 
-@lru_cache(maxsize=256)
 def wait_probability(p: ClassParams) -> float:
-    """Erlang-C delay probability xi = r^n P0 / (n! (1-rho)), memoised."""
+    """Erlang-C delay probability xi = r^n P0 / (n! (1-rho))."""
     _require_stable(p)
     n = p.n_servers
     log_r = math.log(p.lam / p.mu)

@@ -16,7 +16,7 @@ the margins are zeros, on a ring (``periodic``) they hold the ring's
 other end, so the wrapped sum is exact and a cell the kernel cannot
 reach gets exactly nothing.  A kernel wider than the ring is folded onto
 it once.  The sum is one BLAS matrix product: the margined field cut
-into overlapping rows of ``BLOCK`` + L - 1 cells (L taps), times a cached
+into overlapping rows of ``BLOCK`` + L - 1 cells (L taps), times the
 Toeplitz matrix of the dx-scaled taps, gives ``BLOCK`` cells per row.
 ``fft`` is zero-padded FFT convolution, exact only to round-off; it is
 kept because the corridor benchmark's reference encodes its bits.  When
@@ -25,9 +25,8 @@ the convolution is a banded direct product (``CellKernel``), whose rows
 are built once per distinct (a, b) pair.  Time stepping is classical
 RK4 with automatic sub-step halving on blow-up.
 
-The reaction step allocates no scratch memory once warm: the RK4 stage
-state, its four derivatives, Phi, the margined buffers, row copies and
-results of the banded products and the FFT buffers live in a
+The reaction step allocates no scratch memory once warm: its buffers
+and each global kernel's Toeplitz matrix or FFT spectrum live in a
 ``Workspace`` for the grid, which ``coupling.run`` makes once and hands
 down every reaction call of the run as the optional ``workspace``
 argument.  A function given none makes its own, so no two threads share
@@ -43,7 +42,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -174,21 +172,12 @@ class CellKernel:
         return np.multiply(self.dx, np.einsum("ij,ij->i", self.band, windows), out=out)
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-# The caches below hand one array to every caller, so they return it
-# read-only.
-@lru_cache(maxsize=64)
 def _sampled_kernel(a: float, b: float, dx: float) -> np.ndarray:
     m = int(math.ceil(8 * a / dx))
     offsets = np.arange(-m, m + 1) * dx
-    return _read_only((b / (a * SQRT_PI)) * np.exp(-(offsets / a) ** 2))
+    return (b / (a * SQRT_PI)) * np.exp(-(offsets / a) ** 2)
 
 
-@lru_cache(maxsize=64)
 def _toeplitz(a: float, b: float, dx: float, ring: int) -> np.ndarray:
     """The (BLOCK + L - 1, BLOCK) matrix of the banded product: column j
     holds the L dx-scaled taps in rows j .. j + L - 1, so a row of BLOCK +
@@ -202,16 +191,14 @@ def _toeplitz(a: float, b: float, dx: float, ring: int) -> np.ndarray:
     t = np.zeros((BLOCK + k.size - 1, BLOCK))
     for j in range(BLOCK):
         t[j:j + k.size, j] = taps
-    return _read_only(t)
+    return t
 
 
-@lru_cache(maxsize=64)
 def _fft_spectrum(a: float, b: float, dx: float, nfft: int) -> np.ndarray:
     """rfft of the sampled kernel zero-padded to nfft (linear convolution)."""
-    return _read_only(np.fft.rfft(_sampled_kernel(a, b, dx), nfft))
+    return np.fft.rfft(_sampled_kernel(a, b, dx), nfft)
 
 
-@lru_cache(maxsize=64)
 def _folded_kernel(a: float, b: float, dx: float, n: int) -> np.ndarray:
     """The sampled kernel folded onto an n-cell ring it is wider than: the
     taps of offsets -(n // 2) .. n // 2, each the sum of the kernel's taps
@@ -221,19 +208,16 @@ def _folded_kernel(a: float, b: float, dx: float, n: int) -> np.ndarray:
     h = n // 2
     folded = np.zeros(2 * h + 1)
     np.add.at(folded, (np.arange(k.size) - k.size // 2 + h) % n, k)
-    return _read_only(folded)
+    return folded
 
 
 class Workspace:
-    """Scratch arrays of the reaction step on an n-cell grid: the RK4 stage
-    state and derivatives, Phi, a temporary, the buffers of the global
-    kernels' banded products, the FFT buffers per length and the
-    zero-margined window buffer of the table kernel.
-
-    ``coupling.run`` makes one per run and passes it to every reaction
-    call, so a run owns its scratch and threads running their own runs
-    share none.  Buffers are made on first use per kernel width, FFT
-    length and band half-width, and kept for the workspace's life.  One
+    """Scratch arrays and kernel operators of the reaction step on an
+    n-cell grid: the RK4 stage state and derivatives, Phi, a temporary,
+    each global kernel's Toeplitz matrix or FFT spectrum with the buffers
+    of its product, and a zero-margined window buffer per band half-width
+    of the table kernel.  Each is made on first use and kept for the
+    workspace's life, which ``coupling.run`` makes the run's.  One
     workspace serves one thread at a time.
     """
 
@@ -244,57 +228,59 @@ class Workspace:
         self.phi = np.empty(n)
         self.tmp = np.empty(n)
         self._blocks: dict[tuple, tuple] = {}
-        self._spectral: dict[int, tuple] = {}
-        self.margin = 0
-        self.padded = np.zeros(n)
-        self._windows: dict[int, np.ndarray] = {}
+        self._spectral: dict[tuple, tuple] = {}
+        self._windows: dict[int, tuple] = {}
 
-    def blocks(self, width: int, ring: bool) -> tuple:
-        """(buffer, X, rows, Y) of the banded product for ``width`` taps.
+    def blocks(self, kernel: KernelParams, dx: float, ring: bool) -> tuple:
+        """(T, buffer, X, rows, Y) of the banded product with ``kernel``.
 
-        The buffer holds P * BLOCK + width - 1 cells, P = ceil(n / BLOCK):
-        the field after a margin of width // 2, then the other margin and
-        a zero tail.  Its margins start as zeros; only the ring's buffers,
-        kept apart, rewrite them.  ``rows`` is its (P, BLOCK + width - 1)
-        view whose row p starts at cell p * BLOCK, X the contiguous copy of
-        it that BLAS reads and Y the (P, BLOCK) product, whose first n
-        entries are the result.
+        T is its (BLOCK + L - 1, BLOCK) Toeplitz matrix of L taps, folded
+        on a ring the kernel is wider than.  The buffer holds P * BLOCK +
+        L - 1 cells, P = ceil(n / BLOCK): the field after a margin of
+        L // 2, then the other margin and a zero tail.  Its margins start
+        as zeros, and only a ring's buffer rewrites them.  ``rows`` is
+        its (P, BLOCK + L - 1) view whose row p starts at cell p * BLOCK,
+        X the contiguous copy of it that BLAS reads and Y the (P, BLOCK)
+        product, whose first n entries are the result.
         """
-        bufs = self._blocks.get((width, ring))
-        if bufs is None:
+        key = (kernel, dx, ring)
+        ops = self._blocks.get(key)
+        if ops is None:
+            t = _toeplitz(kernel.a, kernel.b, dx, self.n if ring else 0)
             p = -(-self.n // BLOCK)
-            buf = np.zeros(p * BLOCK + width - 1)
-            rows = np.lib.stride_tricks.sliding_window_view(
-                buf, BLOCK + width - 1)[::BLOCK]
-            bufs = self._blocks[width, ring] = (
-                buf, np.empty(rows.shape), rows, np.empty((p, BLOCK)))
-        return bufs
+            buf = np.zeros(p * BLOCK + t.shape[0] - BLOCK)
+            rows = np.lib.stride_tricks.sliding_window_view(buf, t.shape[0])[::BLOCK]
+            ops = self._blocks[key] = (t, buf, np.empty(rows.shape), rows,
+                                       np.empty((p, BLOCK)))
+        return ops
 
-    def spectral(self, nfft: int) -> tuple:
-        """(zero-tailed input, spectrum, signal) buffers for length nfft."""
-        bufs = self._spectral.get(nfft)
-        if bufs is None:
-            bufs = self._spectral[nfft] = (
-                np.zeros(nfft), np.empty(nfft // 2 + 1, complex), np.empty(nfft))
-        return bufs
+    def spectral(self, kernel: KernelParams, dx: float) -> tuple:
+        """(m, spectrum, zero-tailed input, coefficients, signal) of the FFT
+        convolution with ``kernel``: its half-width m, the rfft of its
+        sampled taps zero-padded to nfft, the first power of two of at
+        least n + 2m + 1 points, and buffers of nfft, nfft // 2 + 1 and
+        nfft entries."""
+        key = (kernel, dx)
+        ops = self._spectral.get(key)
+        if ops is None:
+            taps = _sampled_kernel(kernel.a, kernel.b, dx).size
+            nfft = int(2 ** math.ceil(math.log2(self.n + taps)))
+            ops = self._spectral[key] = (
+                taps // 2, _fft_spectrum(kernel.a, kernel.b, dx, nfft), np.zeros(nfft),
+                np.empty(nfft // 2 + 1, complex), np.empty(nfft))
+        return ops
 
     def window(self, m: int) -> tuple:
-        """(field slot, (n, 2m+1) window view) for a band half-width m.
-
-        One buffer of n + 2 * margin zeros, margin the widest m seen, serves
-        every m: the field is written only to its middle n entries, so any
-        m <= margin sees exactly m zeros on either side.
-        """
-        if m > self.margin:
-            self.margin = m
-            self.padded = np.zeros(self.n + 2 * m)
-            self._windows = {}
-        windows = self._windows.get(m)
-        if windows is None:
-            lo = self.margin - m
-            windows = self._windows[m] = np.lib.stride_tricks.sliding_window_view(
-                self.padded[lo:lo + self.n + 2 * m], 2 * m + 1)
-        return self.padded[self.margin:self.margin + self.n], windows
+        """(field slot, (n, 2m+1) window view) for a band half-width m: a
+        buffer of n + 2m zeros whose middle n entries are the slot, so the
+        field written there has m zeros on either side."""
+        bufs = self._windows.get(m)
+        if bufs is None:
+            padded = np.zeros(self.n + 2 * m)
+            bufs = self._windows[m] = (
+                padded[m:m + self.n],
+                np.lib.stride_tricks.sliding_window_view(padded, 2 * m + 1))
+        return bufs
 
 
 def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
@@ -322,23 +308,17 @@ def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
     if isinstance(kernel, CellKernel):
         return kernel.apply(r_field, out, workspace)
     if mode == "fft":
-        k = _sampled_kernel(kernel.a, kernel.b, grid.dx)
-        m = k.size // 2
-        nfft = int(2 ** math.ceil(math.log2(n + k.size)))
-        spectrum = _fft_spectrum(kernel.a, kernel.b, grid.dx, nfft)
-        padded, coeffs, signal = workspace.spectral(nfft)
+        m, spectrum, padded, coeffs, signal = workspace.spectral(kernel, grid.dx)
         padded[:n] = r_field  # the tail past n stays zero
         np.fft.rfft(padded, out=coeffs)
         np.multiply(coeffs, spectrum, out=coeffs)
-        np.fft.irfft(coeffs, nfft, out=signal)
+        np.fft.irfft(coeffs, padded.size, out=signal)
         return np.multiply(grid.dx, signal[m:m + n], out=out)
     if mode not in ("direct", "periodic"):
         raise ValueError(f"unknown convolution mode {mode!r}")
     ring = mode == "periodic"
-    t = _toeplitz(kernel.a, kernel.b, grid.dx, n if ring else 0)
-    width = t.shape[0] - BLOCK + 1
-    m = width // 2
-    buf, x, rows, y = workspace.blocks(width, ring)
+    t, buf, x, rows, y = workspace.blocks(kernel, grid.dx, ring)
+    m = (t.shape[0] - BLOCK) // 2  # half the taps
     buf[m:m + n] = r_field
     if ring:
         buf[:m] = r_field[n - m:]

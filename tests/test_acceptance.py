@@ -186,8 +186,9 @@ def test_criterion_08_conservation_suite():
     st = shre.seed_information(ClassState.all_susceptible(10.0, 64), 32, 5.0)
     p = ShreParams(2.0, ClassParams(0.5, 2, 1.0), KernelParams(0.3, 0.5))
     total0 = st.total.copy()
+    ws = shre.Workspace(g2.num_cells)
     for _ in range(10_000):
-        st = rk4_step(st, p, g2)
+        st = rk4_step(st, p, g2, ws)
     drift = float(np.max(np.abs(st.total - total0)))
 
     # closed-boundary vehicle conservation over 1e4 CTM steps
@@ -237,8 +238,9 @@ def test_criterion_09_micro_oracle_agreement():
         st = shre.seed_information(st, c, 20.0)
     p = ShreParams(2.0, cp, kp, conv_mode="periodic")
     frac = [st.informed.mean() / 20.0]
+    ws = shre.Workspace(grid.num_cells)
     for _ in range(300):
-        st = rk4_step(st, p, grid)
+        st = rk4_step(st, p, grid, ws)
         frac.append(st.informed.mean() / 20.0)
     frac = np.array(frac)
     t_half_shre = 0.5 * float(np.argmax(frac >= 0.5 * frac[-1]))

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from ifpw import coupling
 from ifpw.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, build_parser, main
 
 RUN_CONFIG = {
@@ -76,6 +77,19 @@ class TestRun:
         assert (out / "manifest.json").exists()
         assert (out / "class0_s.csv").exists()
         assert "snapshots" in capsys.readouterr().out
+
+    def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
+        # it used to run the scenario first and then report the write as a
+        # failed run with partial outputs flushed
+        def no_run(*args, **kwargs):
+            raise AssertionError("the scenario ran")
+
+        monkeypatch.setattr(coupling, "run", no_run)
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = f"{cfg}/sub"  # below a file
+        assert main(["run", "--config", cfg, "--out", out]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err and "Not a directory" in err
 
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -396,6 +410,13 @@ class TestSpeed:
                          "--reference", "1.0", "--seed-cell", cell]) == EXIT_OK
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+    def test_class_outside_run(self, run_dir, capsys):
+        # it used to exit 1 with the missing class file's OSError
+        code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                     "--reference", "1.0", "--class", "3"])
+        assert code == EXIT_CONFIG
+        assert "class 3 is outside the run's classes [0, 1)" in capsys.readouterr().err
 
     def test_seed_cell_outside_grid(self, run_dir, capsys):
         code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",

@@ -7,13 +7,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from ifpw import analysis, lwr, shre
+from ifpw import analysis, lwr, queueing, shre
 from ifpw.coupling import (
     FIELDS,
     ClassConfig,
     IncidentProfile,
     RunOutput,
     ScenarioConfig,
+    Stepper,
     WorldState,
     config_from_dict,
     config_with_class_override,
@@ -291,6 +292,67 @@ class TestRun:
         out = run(cfg)
         assert [s.classes for s in out.snapshots] == [[]] * 6
         assert out.snapshots[-1].k_total[0] < 40.0  # 1800 veh/h enter, 4320 leave
+
+
+def counted(monkeypatch, owner, name):
+    """Replace ``owner.name`` by a wrapper that records each call's
+    arguments in the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+class TestStepper:
+    """A run evaluates what its steps share once: xi per class, each global
+    kernel's operator, one workspace."""
+
+    def test_run_evaluates_xi_once_per_class(self, monkeypatch):
+        # a global class and three table classes, 20 steps
+        cfg = make_config(classes=make_config().classes + three_table_classes())
+        calls = counted(monkeypatch, queueing, "wait_probability")
+        out = run(cfg)
+        assert len(out.snapshots) == 6
+        assert calls == [(cc.params,) for cc in cfg.classes]
+
+    @pytest.mark.parametrize("mode, builder", [
+        ("fft", "_fft_spectrum"), ("direct", "_toeplitz"), ("periodic", "_toeplitz")])
+    def test_run_builds_one_operator_per_kernel(self, monkeypatch, mode, builder):
+        # two classes read equal kernels, a third its own
+        classes = (
+            ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                        seeds=((32, 5.0),)),
+            ClassConfig(ClassParams(0.5, 4, 0.2), KernelParams(0.292, 0.499),
+                        seeds=((20, 5.0),)),
+            ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.35, 0.5),
+                        seeds=((40, 5.0),)))
+        calls = counted(monkeypatch, shre, builder)
+        out = run(make_config(classes=classes, conv_mode=mode))
+        assert all(c.informed.max() > 5.0 for c in out.snapshots[-1].classes)
+        assert sorted(args[:2] for args in calls) == [(0.292, 0.499), (0.35, 0.5)]
+
+    def test_step_without_stepper_makes_one_workspace(self, monkeypatch):
+        # it used to make one per class
+        cfg = make_config(classes=make_config().classes + three_table_classes()[:1])
+        made = counted(monkeypatch, shre, "Workspace")
+        world = step(initialize(cfg), cfg)
+        assert world.classes[1].informed.max() > 0
+        assert made == [(64,)]
+
+    def test_steps_with_one_stepper_equal_steps_without(self):
+        cfg = make_config(classes=make_config().classes + three_table_classes(),
+                          boundary="open")
+        stepper = Stepper(cfg)
+        shared = fresh = initialize(cfg)
+        for _ in range(10):
+            shared, fresh = step(shared, cfg, stepper), step(fresh, cfg)
+            assert shared.k_total.tobytes() == fresh.k_total.tobytes()
+            assert shared.layers.tobytes() == fresh.layers.tobytes()
 
 
 def three_table_classes():

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ifpw.coupling import ClassConfig, IncidentProfile, ScenarioConfig, initialize, step
+from ifpw.coupling import (ClassConfig, IncidentProfile, ScenarioConfig, Stepper, initialize,
+                           step)
 from ifpw.kernel import SQRT_PI, KernelParams
 from ifpw.lwr import FundamentalDiagram
 from ifpw.micro import MicroConfig, _one_replication, make_positions, simulate
@@ -104,9 +105,9 @@ class TestContinuumProperties:
     @PROPERTY
     @given(scenarios())
     def test_classes_partition_equipped_traffic(self, cfg):
-        world = initialize(cfg)
+        world, stepper = initialize(cfg), Stepper(cfg)
         for _ in range(round(cfg.horizon / cfg.grid.dt)):
-            world = step(world, cfg)
+            world = step(world, cfg, stepper)
             k = world.k_total
             assert np.all(k >= 0.0)
             assert np.all(world.layers >= 0.0)
@@ -122,9 +123,10 @@ class TestContinuumProperties:
         joint = initialize(cfg)
         single = [replace(cfg, classes=(cc,)) for cc in cfg.classes]
         alone = [initialize(c) for c in single]
+        stepper, steppers = Stepper(cfg), [Stepper(c) for c in single]
         for _ in range(round(cfg.horizon / cfg.grid.dt)):
-            joint = step(joint, cfg)
-            alone = [step(w, c) for w, c in zip(alone, single)]
+            joint = step(joint, cfg, stepper)
+            alone = [step(w, c, s) for w, c, s in zip(alone, single, steppers)]
             for j, w in enumerate(alone):
                 assert w.k_total.tobytes() == joint.k_total.tobytes()
                 assert w.layers.tobytes() == joint.classes[j].fields.tobytes()

@@ -211,14 +211,6 @@ class TestStability:
     def test_equality_is_unstable(self):
         assert not ClassParams(1.0, 2, 0.5).stable
 
-    def test_wait_probability_memoised(self):
-        p = ClassParams(0.7, 9, 0.11)
-        first = wait_probability(p)
-        hits = wait_probability.cache_info().hits
-        assert wait_probability(ClassParams(0.7, 9, 0.11)) == first
-        assert wait_probability.cache_info().hits == hits + 1
-        assert first == wait_probability.__wrapped__(p)
-
     def test_metrics_bundle(self):
         m = queue_metrics(ClassParams(1.0, 2, 1.0))
         assert m.rho == pytest.approx(0.5)
