@@ -201,6 +201,15 @@ def cmd_sweep(args) -> int:
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     try:
+        # a file that cannot be written fails now, not after every point ran;
+        # "a" keeps an existing file whole until the rows are in
+        existed = os.path.exists(args.out)
+        open(args.out, "a").close()
+        if not existed:
+            os.remove(args.out)
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", EXIT_DOMAIN)
+    try:
         rows = analysis.sweep(cfg, args.n, args.mu, args.t1, args.t2,
                               workers=args.threads)
     except ConfigurationError as exc:
@@ -266,6 +275,10 @@ def cmd_oracle(args) -> int:
         return _fail(f"bad oracle config: {exc}", EXIT_CONFIG)
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
+    try:
+        os.makedirs(args.out, exist_ok=True)  # before the replications run
+    except OSError as exc:
+        return _fail(f"cannot write {args.out}: {exc}", EXIT_DOMAIN)
     try:
         result = micro.simulate(cfg)
     except Exception as exc:

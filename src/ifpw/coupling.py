@@ -3,13 +3,15 @@
 Each step (i) advances the total traffic density by cell transmission,
 (ii) splits the interface flows by the upstream class composition,
 (iii) advects every class layer with its share, and (iv) applies one RK4
-step of the SHRE reaction per information class on the post-advection
-densities.  The state is two arrays: the total density ``k_total`` (N,)
-and ``layers`` (4C, N), whose rows 4j .. 4j+3 hold the S/H/R/E densities
-of information class j.  They are the single source of truth: the traffic
-step advects every row, and the SHRE step reads a class's four rows.
-What the steps of a run share (each class's ``ShreParams`` and ``xi``, the
-kernels' operators, the reaction's scratch) lives in its ``Stepper``.
+step of the SHRE reaction to all information classes at once on the
+post-advection densities.  The state is two arrays: the total density
+``k_total`` (N,) and ``layers`` (4C, N), whose rows 4j .. 4j+3 hold the
+S/H/R/E densities of information class j.  They are the single source of
+truth: the traffic step advects every row, and the SHRE step reads them
+as one (C, 4, N) stack and returns the next layers.  What the steps of a
+run share (the classes' ``ShreParams`` and ``xi`` as one
+``shre.ClassStack``, the kernels' operators, the reaction's scratch)
+lives in its ``Stepper``.
 """
 
 from __future__ import annotations
@@ -252,17 +254,20 @@ def _add_context(exc: Exception, context: str):
 
 
 class Stepper:
-    """What the steps of one run share: a ``shre.Workspace``, a ``ShreParams``
-    per class (so Erlang-C ``xi`` is evaluated once per run; ``table`` holds
-    the table classes'), and an open road's demand and inflow composition.
+    """What the steps of one run share: the classes' ``ShreParams`` as one
+    ``shre.ClassStack`` (their coefficient columns and kernel groups, so
+    Erlang-C ``xi`` is evaluated once per run; ``table`` holds the table
+    classes'), a ``shre.Workspace`` with the (C, 4, N) stage and
+    derivative buffers, and an open road's demand and inflow composition.
     ``run`` builds one; ``step`` builds its own when given none."""
 
     def __init__(self, config: ScenarioConfig):
-        self.workspace = shre.Workspace(config.grid.num_cells)
         # a table class's kernel is None here, and each step's CellKernel
-        self.params = [ShreParams(config.beta, cc.params, cc.kernel, conv_mode=config.conv_mode)
-                       for cc in config.classes]
-        self.table = [p for p in self.params if p.kernel is None]
+        params = [ShreParams(config.beta, cc.params, cc.kernel, conv_mode=config.conv_mode)
+                  for cc in config.classes]
+        self.stack = shre.ClassStack(params)
+        self.workspace = shre.Workspace(config.grid.num_cells, len(params))
+        self.table = [p for p in params if p.kernel is None]
         # only an open road reads them; the vehicles entering it are uninformed
         self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
         self.inflow = _fresh_layers(config, 1, 1.0)[:, 0] if config.boundary == "open" else None
@@ -287,6 +292,8 @@ def step(world: WorldState, config: ScenarioConfig,
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
+    if not config.classes:  # traffic only: no class rows to react
+        return WorldState(t + grid.dt, k_new, advected)
     if stepper.table:
         # the density-dependent kernel depends only on k_total, so all
         # table classes of a step share it
@@ -294,20 +301,18 @@ def step(world: WorldState, config: ScenarioConfig,
         table = CellKernel(a, b, grid.dx)
         for p in stepper.table:
             p.kernel = table
-    fields = []
-    for j, (p, st) in enumerate(zip(stepper.params, _class_fields(advected))):
-        try:
-            fields.append(shre.rk4_step(ClassState(st), p, grid, stepper.workspace).fields)
-        except Exception as exc:
-            _add_context(exc, f"SHRE step for class {j} failed at t={t}")
-            raise
-    # Allocated after the reaction steps, the new layers keep glibc from handing
-    # freed arrays back to the OS: on an 8192-cell ring a 300-step call faults
-    # 2.6k pages, and writing the results into the advected layers instead
-    # faulted 4.1k-27.8k pages per call.
-    # A traffic-only scenario has no class rows to join.
-    layers = np.concatenate(fields) if fields else advected
-    return WorldState(t + grid.dt, k_new, layers)
+    try:
+        # one RK4 step of every class; its fresh result is the next layers
+        fields = shre.rk4_step(_class_fields(advected), stepper.stack, grid, stepper.workspace)
+    except Exception as exc:
+        # a blow-up names its class; any failure of a one-class run is its class's
+        j = getattr(exc, "class_index", None)
+        if j is None and len(config.classes) == 1:
+            j = 0
+        _add_context(exc, f"SHRE step failed at t={t}" if j is None
+                     else f"SHRE step for class {j} failed at t={t}")
+        raise
+    return WorldState(t + grid.dt, k_new, fields.reshape(advected.shape))
 
 
 @dataclass

@@ -56,11 +56,13 @@ def whole_steps(duration: float, step: float, what: str) -> int:
 
 
 class NumericalBlowupError(RuntimeError):
-    """Integration produced NaN/overflow or a large negative density."""
+    """Integration produced NaN/overflow or a large negative density; carries
+    the cell and, for a step of several classes, the failing class's index."""
 
-    def __init__(self, message, cell=None):
+    def __init__(self, message, cell=None, class_index=None):
         super().__init__(message)
         self.cell = cell
+        self.class_index = class_index
 
 
 class FrontNotFoundError(RuntimeError):

@@ -25,17 +25,30 @@ the convolution is a banded direct product (``CellKernel``), whose rows
 are built once per distinct (a, b) pair.  Time stepping is classical
 RK4 with automatic sub-step halving on blow-up.
 
+All classes of a run step together.  The reaction reads the (C, 4, N)
+stack of their S/H/R/E fields and a ``ClassStack``: the per-class
+coefficients as (C, 1) columns, and the classes grouped by kernel.  The
+classes of one global kernel and mode stack their fields into one
+``matmul`` call against its Toeplitz matrix, and the table classes share
+each step's ``CellKernel`` through one ``einsum``; ``fft`` transforms
+one field at a time.  After a step one check of the whole stack passes
+every class, or a check per class finds the classes that failed; only
+these retry with sub-steps, each from its own start state.  The
+one-class ``rk4_step``, ``shre_rhs`` and ``convolve_relaying`` run the
+same code on a stack of one.
+
 The reaction step allocates no scratch memory once warm: its buffers
 and each global kernel's Toeplitz matrix or FFT spectrum live in a
-``Workspace`` for the grid, which ``coupling.run`` makes once and hands
-down every reaction call of the run as the optional ``workspace``
-argument.  A function given none makes its own, so no two threads share
-one unless a caller hands them the same.  The buffers are written with
-the same IEEE operations in the same order as the plain array
-expressions, so a workspace decides only where scratch lives, never a
-result.  No array a public function returns is one of these buffers or
-a view into them: ``rk4_step``, ``shre_rhs`` and ``convolve_relaying``
-hand back fresh arrays unless the caller passes ``out``.
+``Workspace`` for the grid and stack size, which ``coupling.run`` makes
+once and hands down every reaction call of the run as the optional
+``workspace`` argument.  A function given none makes its own, so no two
+threads share one unless a caller hands them the same.  The buffers are
+written with the same IEEE operations in the same order as the plain
+array expressions, so neither a workspace nor the stack a class steps
+in decides a result: each class gets the bits it gets alone.  No array
+a public function returns is one of these buffers or a view into them:
+``rk4_step``, ``shre_rhs`` and ``convolve_relaying`` hand back fresh
+arrays unless the caller passes ``out``.
 """
 
 from __future__ import annotations
@@ -54,6 +67,7 @@ __all__ = [
     "GridSpec",
     "ClassState",
     "ShreParams",
+    "ClassStack",
     "CellKernel",
     "Workspace",
     "convolve_relaying",
@@ -130,8 +144,8 @@ class CellKernel:
     at 8 * max(a); outside-domain contributions are zero.  Row i of the
     (N, 2m+1) ``band`` samples K at cell i; it is built once per distinct
     (a, b) pair and gathered to the cells that share it.  apply() reads
-    the field through a zero-margined window buffer of ``workspace``, not
-    a padded copy.
+    the field, or each row of a stack of fields, through a zero-margined
+    window buffer of ``workspace``, not a padded copy.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, dx: float):
@@ -151,25 +165,40 @@ class CellKernel:
         m = int(math.ceil(8 * float(self.a.max()) / dx))
         offsets = np.arange(-m, m + 1) * dx
         self.m = m
-        # the distinct (a, b) pairs, as complex numbers a + bj
-        pairs = np.stack([self.a, self.b], axis=1).view(complex).ravel()
-        distinct, inverse = np.unique(pairs, return_inverse=True)
-        a_u, b_u = distinct.real, distinct.imag
+        # the distinct (a, b) pairs: sorted by a, then b, a cell starts a
+        # new pair where either differs from the cell before it
+        order = np.lexsort((self.b, self.a))
+        a_s, b_s = self.a[order], self.b[order]
+        new = np.empty(a_s.size, dtype=bool)
+        new[0] = True
+        np.not_equal(a_s[1:], a_s[:-1], out=new[1:])
+        new[1:] |= b_s[1:] != b_s[:-1]
+        inverse = np.empty(a_s.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        a_u, b_u = a_s[new], b_s[new]
         rows = (b_u / (a_u * SQRT_PI))[:, None] * np.exp(
             -(offsets[None, :] ** 2) / (a_u[:, None] ** 2))
-        self.band = rows[inverse.ravel()]
+        self.band = rows[inverse]
 
     def apply(self, r_field: np.ndarray, out: np.ndarray | None = None,
               workspace: Workspace | None = None) -> np.ndarray:
-        if np.shape(r_field) != (self.a.size,):
+        """The banded sum of an (N,) field, or of each row of a (G, N)
+        stack in one ``einsum``; the result goes to ``out`` if given."""
+        n, shape = self.a.size, np.shape(r_field)
+        if shape[-1:] != (n,) or len(shape) > 2:
             raise ValueError(
-                f"field shape {np.shape(r_field)} does not match the kernel's "
-                f"{self.a.size} cells")
+                f"field shape {shape} does not match the kernel's {n} cells")
         if workspace is None:
-            workspace = Workspace(self.a.size)
-        field_slot, windows = workspace.window(self.m)
+            workspace = Workspace(n)
+        rows = shape[0] if len(shape) == 2 else 1
+        field_slot, windows = workspace.window(self.m, rows)
         field_slot[...] = r_field
-        return np.multiply(self.dx, np.einsum("ij,ij->i", self.band, windows), out=out)
+        if out is None:
+            out = np.empty(shape)
+        res = out.reshape(rows, n)
+        np.einsum("ij,cij->ci", self.band, windows, out=res)
+        np.multiply(self.dx, res, out=res)
+        return out
 
 
 def _sampled_kernel(a: float, b: float, dx: float) -> np.ndarray:
@@ -211,47 +240,90 @@ def _folded_kernel(a: float, b: float, dx: float, n: int) -> np.ndarray:
     return folded
 
 
+class _Rows:
+    """A (C, 4, N) stack and the views of its rows that the right-hand
+    side reads or writes: S, R, E, H and R together, and H as a (C, 1, N)
+    column; made once per scratch buffer."""
+
+    def __init__(self, a: np.ndarray):
+        self.a = a
+        self.s, self.r, self.e = a[:, 0], a[:, 2], a[:, 3]
+        self.hr, self.h_col = a[:, 1:3], a[:, 1:2]
+
+
 class Workspace:
-    """Scratch arrays and kernel operators of the reaction step on an
-    n-cell grid: the RK4 stage state and derivatives, Phi, a temporary,
-    each global kernel's Toeplitz matrix or FFT spectrum with the buffers
-    of its product, and a zero-margined window buffer per band half-width
-    of the table kernel.  Each is made on first use and kept for the
-    workspace's life, which ``coupling.run`` makes the run's.  One
-    workspace serves one thread at a time.
+    """Scratch arrays and kernel operators of the reaction step for a stack
+    of up to ``classes`` classes on an n-cell grid: the RK4 stage state
+    and derivatives, Phi, a temporary, each global kernel's Toeplitz
+    matrix or FFT spectrum with the buffers of its product, and a
+    zero-margined window buffer per band half-width of the table kernel.
+    A stack of fewer classes uses the leading slots of the scratch.  The
+    buffers of a product or window are kept per number of stacked rows.
+    Each is made on first use and kept for the workspace's life, which
+    ``coupling.run`` makes the run's.  One workspace serves one thread at
+    a time.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, classes: int = 1):
         self.n = n
-        self.k = np.empty((4, 4, n))  # the four RK4 derivatives
-        self.stage = np.empty((4, n))
-        self.phi = np.empty(n)
-        self.tmp = np.empty(n)
+        self.k = np.empty((4, classes, 4, n))  # the four RK4 derivatives
+        self.stage = np.empty((classes, 4, n))
+        self.phi = np.empty((classes, n))
+        self.tmp = np.empty((classes, 2, n))
+        self._toeplitz: dict[tuple, np.ndarray] = {}
         self._blocks: dict[tuple, tuple] = {}
         self._spectral: dict[tuple, tuple] = {}
-        self._windows: dict[int, tuple] = {}
+        self._windows: dict[tuple, tuple] = {}
+        self._scratch: dict[int, tuple] = {}
 
-    def blocks(self, kernel: KernelParams, dx: float, ring: bool) -> tuple:
-        """(T, buffer, X, rows, Y) of the banded product with ``kernel``.
+    def scratch(self, c: int) -> tuple:
+        """(derivatives, stage, phi, phi column, tmp, its first row) of a
+        stack of c classes: the four derivatives and the stage as
+        ``_Rows``, Phi as (c, N) and (c, 1, N) views and tmp as (c, 2, N)
+        and (c, N) views of the leading slots."""
+        views = self._scratch.get(c)
+        if views is None:
+            if c > self.stage.shape[0]:
+                raise ValueError(f"a stack of {c} classes does not fit a workspace of "
+                                 f"{self.stage.shape[0]}")
+            phi, tmp = self.phi[:c], self.tmp[:c]
+            views = self._scratch[c] = (
+                [_Rows(k) for k in self.k[:, :c]], _Rows(self.stage[:c]),
+                phi, phi[:, None], tmp, tmp[:, 0])
+        return views
+
+    def blocks(self, kernel: KernelParams, dx: float, ring: bool, rows: int = 1) -> tuple:
+        """(T, buffer, X, windows, Y, slots, result, wraps) of the banded
+        product of ``rows`` stacked fields with ``kernel``.
 
         T is its (BLOCK + L - 1, BLOCK) Toeplitz matrix of L taps, folded
-        on a ring the kernel is wider than.  The buffer holds P * BLOCK +
-        L - 1 cells, P = ceil(n / BLOCK): the field after a margin of
-        L // 2, then the other margin and a zero tail.  Its margins start
-        as zeros, and only a ring's buffer rewrites them.  ``rows`` is
-        its (P, BLOCK + L - 1) view whose row p starts at cell p * BLOCK,
-        X the contiguous copy of it that BLAS reads and Y the (P, BLOCK)
-        product, whose first n entries are the result.
+        on a ring the kernel is wider than, made once per kernel.  Each
+        of the buffer's ``rows`` rows holds P * BLOCK + L - 1 cells, P =
+        ceil(n / BLOCK): a field in its (rows, n) ``slots`` after a margin
+        of m = L // 2, then the other margin and a zero tail.  Its margins
+        start as zeros; on a ring, ``wraps`` pairs each margin with the
+        cells of the field that it repeats, the ring's other end.
+        ``windows`` is the buffer's (rows, P, BLOCK + L - 1) view whose
+        row p of a field starts at cell p * BLOCK, X the contiguous copy
+        of it that BLAS reads, Y the (rows, P, BLOCK) product and
+        ``result`` the view of its first n entries per field.
         """
-        key = (kernel, dx, ring)
+        key = (kernel, dx, ring, rows)
         ops = self._blocks.get(key)
         if ops is None:
-            t = _toeplitz(kernel.a, kernel.b, dx, self.n if ring else 0)
-            p = -(-self.n // BLOCK)
-            buf = np.zeros(p * BLOCK + t.shape[0] - BLOCK)
-            rows = np.lib.stride_tricks.sliding_window_view(buf, t.shape[0])[::BLOCK]
-            ops = self._blocks[key] = (t, buf, np.empty(rows.shape), rows,
-                                       np.empty((p, BLOCK)))
+            t = self._toeplitz.get(key[:3])
+            if t is None:
+                t = self._toeplitz[key[:3]] = _toeplitz(kernel.a, kernel.b, dx,
+                                                        self.n if ring else 0)
+            n, m, p = self.n, (t.shape[0] - BLOCK) // 2, -(-self.n // BLOCK)
+            buf = np.zeros((rows, p * BLOCK + t.shape[0] - BLOCK))
+            windows = np.lib.stride_tricks.sliding_window_view(
+                buf, t.shape[0], axis=-1)[:, ::BLOCK]
+            y = np.empty((rows, p, BLOCK))
+            wraps = (((buf[:, :m], buf[:, n:n + m]), (buf[:, m + n:2 * m + n], buf[:, m:2 * m]))
+                     if ring else ())
+            ops = self._blocks[key] = (t, buf, np.empty(windows.shape), windows, y,
+                                       buf[:, m:m + n], y.reshape(rows, -1)[:, :n], wraps)
         return ops
 
     def spectral(self, kernel: KernelParams, dx: float) -> tuple:
@@ -270,64 +342,71 @@ class Workspace:
                 np.empty(nfft // 2 + 1, complex), np.empty(nfft))
         return ops
 
-    def window(self, m: int) -> tuple:
-        """(field slot, (n, 2m+1) window view) for a band half-width m: a
-        buffer of n + 2m zeros whose middle n entries are the slot, so the
-        field written there has m zeros on either side."""
-        bufs = self._windows.get(m)
+    def window(self, m: int, rows: int = 1) -> tuple:
+        """(field slots, (rows, n, 2m+1) window view) for a band half-width
+        m: a buffer of ``rows`` rows of n + 2m zeros whose middle n
+        entries are the (rows, n) slots, so a field written there has m
+        zeros on either side."""
+        bufs = self._windows.get((m, rows))
         if bufs is None:
-            padded = np.zeros(self.n + 2 * m)
-            bufs = self._windows[m] = (
-                padded[m:m + self.n],
-                np.lib.stride_tricks.sliding_window_view(padded, 2 * m + 1))
+            padded = np.zeros((rows, self.n + 2 * m))
+            bufs = self._windows[m, rows] = (
+                padded[:, m:m + self.n],
+                np.lib.stride_tricks.sliding_window_view(padded, 2 * m + 1, axis=-1))
         return bufs
 
 
 def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
                       mode: str = "fft", out: np.ndarray | None = None,
                       workspace: Workspace | None = None) -> np.ndarray:
-    """Discretized integral K(x,y) R(y) dy on the grid.
+    """Discretized integral K(x,y) R(y) dy on the grid, of an (N,) field
+    or of each row of a (G, N) stack of fields.
 
     'direct' and 'periodic' are the exact banded sum of the sampled
     kernel: 'direct' treats R as zero past the road's ends, 'periodic'
     wraps it around a ring, folding a kernel wider than the ring onto it.
-    Both are one matrix product over blocks of ``BLOCK`` cells (module
-    docstring); a tap's zero in it adds exactly 0, so a cell the kernel
-    cannot reach gets exactly 0.  'fft' is zero-padded linear convolution
-    by FFT, equal to 'direct' up to round-off in every cell.  A CellKernel
-    always uses its own banded product.  The result goes to ``out`` if
-    given, else to a fresh array.
+    Both are a matrix product over blocks of ``BLOCK`` cells, one numpy
+    call for all fields (module docstring); a tap's zero in it adds
+    exactly 0, so a cell the kernel cannot reach gets exactly 0.  'fft'
+    is zero-padded linear convolution by FFT, one field at a time, equal
+    to 'direct' up to round-off in every cell.  A CellKernel always uses
+    its own banded product.  The result goes to ``out`` if given, else to
+    a fresh array.
     """
     r_field = np.asarray(r_field, dtype=float)
-    if r_field.shape != (grid.num_cells,):
-        raise ValueError(
-            f"field length {r_field.shape} does not match grid ({grid.num_cells},)")
-    n = r_field.size
+    n = grid.num_cells
+    if r_field.shape[-1:] != (n,) or r_field.ndim > 2:
+        raise ValueError(f"field length {r_field.shape} does not match grid ({n},)")
     if workspace is None:
         workspace = Workspace(n)
     if isinstance(kernel, CellKernel):
         return kernel.apply(r_field, out, workspace)
+    if mode not in CONV_MODES:
+        raise ValueError(f"unknown convolution mode {mode!r}")
+    if out is None:
+        out = np.empty(r_field.shape)
+    rows = r_field.shape[0] if r_field.ndim == 2 else 1
     if mode == "fft":
         m, spectrum, padded, coeffs, signal = workspace.spectral(kernel, grid.dx)
-        padded[:n] = r_field  # the tail past n stays zero
-        np.fft.rfft(padded, out=coeffs)
-        np.multiply(coeffs, spectrum, out=coeffs)
-        np.fft.irfft(coeffs, padded.size, out=signal)
-        return np.multiply(grid.dx, signal[m:m + n], out=out)
-    if mode not in ("direct", "periodic"):
-        raise ValueError(f"unknown convolution mode {mode!r}")
-    ring = mode == "periodic"
-    t, buf, x, rows, y = workspace.blocks(kernel, grid.dx, ring)
-    m = (t.shape[0] - BLOCK) // 2  # half the taps
-    buf[m:m + n] = r_field
-    if ring:
-        buf[:m] = r_field[n - m:]
-        buf[m + n:2 * m + n] = r_field[:m]
-    np.copyto(x, rows)
+        for r, dest in zip(r_field.reshape(rows, n), out.reshape(rows, n)):
+            padded[:n] = r  # the tail past n stays zero
+            np.fft.rfft(padded, out=coeffs)
+            np.multiply(coeffs, spectrum, out=coeffs)
+            np.fft.irfft(coeffs, padded.size, out=signal)
+            np.multiply(grid.dx, signal[m:m + n], out=dest)
+        return out
+    t, _buf, x, windows, y, slots, result, wraps = workspace.blocks(
+        kernel, grid.dx, mode == "periodic", rows)
+    slots[...] = r_field
+    for margin, cells in wraps:
+        margin[...] = cells
+    np.copyto(x, windows)
+    # numpy makes one BLAS call per field of the stack, the call the field
+    # gets alone; one call over all fields' rows would move a field's rows
+    # onto the edges of BLAS kernels and thread blocks, whose sums round
+    # otherwise on some CPUs
     np.matmul(x, t, out=y)
-    if out is None:
-        out = np.empty(n)
-    out[...] = y.reshape(-1)[:n]
+    out[...] = result
     return out
 
 
@@ -350,46 +429,86 @@ class ShreParams:
         self.xi = queueing.wait_probability(self.class_params)
 
 
+class ClassStack:
+    """The ``ShreParams`` of C classes as one reaction reads them: (C, 1)
+    columns of beta and mu, (C, 2, 1) columns of [xi, 1 - xi] and
+    [-slack, +slack], and the kernel groups.
+
+    A group is the classes of one global kernel and mode, or of one
+    CellKernel, or of no kernel yet: the table classes, whose
+    ``ShreParams.kernel`` the caller sets to each step's CellKernel.  Each
+    group is (rows, first): its classes as a slice of the stack when they
+    are adjacent, else as an index array, and the first of them, whose
+    kernel and mode the group reads at each step.
+    """
+
+    def __init__(self, params):
+        self.params = tuple(params)
+        cps = [p.class_params for p in self.params]
+        self.beta = np.array([p.beta for p in self.params], dtype=float).reshape(-1, 1)
+        self.mu = np.array([cp.mu for cp in cps], dtype=float).reshape(-1, 1)
+        self.xi = np.array([(p.xi, 1.0 - p.xi) for p in self.params],
+                           dtype=float).reshape(-1, 2, 1)
+        self.slack = np.array([(-cp.slack, cp.slack) for cp in cps],
+                              dtype=float).reshape(-1, 2, 1)
+        members: dict[tuple, list[int]] = {}
+        for j, p in enumerate(self.params):
+            mode = p.conv_mode if isinstance(p.kernel, KernelParams) else None
+            members.setdefault((p.kernel, mode), []).append(j)
+        self.groups = [
+            (slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else np.array(js), js[0])
+            for js in members.values()]
+
+
+def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
+         workspace: Workspace):
+    """Time derivative of the (C, 4, N) stack ``fields`` into ``out``: one
+    convolution per kernel group, then the coefficient columns."""
+    _k, _stage, phi, phi_col, tmp, beta_s = workspace.scratch(fields.a.shape[0])
+    for rows, first in stack.groups:
+        p = stack.params[first]
+        if isinstance(rows, slice):
+            convolve_relaying(fields.r[rows], p.kernel, grid, p.conv_mode, phi[rows], workspace)
+        else:
+            phi[rows] = convolve_relaying(fields.r[rows], p.kernel, grid, p.conv_mode, None,
+                                          workspace)
+    # phi = (beta * s) * conv
+    np.multiply(stack.beta, fields.s, out=beta_s)
+    np.multiply(beta_s, phi, out=phi)
+    np.negative(phi, out=out.s)
+    # [dH, dR] = [xi, 1 - xi] * phi + [-omega, omega] * h
+    np.multiply(stack.xi, phi_col, out=out.hr)
+    np.multiply(stack.slack, fields.h_col, out=tmp)
+    np.add(out.hr, tmp, out=out.hr)
+    # dR -= mu * r, dE = mu * r
+    np.multiply(stack.mu, fields.r, out=out.e)
+    np.subtract(out.r, out.e, out=out.r)
+
+
 def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec,
              out: np.ndarray | None = None,
              workspace: Workspace | None = None) -> np.ndarray:
     """Time derivative of the (4, N) S/H/R/E fields (sums to zero per cell),
     written to ``out`` (which must not overlap ``fields``) or a fresh array."""
-    s, h, r = fields[0], fields[1], fields[2]
-    cp = p.class_params
     if workspace is None:
         workspace = Workspace(grid.num_cells)
-    phi, tmp = workspace.phi, workspace.tmp
     if out is None:
         out = np.empty_like(fields)
-    # phi = (beta * s) * conv
-    convolve_relaying(r, p.kernel, grid, p.conv_mode, phi, workspace)
-    np.multiply(p.beta, s, out=tmp)
-    np.multiply(tmp, phi, out=phi)
-    np.negative(phi, out=out[0])
-    # out[1] = xi * phi - omega * h
-    np.multiply(p.xi, phi, out=out[1])
-    np.multiply(cp.slack, h, out=tmp)
-    np.subtract(out[1], tmp, out=out[1])
-    # out[2] = ((1 - xi) * phi + omega * h) - mu * r, out[3] = mu * r
-    np.multiply(1.0 - p.xi, phi, out=out[2])
-    np.add(out[2], tmp, out=out[2])
-    np.multiply(cp.mu, r, out=out[3])
-    np.subtract(out[2], out[3], out=out[2])
+    _rhs(_Rows(fields[None]), ClassStack([p]), grid, _Rows(out[None]), workspace)
     return out
 
 
-def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float,
+def _rk4_once(arr: np.ndarray, stack: ClassStack, grid: GridSpec, dt: float,
               workspace: Workspace) -> np.ndarray:
-    """arr + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) as a fresh array; the
-    stages and derivatives live in ``workspace``."""
-    k1, k2, k3, k4 = workspace.k
-    stage = workspace.stage
-    shre_rhs(arr, p, grid, k1, workspace)
-    for k_prev, k_next, scale in ((k1, k2, 0.5 * dt), (k2, k3, 0.5 * dt), (k3, k4, dt)):
-        np.multiply(scale, k_prev, out=stage)
-        np.add(arr, stage, out=stage)
-        shre_rhs(stage, p, grid, k_next, workspace)
+    """arr + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) of a (C, 4, N) stack as a
+    fresh array; the stages and derivatives live in ``workspace``."""
+    ks, stage = workspace.scratch(arr.shape[0])[:2]
+    _rhs(_Rows(arr), stack, grid, ks[0], workspace)
+    for k_prev, k_next, scale in zip(ks, ks[1:], (0.5 * dt, 0.5 * dt, dt)):
+        np.multiply(scale, k_prev.a, out=stage.a)
+        np.add(arr, stage.a, out=stage.a)
+        _rhs(stage, stack, grid, k_next, workspace)
+    k1, k2, k3, k4 = (k.a for k in ks)
     np.multiply(2.0, k2, out=k2)
     np.add(k1, k2, out=k1)
     np.multiply(2.0, k3, out=k3)
@@ -399,37 +518,58 @@ def _rk4_once(arr: np.ndarray, p: ShreParams, grid: GridSpec, dt: float,
     return arr + k1
 
 
-def rk4_step(state: ClassState, p: ShreParams, grid: GridSpec,
-             workspace: Workspace | None = None) -> ClassState:
-    """Advance one coupling step ``grid.dt`` by RK4.
+def _passes(arr: np.ndarray, axis=None):
+    """No NaN or inf and no density below the tolerance, over ``axis``
+    (NaN makes min() NaN, which fails the comparison)."""
+    return (arr.min(axis) >= NEG_TOL) & (arr.max(axis) < math.inf)
 
-    If the step produces NaN/inf or densities below the -1e-9 tolerance,
-    it is retried with 2, 4, 8, then 16 internal sub-steps before giving
-    up.  Values in (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.
-    """
-    arr0 = state.fields
-    if workspace is None:
-        workspace = Workspace(grid.num_cells)
-    for halving in range(MAX_HALVINGS + 1):
+
+def _substeps(arr0: np.ndarray, stack: ClassStack, grid: GridSpec,
+              workspace: Workspace, index: int) -> np.ndarray:
+    """One class's (1, 4, N) step by 2, 4, 8, then 16 RK4 sub-steps, the
+    first count whose every sub-step passes; NumericalBlowupError naming
+    the cell and the class's ``index`` in its stack if none does."""
+    for halving in range(1, MAX_HALVINGS + 1):
         nsub = 2 ** halving
         h = grid.dt / nsub
         arr = arr0
-        ok = True
         for _ in range(nsub):
-            arr = _rk4_once(arr, p, grid, h, workspace)
-            # NaN makes min() NaN, which fails the comparison
-            if not (arr.min() >= NEG_TOL and arr.max() < math.inf):
-                ok = False
+            arr = _rk4_once(arr, stack, grid, h, workspace)
+            if not _passes(arr):
                 break
-        if ok:
-            np.maximum(arr, 0.0, out=arr)
-            return ClassState(arr)
-    bad = np.argwhere(~np.isfinite(arr) | (arr < NEG_TOL))
+        else:
+            return arr
+    bad = np.argwhere(~np.isfinite(arr[0]) | (arr[0] < NEG_TOL))
     cell = int(bad[0][1]) if bad.size else None
     raise NumericalBlowupError(
         f"SHRE step blew up at cell {cell} even with {2**MAX_HALVINGS} sub-steps",
-        cell=cell,
+        cell=cell, class_index=index,
     )
+
+
+def rk4_step(state, p, grid: GridSpec, workspace: Workspace | None = None):
+    """Advance one coupling step ``grid.dt`` by RK4: one class (``state`` a
+    ClassState, ``p`` its ShreParams; returns a ClassState) or a stack of
+    C classes (``state`` a (C, 4, N) array, ``p`` their ClassStack;
+    returns a fresh (C, 4, N) array).
+
+    Every class steps at once.  A class whose step produces NaN/inf or
+    densities below the -1e-9 tolerance is retried alone with 2, 4, 8,
+    then 16 internal sub-steps before giving up.  Values in (-1e-9, 0)
+    are clamped to 0; ``state`` stays unchanged.
+    """
+    one = isinstance(p, ShreParams)
+    stack, arr0 = (ClassStack([p]), state.fields[None]) if one else (p, state)
+    if workspace is None:
+        workspace = Workspace(grid.num_cells, arr0.shape[0])
+    arr = _rk4_once(arr0, stack, grid, grid.dt, workspace)
+    # one check of the whole stack; if it fails, one per class finds the
+    # classes that retry
+    for j in () if _passes(arr) else np.flatnonzero(~_passes(arr, (1, 2))):
+        arr[j] = _substeps(arr0[j:j + 1], ClassStack(stack.params[j:j + 1]), grid,
+                           workspace, int(j))[0]
+    np.maximum(arr, 0.0, out=arr)
+    return ClassState(arr[0]) if one else arr
 
 
 def seed_information(state: ClassState, cell_index: int,

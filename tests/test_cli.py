@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ifpw import coupling
+from ifpw import analysis, coupling, micro
 from ifpw.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, build_parser, main
 
 RUN_CONFIG = {
@@ -548,6 +548,39 @@ class TestSweep:
         assert code == EXIT_DOMAIN
         assert "error: cannot write" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["below a file", "a directory"])
+    def test_unwritable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch,
+                                                   where):
+        # it used to run every point first
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr(analysis, "sweep", no_sweep)
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = f"{cfg}/sweep.csv" if where == "below a file" else str(tmp_path)
+        code = main(["sweep", "--config", cfg, "--n", "11", "--mu", "0.05",
+                     "--t1", "5", "--t2", "10", "--out", out])
+        assert code == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err
+        assert ("Not a directory" if where == "below a file" else "Is a directory") in err
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_sweep_keeps_out(self, tmp_path, monkeypatch, existed):
+        # the early check neither truncates an existing file nor leaves a new one
+        def failing_sweep(*args, **kwargs):
+            raise RuntimeError("stalled")
+
+        monkeypatch.setattr(analysis, "sweep", failing_sweep)
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = tmp_path / "sweep.csv"
+        if existed:
+            out.write_text("earlier rows\n")
+        code = main(["sweep", "--config", cfg, "--n", "11", "--mu", "0.05",
+                     "--t1", "5", "--t2", "10", "--out", str(out)])
+        assert code == EXIT_DOMAIN
+        assert (out.read_text() == "earlier rows\n") if existed else not out.exists()
+
 
 class TestOracle:
     def test_tiny_ensemble(self, tmp_path, capsys):
@@ -602,6 +635,19 @@ class TestOracle:
         code = main(["oracle", "--config", cfg, "--out", str(out)])
         assert code == EXIT_DOMAIN
         assert "error: cannot write" in capsys.readouterr().err
+
+    def test_unwritable_out_fails_before_the_replications(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # it used to simulate every replication first
+        def no_simulate(*args, **kwargs):
+            raise AssertionError("the replications ran")
+
+        monkeypatch.setattr(micro, "simulate", no_simulate)
+        cfg = write_json(tmp_path, "oracle.json", ORACLE_CONFIG)
+        out = f"{cfg}/sub"  # below a file
+        assert main(["oracle", "--config", cfg, "--out", out]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err and "Not a directory" in err
 
     @pytest.mark.parametrize("path, value", [
         (("class", "n_servers"), 1.5),

@@ -337,12 +337,12 @@ class TestStepper:
         assert sorted(args[:2] for args in calls) == [(0.292, 0.499), (0.35, 0.5)]
 
     def test_step_without_stepper_makes_one_workspace(self, monkeypatch):
-        # it used to make one per class
+        # it used to make one per class; now one holds both classes' stack
         cfg = make_config(classes=make_config().classes + three_table_classes()[:1])
         made = counted(monkeypatch, shre, "Workspace")
         world = step(initialize(cfg), cfg)
         assert world.classes[1].informed.max() > 0
-        assert made == [(64,)]
+        assert made == [(64, 2)]
 
     def test_steps_with_one_stepper_equal_steps_without(self):
         cfg = make_config(classes=make_config().classes + three_table_classes(),
@@ -380,6 +380,82 @@ class TestClassIndependence:
                 for f in FIELDS:
                     np.testing.assert_array_equal(getattr(sj.classes[j], f),
                                                   getattr(sa.classes[0], f))
+
+
+    @staticmethod
+    def assert_classes_equal_single_runs(cfg):
+        """Every class of ``cfg``'s run equals its own one-class run, bit for bit."""
+        joint = run(cfg)
+        for j, cc in enumerate(cfg.classes):
+            alone = run(dataclasses.replace(cfg, classes=(cc,)))
+            assert len(alone.snapshots) == len(joint.snapshots)
+            for sj, sa in zip(joint.snapshots, alone.snapshots):
+                assert sj.k_total.tobytes() == sa.k_total.tobytes()
+                assert sj.classes[j].fields.tobytes() == sa.layers.tobytes()
+        return joint
+
+    @pytest.mark.parametrize("boundary, mode, table", [
+        ("open", "direct", True), ("periodic", "fft", True), ("periodic", "periodic", False)])
+    def test_stacked_kernel_groups_equal_single_class_runs(self, boundary, mode, table):
+        # three classes share one global kernel, whose banded product takes
+        # their stacked rows at once, one has its own, and two table classes
+        # share each step's CellKernel; the shared classes are not adjacent
+        shared, own = KernelParams(0.292, 0.499), KernelParams(0.35, 0.5)
+        classes = [ClassConfig(ClassParams(0.5, 11, 0.05), shared, seeds=((30, 5.0),)),
+                   ClassConfig(ClassParams(0.5, 4, 0.2), shared, seeds=((60, 5.0),)),
+                   ClassConfig(ClassParams(0.5, 4, 0.2), own, seeds=((45, 5.0),))]
+        if table:
+            classes += [ClassConfig(ClassParams(1.2, 5, 0.3), seeds=((50, 5.0),)),
+                        ClassConfig(ClassParams(1.2, 10, 0.15), seeds=((70, 4.0),))]
+        classes.append(ClassConfig(ClassParams(0.5, 2, 0.3), shared, seeds=((90, 5.0),)))
+        cfg = ScenarioConfig(
+            grid=GridSpec(0.05, 0.5, 120), boundary=boundary,
+            fd=FundamentalDiagram(v_f=108.0, q_max=7200.0, k_jam=120.0),
+            k0=60.0, penetration=0.5, beta=0.5, classes=tuple(classes),
+            incident=IncidentProfile(80, 85, 0.0, 20.0, 1.0 / 3.0),
+            horizon=30.0, snapshot_every=5.0, conv_mode=mode)
+        stack = Stepper(cfg).stack
+        assert len(stack.groups) == (3 if table else 2)
+        joint = self.assert_classes_equal_single_runs(cfg)
+        assert all(c.informed.max() > 5.0 for c in joint.snapshots[-1].classes)
+
+    def test_only_the_failing_class_takes_sub_steps(self, monkeypatch):
+        # class 1's steps fail the sign check and are retried with
+        # sub-steps; class 0 never is, and both equal their runs alone
+        retried = []
+        substeps = shre._substeps
+
+        def spy(arr0, stack, grid, workspace, index):
+            retried.append(index)
+            return substeps(arr0, stack, grid, workspace, index)
+
+        monkeypatch.setattr(shre, "_substeps", spy)
+        classes = (ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.1),
+                               seeds=((20, 5.0),)),
+                   ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                               seeds=((40, 10.0),)))
+        cfg = make_config(classes=classes, horizon=10.0)
+        joint = run(cfg)
+        assert retried and set(retried) == {1}
+        assert joint.snapshots[-1].classes[0].informed.max() > 19.0
+        self.assert_classes_equal_single_runs(cfg)
+
+    def test_blowup_names_the_failing_class(self):
+        # class 0 has no relayer, so only class 1 blows up on frozen traffic;
+        # its cell is the one its run alone reports
+        classes = (ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499)),
+                   ClassConfig(ClassParams(0.5, 4, 0.2), KernelParams(0.292, 0.499),
+                               seeds=((40, 5.0),)))
+        cfg = make_config(k0=300.0, penetration=20.0 / 300.0, beta=1e9, classes=classes)
+        with pytest.raises(NumericalBlowupError) as alone:
+            step(initialize(dataclasses.replace(cfg, classes=classes[1:])),
+                 dataclasses.replace(cfg, classes=classes[1:]))
+        with pytest.raises(NumericalBlowupError) as info:
+            step(initialize(cfg), cfg)
+        assert str(info.value).startswith("SHRE step for class 1 failed at t=0.0: ")
+        assert "blew up" in str(info.value)
+        assert info.value.class_index == 1
+        assert isinstance(info.value.cell, int) and info.value.cell == alone.value.cell
 
 
 class TestConcurrentRuns:

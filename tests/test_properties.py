@@ -77,10 +77,14 @@ def scenarios(draw, num_classes=st.integers(1, 3)):
     k0 = draw(st.floats(1.0, 200.0))
     penetration = draw(st.floats(0.05, 1.0))
 
+    # a class reads the table kernel (None) or one of two global kernels,
+    # so classes share a kernel group and step as one stack
+    shared = (draw(kernels(b_max=0.2)), draw(kernels(b_max=0.2)))
+
     def info_class():
         seeds = draw(st.lists(st.integers(0, num_cells - 1), max_size=2, unique=True))
         share = draw(st.floats(0.0, 1.0))
-        kp = draw(kernels(b_max=0.2))
+        kp = None if draw(st.booleans()) else draw(st.sampled_from(shared))
         params = ClassParams(draw(st.floats(0.05, 0.5)), draw(st.integers(1, 4)),
                              draw(st.floats(0.6, 1.0)))
         return ClassConfig(params, kp, seeds=tuple((c, share * penetration * k0) for c in seeds))
@@ -92,12 +96,18 @@ def scenarios(draw, num_classes=st.integers(1, 3)):
         incident = IncidentProfile(start, end, 0.0,
                                    draw(st.sampled_from([2.0, 5.0, 100.0])),
                                    draw(st.floats(0.1, 1.0)))
+    classes = tuple(info_class() for _ in range(draw(num_classes)))
+    # 'periodic' wraps a global kernel around a ring; the table kernel never wraps
+    modes = ["fft", "direct"]
+    if boundary == "periodic" and all(c.kernel is not None for c in classes):
+        modes.append("periodic")
     return ScenarioConfig(
         grid=GridSpec(dx=0.05, dt=0.5, num_cells=num_cells),
         fd=FD, boundary=boundary, k0=k0, penetration=penetration, beta=2.0,
-        classes=tuple(info_class() for _ in range(draw(num_classes))),
+        classes=classes,
         incident=incident, horizon=draw(st.sampled_from([10.0, 60.0])), snapshot_every=10.0,
         demand=draw(st.one_of(st.none(), st.floats(0.0, 7200.0))),
+        conv_mode=draw(st.sampled_from(modes)),
     )
 
 

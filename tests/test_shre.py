@@ -80,6 +80,42 @@ def banded_results():
             for n, dx, kp, mode in cases]
 
 
+def stacked_mismatches():
+    """(cells, mode, kernel, rows, row) of every field whose banded product
+    in a stack of ``rows`` fields differs in any bit from its product
+    alone.  One BLAS product over all fields' rows failed this under the
+    Haswell, Nehalem and Prescott kernels of OpenBLAS: a field's rows fell
+    on the edges of the kernels' row blocks and of the threads' shares,
+    whose sums round otherwise, and a one-row field alone (n <= BLOCK) is
+    a gemv, not a gemm."""
+    bad = []
+    for n in (8, 16, 17, 96, 512, 600):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        for kp in (KP, KernelParams(0.05, 0.05)):
+            for mode in ("direct", "periodic"):
+                for rows in (2, 3, 9):
+                    fields = np.random.default_rng(n + rows).uniform(0, 20, (rows, n))
+                    stacked = convolve_relaying(fields, kp, grid, mode)
+                    bad += [(n, mode, kp.a, rows, i) for i, r in enumerate(fields)
+                            if convolve_relaying(r, kp, grid, mode).tobytes()
+                            != stacked[i].tobytes()]
+    return bad
+
+
+# OpenBLAS core types and the cpuinfo flag of the newest instruction set
+# each one's kernels use: a forced core type the CPU lacks dies of SIGILL
+BLAS_CORES = {"Prescott": "pni", "Nehalem": "sse4_2", "Sandybridge": "avx", "Haswell": "avx2"}
+
+
+def cpu_flags():
+    try:
+        with open("/proc/cpuinfo") as fh:
+            return next((set(line.split(":", 1)[1].split()) for line in fh
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
 class TestConvolution:
     def test_zero_field(self):
         out = convolve_relaying(np.zeros(GRID.num_cells), KP, GRID)
@@ -213,6 +249,23 @@ class TestConvolution:
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert_bitwise(np.load(path), np.concatenate(banded_results()))
+
+    def test_stacked_fields_equal_fields_alone(self):
+        assert stacked_mismatches() == []
+
+    @pytest.mark.parametrize("core", sorted(BLAS_CORES))
+    def test_stacked_fields_equal_fields_alone_on_each_blas_core(self, core):
+        # OpenBLAS picks its kernels by CPU and CI's CPUs differ from any
+        # one machine's; OPENBLAS_CORETYPE forces another core's kernels
+        if BLAS_CORES[core] not in cpu_flags():
+            pytest.skip(f"this CPU lacks {BLAS_CORES[core]}, which {core}'s kernels use")
+        script = ("import sys; sys.path[:0] = sys.argv[1:]; "
+                  "from test_shre import stacked_mismatches; print(stacked_mismatches())")
+        env = dict(os.environ, OPENBLAS_CORETYPE=core)
+        proc = subprocess.run([sys.executable, "-c", script, str(TESTS), str(SRC)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_cell_kernel_matches_uniform_case(self):
         n = 200
@@ -403,13 +456,13 @@ class TestRetryGuard:
         calls = []
         once = shre._rk4_once
 
-        def spoiled(arr, p, grid, dt, workspace):
-            out = once(arr, p, grid, dt, workspace)
+        def spoiled(arr, stack, grid, dt, workspace):
+            out = once(arr, stack, grid, dt, workspace)
             calls.append(dt)
             if workspaces is not None:
                 workspaces.append(workspace)
             if len(calls) <= times:
-                out[2, 7] = bad
+                out[0, 2, 7] = bad
             return out
 
         monkeypatch.setattr(shre, "_rk4_once", spoiled)
@@ -419,14 +472,14 @@ class TestRetryGuard:
     def test_bad_substep_is_retried(self, monkeypatch, bad):
         state = seeded_state(16)
         once, ws = shre._rk4_once, shre.Workspace(16)
-        want = state.fields
+        want = state.fields[None]
         for _ in range(2):
-            want = once(want, self.P, self.GRID, self.GRID.dt / 2, ws)
+            want = once(want, shre.ClassStack([self.P]), self.GRID, self.GRID.dt / 2, ws)
         workspaces = []
         calls = self.inject(monkeypatch, bad, times=1, workspaces=workspaces)
         out = rk4_step(state, self.P, self.GRID)
         assert calls == [self.GRID.dt] + [self.GRID.dt / 2] * 2
-        assert_bitwise(out.fields, np.maximum(want, 0.0))
+        assert_bitwise(out.fields, np.maximum(want[0], 0.0))
         # every sub-step of one step, retries too, uses one workspace
         assert isinstance(workspaces[0], shre.Workspace)
         assert all(w is workspaces[0] for w in workspaces)
@@ -721,6 +774,63 @@ class TestWorkspaceStep:
         p = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP, conv_mode=mode)
         peak, nbytes = self.warm_step_peak(p, grid)
         assert peak <= 1.5 * nbytes
+
+    @staticmethod
+    def mixed_stack(n, dx, mode, third):
+        """Three classes, the first and the ``third`` of one global kernel,
+        the second of a CellKernel, and their seeded (3, 4, n) fields."""
+        rng = np.random.default_rng(6)
+        cell = CellKernel(rng.uniform(0.2, 0.35, n), rng.uniform(0.3, 0.6, n), dx)
+        params = [ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP, conv_mode=mode),
+                  ShreParams(0.04, ClassParams(1.2, 5, 0.3), cell),
+                  ShreParams(2.0, third, KP, conv_mode=mode)]
+        seeded = [seed_information(ClassState.all_susceptible(sigma, n), at, 5.0).fields
+                  for sigma, at in ((20.0, n // 2), (30.0, n // 3), (20.0, n // 4))]
+        return params, np.stack(seeded)
+
+    @pytest.mark.parametrize("mode", ["fft", "periodic", "direct"])
+    def test_stacked_steps_equal_one_class_steps(self, mode, monkeypatch):
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
+        # the third class's steps fail the sign check and take sub-steps
+        params, fields = self.mixed_stack(96, grid.dx, mode, ClassParams(0.5, 4, 0.2))
+        stack, ws = shre.ClassStack(params), shre.Workspace(96, 3)
+        # the global classes are one group, rows 0 and 2 of the stack
+        assert len(stack.groups) == 2 and list(stack.groups[0][0]) == [0, 2]
+        retried = []
+        substeps = shre._substeps
+        monkeypatch.setattr(shre, "_substeps",
+                            lambda *args: retried.append(args[-1]) or substeps(*args))
+        alone = [ClassState(f) for f in fields]
+        for _ in range(20):
+            fields = rk4_step(fields, stack, grid, ws)
+            alone = [rk4_step(st, p, grid) for st, p in zip(alone, params)]
+            for f, st in zip(fields, alone):
+                assert_bitwise(f, st.fields)
+        assert 2 in retried
+
+    @pytest.mark.parametrize("mode", ["fft", "periodic", "direct"])
+    def test_warm_stacked_step_allocates_one_result(self, mode):
+        # three classes in two kernel groups: the stacked product's and the
+        # einsum's buffers are the workspace's too
+        n = 2048
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
+        # these classes pass the sign check, so the step takes no sub-step;
+        # the global classes are made adjacent, a slice of the stack (the
+        # rows of a scattered group are gathered into a temporary)
+        params, fields = self.mixed_stack(n, grid.dx, mode, ClassParams(0.5, 11, 0.05))
+        params, fields = [params[0], params[2], params[1]], fields[[0, 2, 1]]
+        stack, ws = shre.ClassStack(params), shre.Workspace(n, 3)
+        assert [rows for rows, _first in stack.groups] == [slice(0, 2), slice(2, 3)]
+        for _ in range(3):
+            fields = rk4_step(fields, stack, grid, ws)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            rk4_step(fields, stack, grid, ws)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * fields.nbytes
 
     def test_warm_cell_kernel_apply_copies_no_padded_field(self):
         # np.pad's (N + 2m) copy and the einsum result peaked at 2.8 (N,)
