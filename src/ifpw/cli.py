@@ -43,43 +43,28 @@ def _fail(msg: str, code: int) -> int:
     return code
 
 
-def _whole_arg(low: int):
-    """argparse type: a whole number of at least ``low``, written as 2 or as 2.0."""
-    def parse(text: str) -> int:
+def _arg(convert, ok, what: str):
+    """argparse type: ``convert(text)``, if ``ok`` holds for it."""
+    def parse(text: str):
         try:
-            value = whole_number(float(text), "value")
-            if value >= low:
+            value = convert(text)
+            if ok(value):
                 return value
         except ValueError:
             pass
-        raise argparse.ArgumentTypeError(f"not a whole number >= {low}: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a {what}: {text!r}")
     return parse
 
 
-_count_arg = _whole_arg(1)
-_index_arg = _whole_arg(0)
+def _whole(text: str) -> int:
+    return whole_number(float(text), "value")  # 2 or 2.0
 
 
-def _time_arg(text: str) -> float:
-    """argparse type: a finite non-negative float."""
-    try:
-        value = float(text)
-        if 0 <= value < math.inf:  # also rejects NaN
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a finite non-negative number: {text!r}")
-
-
-def _rate_arg(text: str) -> float:
-    """argparse type: a finite positive float."""
-    try:
-        value = float(text)
-        if 0 < value < math.inf:  # also rejects NaN
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a finite positive number: {text!r}")
+_count_arg = _arg(_whole, lambda v: v >= 1, "whole number >= 1")
+_index_arg = _arg(_whole, lambda v: v >= 0, "whole number >= 0")
+# the comparisons also reject NaN
+_time_arg = _arg(float, lambda v: 0 <= v < math.inf, "finite non-negative number")
+_rate_arg = _arg(float, lambda v: 0 < v < math.inf, "finite positive number")
 
 
 def cmd_run(args) -> int:

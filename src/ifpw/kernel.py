@@ -8,11 +8,9 @@ by distance ``|x - y|`` (km) is
 with decay scale ``a`` (km) and total mass ``b`` (integral of K over the
 line).  A reference table of calibrated (a, b) pairs and the transmission
 capacity N_max per traffic density ships as a CSV data file; calibration
-from raw distance/success-rate samples is done by least squares.
-
-Only ``calibrate`` needs ``scipy.optimize``; it imports the module when
-called, so simulation processes, which never calibrate, do not carry the
-~22 MB it occupies.
+from raw distance/success-rate samples is a least-squares fit.  K is
+linear in b, so the fit eliminates b in closed form and searches the
+one-dimensional profile in a (variable projection); it needs numpy only.
 """
 
 from __future__ import annotations
@@ -40,6 +38,9 @@ __all__ = [
 ]
 
 SQRT_PI = math.sqrt(math.pi)
+A_MIN, B_MIN = 1e-6, 1e-6  # lower bounds of a fitted kernel
+GRID_STEP = math.log(500.0) / 39  # log-a spacing of the fit's grid, 40 points on [0.01, 5] km
+INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class CalibrationSample:
     success_rate: float  # [0, 1]
 
     def __post_init__(self):
-        if self.distance < 0:
-            raise ValueError(f"distance must be non-negative, got {self.distance}")
+        if not 0 <= self.distance < math.inf:  # also rejects NaN
+            raise ValueError(f"distance must be finite and non-negative, got {self.distance}")
         if not 0 <= self.success_rate <= 1:
             raise ValueError(f"success rate must be in [0,1], got {self.success_rate}")
 
@@ -90,52 +91,62 @@ def kernel_value(kp: KernelParams, x, y):
     return float(out) if out.ndim == 0 else out
 
 
-def _predict(params, distances):
-    a, b = params
-    return (b / (a * SQRT_PI)) * np.exp(-(distances * distances) / (a * a))
+def _profile(a, d, y):
+    """b*(a), the mass that minimises the SSE at each scale of ``a`` within
+    its bounds (the model is linear in b), and the SSE it leaves."""
+    a = a[:, None]
+    g = np.exp(-(d * d) / (a * a)) / (a * SQRT_PI)
+    gg = np.einsum("ij,ij->i", g, g)  # 0 where g underflows at every sample
+    b = np.divide(g @ y, gg, out=np.zeros_like(gg), where=gg > 0)
+    b = np.clip(b, B_MIN, np.minimum(1.0, a[:, 0] * SQRT_PI))
+    r = b[:, None] * g - y
+    return b, np.einsum("ij,ij->i", r, r)
 
 
 def calibrate(samples) -> tuple[KernelParams, float]:
     """Least-squares fit of (a, b) to distance/success-rate samples.
 
-    Returns the fitted parameters and the R-squared of the fit.  A coarse
-    grid search seeds a Levenberg-Marquardt refinement, which is robust
-    for this two-parameter problem.
+    Returns the fitted parameters and the R-squared of the fit.  It is a
+    variable projection (Golub & Pereyra, SIAM J. Numer. Anal. 10, 1973):
+    b*(a) is exact under 1e-6 <= b <= min(1, a sqrt(pi)) (a peak
+    probability of at most 1), so only the profile SSE(a) is searched.  A
+    log-spaced grid of a starts on [0.01, 5] km and doubles its log-width
+    toward an end holding its minimum, within [1e-6 km, 1e3 max d]; a
+    golden-section search on log a narrows the minimum's neighbours to
+    1e-12.  Raises ConvergenceError, with the best grid (a, b) as
+    ``best``, if the profile never turns up in that range.
     """
     samples = list(samples)
     if len(samples) < 3:
         raise CalibrationError(f"need at least 3 samples, got {len(samples)}")
     d = np.array([s.distance for s in samples])
     y = np.array([s.success_rate for s in samples])
-    if np.unique(d).size < 2:
+    if d.min() == d.max():
         raise CalibrationError("all samples share one distance; fit is underdetermined")
 
-    # coarse grid seed
-    a_grid = np.geomspace(0.01, 5.0, 40)
-    b_grid = np.linspace(0.05, 1.0, 20)
-    best, best_sse = None, np.inf
-    for a0 in a_grid:
-        for b0 in b_grid:
-            sse = float(np.sum((_predict((a0, b0), d) - y) ** 2))
-            if sse < best_sse:
-                best, best_sse = (a0, b0), sse
-
-    from scipy import optimize  # ~22 MB; only calibration fits, so load it here
-
-    res = optimize.least_squares(
-        lambda p: _predict(p, d) - y,
-        x0=best,
-        bounds=([1e-6, 1e-6], [np.inf, 1.0]),
-        xtol=1e-12,
-        ftol=1e-14,
-        gtol=1e-14,
-    )
-    if not res.success:
-        raise ConvergenceError(f"kernel fit did not converge: {res.message}", best=tuple(res.x))
-    a_fit, b_fit = res.x
-    # the fit can land epsilon above the peak-probability bound; snap back
-    b_fit = min(b_fit, a_fit * SQRT_PI)
-    kp = KernelParams(a=float(a_fit), b=float(b_fit))
+    x_min, x_max = math.log(A_MIN), math.log(1e3 * d.max())
+    lo, hi = np.clip(np.log([0.01, 5.0]), x_min, x_max)
+    while True:
+        x = np.linspace(lo, hi, max(3, round((hi - lo) / GRID_STEP) + 1))
+        b, sse = _profile(np.exp(x), d, y)
+        i = int(np.argmin(sse))
+        if 0 < i < x.size - 1:
+            break
+        if i == 0 and lo > x_min:
+            lo = max(x_min, lo - max(hi - lo, GRID_STEP))
+        elif i > 0 and hi < x_max:
+            hi = min(x_max, hi + max(hi - lo, GRID_STEP))
+        else:
+            a_end = float(np.exp(x[i]))
+            raise ConvergenceError(f"kernel fit profile still falls at its end, a = {a_end:.3g} km",
+                                   best=(a_end, float(b[i])))
+    lo, hi = x[i - 1], x[i + 1]
+    while hi - lo > 1e-12:  # golden section: keep the side of the lower probe
+        probes = np.array([hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)])
+        sse = _profile(np.exp(probes), d, y)[1]
+        lo, hi = (lo, probes[1]) if sse[0] <= sse[1] else (probes[0], hi)
+    a_fit = np.exp([(lo + hi) / 2])
+    kp = KernelParams(a=float(a_fit[0]), b=float(_profile(a_fit, d, y)[0][0]))
     return kp, r_squared(samples, kp)
 
 
@@ -189,20 +200,23 @@ def load_reference_table() -> list[DensityReferenceRow]:
     return rows
 
 
-_TABLE_CACHE: list[DensityReferenceRow] | None = None
+# the table's rows and its (density, a, b) columns, built once per load
+_TABLE_CACHE: tuple[list[DensityReferenceRow], np.ndarray] | None = None
 
 
-def _table() -> list[DensityReferenceRow]:
+def _table() -> tuple[list[DensityReferenceRow], np.ndarray]:
     global _TABLE_CACHE
     if _TABLE_CACHE is None:
-        _TABLE_CACHE = load_reference_table()
+        rows = load_reference_table()
+        _TABLE_CACHE = rows, np.array([[r.density for r in rows], [r.a for r in rows],
+                                       [r.b for r in rows]])
     return _TABLE_CACHE
 
 
 def lookup_reference(k: float) -> DensityReferenceRow:
     """Nearest tabulated reference row (a, b, n_max) at traffic density k
     (veh/km); ``interp_kernel_params`` interpolates a and b instead."""
-    rows = _table()
+    rows = _table()[0]
     lo, hi = rows[0].density, rows[-1].density
     if not lo <= k <= hi:
         raise ValueError(f"density {k} outside tabulated range [{lo}, {hi}]")
@@ -215,12 +229,9 @@ def interp_kernel_params(k_values):
     Densities are clamped to the tabulated range before interpolation, so
     jammed cells use the highest-density row.
     """
-    rows = _table()
-    dens = np.array([r.density for r in rows])
+    dens, a, b = _table()[1]
     kc = np.clip(np.asarray(k_values, dtype=float), dens[0], dens[-1])
-    a = np.interp(kc, dens, [r.a for r in rows])
-    b = np.interp(kc, dens, [r.b for r in rows])
-    return a, b
+    return np.interp(kc, dens, a), np.interp(kc, dens, b)
 
 
 def read_samples(path) -> list[CalibrationSample]:

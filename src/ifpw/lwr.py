@@ -71,10 +71,14 @@ class FundamentalDiagram:
 
 
 def _check_density(k, fd: FundamentalDiagram):
-    k = np.asarray(k, dtype=float)
-    if (k < -EMPTY_TOL).any() or (k > fd.k_jam * (1 + 1e-12)).any():
-        raise ValueError(f"density outside [0, k_jam={fd.k_jam}]")
-    return np.minimum(np.maximum(k, 0.0), fd.k_jam)
+    """``k`` clipped to [0, k_jam] (``k`` itself if it lies there); NaN, or
+    a value past the rounding tolerances, raises ValueError naming its cell."""
+    k, k_max = np.asarray(k, dtype=float), fd.k_jam * (1 + 1e-12)
+    lo, hi = np.minimum.reduce(k, None, initial=0.0), np.maximum.reduce(k, None, initial=0.0)
+    if not (lo >= -EMPTY_TOL and hi <= k_max):  # NaN propagates into both, so fails
+        cell = np.flatnonzero(~((k >= -EMPTY_TOL) & (k <= k_max)))[0]
+        raise ValueError(f"density outside [0, k_jam={fd.k_jam}]: {k.flat[cell]} in cell {cell}")
+    return k if lo >= 0.0 and hi <= fd.k_jam else np.minimum(np.maximum(k, 0.0), fd.k_jam)
 
 
 # The flow formulas take a checked density and the capacity cap factor * q_max.

@@ -1,12 +1,13 @@
-"""The simulation paths load numpy and no scipy module, nor ``numpy.ma``.
+"""The simulation and calibration paths load numpy and no scipy module,
+nor ``numpy.ma``, and calibration runs where scipy cannot be imported.
 
-``scipy.optimize`` (~22 MB of resident memory) serves kernel calibration
-alone, and the process pool serves only a sweep with more than one
-worker.  The Erlang-C and Poisson terms use replicas of
+numpy is the package's only runtime dependency: kernel calibration fits
+by variable projection in numpy, and the process pool serves only a
+sweep with more than one worker.  The Erlang-C and Poisson terms use replicas of
 ``scipy.special`` routines, so that module (~18 MB more) is not loaded
 either.  ``np.unique`` of a real array imports ``numpy.ma`` (~1.7 MB),
-so the run, sweep and oracle paths avoid it.  OpenSSL (``_hashlib``,
-~3.5 MB) loads only to hash a run's manifest or through
+so the run, sweep, oracle and calibration paths avoid it.  OpenSSL
+(``_hashlib``, ~3.5 MB) loads only to hash a run's manifest or through
 ``numpy.random``, which imports ``secrets``; so a coupled run and a
 sweep leave it unloaded, while the oracle loads it.
 Each check runs in a fresh interpreter, because this test process has
@@ -18,6 +19,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -85,6 +88,53 @@ def test_simulation_paths_skip_calibration_modules(tmp_path):
     assert after_runs == []
     # import ifpw.cli, coupling.run and analysis.sweep hash nothing
     assert "openssl false" in proc.stdout.splitlines()
-    # calibration still finds its solvers when it is asked for
-    assert "scipy.optimize" in after_calibration
+    assert after_calibration == []
     assert (tmp_path / "out" / "manifest.json").exists()
+
+
+BLOCKED_SCIPY = """
+import sys
+
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy  # noqa: F401
+except ImportError:
+    pass
+else:
+    sys.exit("scipy imported")
+
+from ifpw import kernel
+from ifpw.cli import main
+
+samples = kernel.read_samples(sys.argv[1])
+fit, r2 = kernel.calibrate(samples)
+print(f"calibrate {fit.a:.6f} {fit.b:.6f} {r2:.6f}")
+sys.exit(main(["calibrate", "--samples", sys.argv[1]]))
+"""
+
+
+def test_calibration_runs_without_scipy(tmp_path):
+    # the samples of tests/test_cli.py's TestCalibrate; the expected lines
+    # are what the scipy.optimize fit printed for them
+    d = np.linspace(0, 0.9, 30)
+    vals = (0.5 / (0.3 * np.sqrt(np.pi))) * np.exp(-(d / 0.3) ** 2)
+    path = tmp_path / "samples.csv"
+    path.write_text("distance_km,success_rate\n" +
+                    "\n".join(f"{x:.6f},{v:.9f}" for x, v in zip(d, vals)))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_SCIPY, str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "calibrate 0.300000 0.500000 1.000000",
+        "a = 0.300000 km",
+        "b = 0.500000",
+        "r_squared = 1.000000",
+    ]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ifpw.errors import CalibrationError, DegenerateDataError
+from ifpw.errors import CalibrationError, ConvergenceError, DegenerateDataError
 from ifpw.kernel import (
     SQRT_PI,
     CalibrationSample,
@@ -89,6 +89,95 @@ class TestCalibrate:
             calibrate([CalibrationSample(0.1, 0.5), CalibrationSample(0.1, 0.6)])
         with pytest.raises(CalibrationError):
             calibrate([CalibrationSample(0.1, 0.5)] * 5)
+
+    @pytest.mark.parametrize("distance", [float("nan"), float("inf"), -0.1])
+    def test_sample_distance_must_be_finite(self, distance):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            CalibrationSample(distance, 0.5)
+
+
+def sse(kp, d, y):
+    return float(np.sum((kernel_value(kp, d, 0.0) - y) ** 2))
+
+
+def scipy_least_squares_fit(d, y):
+    """The fit as scipy.optimize made it: the best point of a 40 x 20 (a, b)
+    grid seeds a bounded trust-region least-squares refinement, and b is
+    snapped down to a sqrt(pi) afterwards."""
+    from scipy import optimize
+
+    def predict(p, d):
+        a, b = p
+        return (b / (a * SQRT_PI)) * np.exp(-(d * d) / (a * a))
+
+    a_grid, b_grid = np.geomspace(0.01, 5.0, 40), np.linspace(0.05, 1.0, 20)
+    grid_sse = np.sum((predict((a_grid[:, None, None], b_grid[:, None]), d) - y) ** 2, axis=-1)
+    i, j = np.unravel_index(np.argmin(grid_sse), grid_sse.shape)  # the first of ties
+    res = optimize.least_squares(lambda p: predict(p, d) - y, x0=(a_grid[i], b_grid[j]),
+                                 bounds=([1e-6, 1e-6], [np.inf, 1.0]),
+                                 xtol=1e-12, ftol=1e-14, gtol=1e-14)
+    assert res.success, res.message
+    a, b = res.x
+    return KernelParams(float(a), float(min(b, a * SQRT_PI)))
+
+
+def noisy_problem(rng):
+    """30 samples of a random kernel (a in [0.05, 2] km, b at least a quarter
+    of its bound) out to 1.5-4 a, with Gaussian noise of sd 0.01-0.05."""
+    a = math.exp(rng.uniform(math.log(0.05), math.log(2.0)))
+    b = rng.uniform(0.25, 1.0) * min(1.0, a * SQRT_PI)
+    d = np.sort(rng.uniform(0.0, rng.uniform(1.5, 4.0) * a, 30))
+    noise = rng.normal(0.0, rng.uniform(0.01, 0.05), 30)
+    return d, np.clip(kernel_value(KernelParams(a, b), d, 0.0) + noise, 0.0, 1.0)
+
+
+class TestCalibrateAgainstScipy:
+    PROBLEMS = 100
+
+    def test_no_worse_than_least_squares(self):
+        rng = np.random.default_rng(24)
+        agreeing = 0
+        for _ in range(self.PROBLEMS):
+            d, y = noisy_problem(rng)
+            fit, _ = calibrate([CalibrationSample(float(x), float(v)) for x, v in zip(d, y)])
+            ref = scipy_least_squares_fit(d, y)
+            fit_sse, ref_sse = sse(fit, d, y), sse(ref, d, y)
+            assert fit_sse <= ref_sse * (1 + 1e-12), (fit, ref)
+            if abs(fit_sse - ref_sse) <= 1e-9 * ref_sse:
+                agreeing += 1
+                assert fit.a == pytest.approx(ref.a, rel=1e-6)
+                assert fit.b == pytest.approx(ref.b, rel=1e-6)
+        assert agreeing >= 0.95 * self.PROBLEMS
+
+    def test_optimum_beyond_five_km(self):
+        # the search grid starts on [0.01, 5] km and must grow past its end
+        d = np.linspace(0.0, 30.0, 30)
+        fit, r2 = calibrate(synth_samples(12.0, 0.8, d))
+        assert fit.a == pytest.approx(12.0, rel=1e-6)
+        assert fit.b == pytest.approx(0.8, rel=1e-6)
+        assert r2 == pytest.approx(1.0, abs=1e-9)
+
+    def test_peak_bound_active(self):
+        # samples of a kernel whose peak would be 1.5 > 1, away from d = 0:
+        # the fit keeps b = a sqrt(pi) and is optimal along that bound
+        d = np.linspace(0.2, 0.9, 30)
+        y = 1.5 * np.exp(-(d / 0.3) ** 2)
+        fit, _ = calibrate([CalibrationSample(float(x), float(v)) for x, v in zip(d, y)])
+        assert fit.b == fit.a * SQRT_PI
+        best = sse(fit, d, y)
+        for a in fit.a * np.array([1 - 1e-5, 1 + 1e-5]):
+            assert sse(KernelParams(a, a * SQRT_PI), d, y) > best
+        assert best < sse(scipy_least_squares_fit(d, y), d, y)
+
+    def test_profile_that_never_turns_up(self):
+        # a kernel 10^4 km wide seen out to 1 km: the SSE still falls at
+        # a = 10^3 max d, the end of the search
+        samples = synth_samples(1e4, 1.0, np.linspace(0.0, 1.0, 10))
+        with pytest.raises(ConvergenceError, match="still falls") as err:
+            calibrate(samples)
+        a, b = err.value.best
+        assert a == pytest.approx(1e3)
+        assert 0 < b <= 1
 
 
 class TestRSquared:

@@ -5,6 +5,7 @@ from ifpw.errors import ConfigurationError
 from ifpw.lwr import (
     EMPTY_TOL,
     FundamentalDiagram,
+    _check_density,
     advance_total,
     interface_flows,
     receiving_flow,
@@ -78,6 +79,28 @@ class TestSendingReceiving:
             sending_flow(301.0, FD)
         with pytest.raises(ValueError):
             receiving_flow(-1.0, FD)
+
+    @pytest.mark.parametrize("call", [
+        lambda k: interface_flows(k, FD, "periodic"),
+        lambda k: sending_flow(k, FD),
+        lambda k: receiving_flow(k, FD),
+        lambda k: advance_total(k, FD, GridSpec(dx=0.05, dt=0.5, num_cells=k.size)),
+    ], ids=["interface_flows", "sending_flow", "receiving_flow", "advance_total"])
+    def test_nan_density_names_first_bad_cell(self, call):
+        k = np.full(8, 50.0)
+        k[[3, 6]] = np.nan
+        with pytest.raises(ValueError, match=r"density outside \[0, k_jam=300.0\]: nan in cell 3"):
+            call(k)
+        k[3], k[6] = 20.0, 301.0
+        with pytest.raises(ValueError, match="301.0 in cell 6"):
+            call(k)
+
+    def test_density_in_range_is_not_copied(self):
+        k = np.array([0.0, 50.0, FD.k_jam])
+        assert _check_density(k, FD) is k
+        rounded = np.array([-1e-13, 50.0, FD.k_jam * (1 + 1e-13)])
+        np.testing.assert_array_equal(_check_density(rounded, FD), k)
+        assert rounded[0] == -1e-13  # the clip copies
 
 
 class TestAdvanceTotal:
