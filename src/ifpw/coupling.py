@@ -4,7 +4,10 @@ Each step (i) advances the total traffic density by cell transmission,
 (ii) splits the interface flows by the upstream class composition,
 (iii) advects every class layer with its share, and (iv) applies one RK4
 step of the SHRE reaction to all information classes at once on the
-post-advection densities.  The state is two arrays: the total density
+post-advection densities.  A step in which no interface carries flow (a
+jammed ring or closed road, or a road whose every cell has lost its
+capacity) leaves the layers as they are: it skips (ii) and (iii), whose
+result would equal them bit for bit.  The state is two arrays: the total density
 ``k_total`` (N,) and ``layers`` (4C, N), whose rows 4j .. 4j+3 hold the
 S/H/R/E densities of information class j.  They are the single source of
 truth: the traffic step advects every row, and the SHRE step reads them
@@ -285,9 +288,16 @@ def step(world: WorldState, config: ScenarioConfig,
     try:
         k_new, flows = lwr.advance_total(world.k_total, config.fd, grid,
                                          config.boundary, factors, stepper.demand)
-        class_flows = lwr.split_class_flows(world.k_total, world.layers, flows,
-                                            config.boundary, stepper.inflow)
-        advected = lwr.update_class_densities(world.layers, class_flows, grid)
+        layers = world.layers
+        if (not flows.any() and layers.min(initial=0.0) >= 0.0
+                and layers.max(initial=0.0) < math.inf):
+            # no interface carries flow: every layer flow is +0, so the
+            # advection would return these finite, non-negative layers bit for bit
+            advected = layers
+        else:
+            class_flows = lwr.split_class_flows(world.k_total, layers, flows,
+                                                config.boundary, stepper.inflow)
+            advected = lwr.update_class_densities(layers, class_flows, grid)
     except Exception as exc:
         _add_context(exc, f"traffic layer failed at t={t}")
         raise

@@ -176,8 +176,8 @@ def max_servers(capacity_bps: float, k: float, beta: float, comm_range_km: float
                 comm_range_km=comm_range_km, penetration=penetration,
                 packet_bits=packet_bits)
     for name, value in args.items():
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value}")
+        if not 0 < value < math.inf:  # also rejects NaN
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if penetration > 1:
         raise ValueError(f"penetration must be in (0,1], got {penetration}")
     return int(capacity_bps // (2 * k * beta * comm_range_km * penetration * packet_bits))

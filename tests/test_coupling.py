@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -168,8 +169,81 @@ class TestStep:
             world = step(world, cfg)
             ref = rk4_step(ref, p, GRID)
         got = world.classes[0]
-        np.testing.assert_allclose(got.s, ref.s, atol=1e-9)
-        np.testing.assert_allclose(got.r, ref.r, atol=1e-9)
+        for f in FIELDS:
+            np.testing.assert_array_equal(getattr(got, f), getattr(ref, f))
+
+    @pytest.mark.parametrize("boundary", ["periodic", "closed"])
+    def test_standstill_skips_advection(self, monkeypatch, boundary):
+        # at jam density no interface carries flow, so step neither splits
+        # nor advects the layers; its result still equals that of advecting
+        cfg = make_config(k0=300.0, penetration=20.0 / 300.0, boundary=boundary)
+        world = step(initialize(cfg), cfg)
+        stepper = Stepper(cfg)
+        k_new, flows = lwr.advance_total(world.k_total, cfg.fd, GRID, boundary)
+        assert not flows.any()
+        advected = lwr.update_class_densities(
+            world.layers, lwr.split_class_flows(world.k_total, world.layers, flows, boundary),
+            GRID)
+        assert advected.tobytes() == world.layers.tobytes()
+        expected = shre.rk4_step(advected.reshape(1, 4, -1), stepper.stack, GRID,
+                                 stepper.workspace).copy()
+
+        def advect(*args, **kwargs):
+            raise AssertionError("layers advected at standstill")
+
+        monkeypatch.setattr(lwr, "split_class_flows", advect)
+        monkeypatch.setattr(lwr, "update_class_densities", advect)
+        got = step(world, cfg, stepper)
+        assert got.k_total.tobytes() == k_new.tobytes()
+        assert got.layers.tobytes() == expected.tobytes()
+
+    def test_standstill_skip_keeps_no_state(self, monkeypatch):
+        # every cell of a flowing ring loses its capacity for 2 <= t < 6 s:
+        # 8 of the 20 steps stand still, then traffic flows again
+        cfg = make_config(incident=IncidentProfile(0, 63, 2.0, 6.0, 0.0))
+        stepper, n = Stepper(cfg), GRID.num_cells
+        world, advected_states = initialize(cfg), []
+        for _ in range(20):  # the coupled step without the standstill skip
+            k_new, flows = lwr.advance_total(world.k_total, cfg.fd, GRID, cfg.boundary,
+                                             cfg.incident.factors(world.time, n))
+            layers = lwr.update_class_densities(
+                world.layers,
+                lwr.split_class_flows(world.k_total, world.layers, flows, cfg.boundary), GRID)
+            fields = shre.rk4_step(layers.reshape(-1, 4, n), stepper.stack, GRID,
+                                   stepper.workspace)
+            world = WorldState(world.time + GRID.dt, k_new, fields.reshape(layers.shape))
+            advected_states.append(world)
+        splits = counted(monkeypatch, lwr, "split_class_flows")
+        out = run(cfg)
+        assert len(splits) == 12
+        assert [s.time for s in out.snapshots[1:]] == [w.time for w in advected_states[3::4]]
+        for got, want in zip(out.snapshots[1:], advected_states[3::4]):
+            assert got.k_total.tobytes() == want.k_total.tobytes()
+            assert got.layers.tobytes() == want.layers.tobytes()
+
+    @pytest.mark.parametrize("value", [-1e-12, -1e-6, math.nan, math.inf])
+    def test_standstill_with_bad_layer_takes_general_path(self, monkeypatch, value):
+        # a hand-built state: the skip is exact only for finite, non-negative
+        # layers, so any other keeps the advection's clamp or error
+        cfg = make_config(k0=300.0, penetration=20.0 / 300.0)
+        world = initialize(cfg)
+        world.layers[2, 10] = value
+        splits = counted(monkeypatch, lwr, "split_class_flows")
+        reacted = counted(monkeypatch, shre, "rk4_step")
+        if value == -1e-12:  # within rounding: clamped to +0.0
+            step(world, cfg)
+            fields = reacted[0][0]
+            assert fields[0, 2, 10] == 0.0 and not np.signbit(fields[0, 2, 10])
+            world.layers[2, 10] = 0.0
+            assert fields.reshape(world.layers.shape).tobytes() == world.layers.tobytes()
+        elif value == -1e-6:
+            with pytest.raises(ValueError, match="traffic layer failed at t=0.0: "
+                                                 "layer 2 density went negative in cell 10"):
+                step(world, cfg)
+        else:
+            with np.errstate(invalid="ignore"), pytest.raises(NumericalBlowupError):
+                step(world, cfg)
+        assert len(splits) == 1
 
     def test_blowup_keeps_cell_and_adds_context(self):
         # a huge beta on frozen (jammed) traffic makes RK4 blow up even

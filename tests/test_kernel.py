@@ -208,9 +208,16 @@ class TestMaxServers:
         hi = max_servers(3e6, 50, 2, 0.5, 0.5, 4000)
         assert hi == lo // 2
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            max_servers(0, 50, 2, 0.5, 0.5, 4000)
+    @pytest.mark.parametrize("value", [0, -1, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["capacity_bps", "k", "beta", "comm_range_km",
+                                      "penetration", "packet_bits"])
+    def test_rejects_nonpositive(self, name, value):
+        # NaN fails every comparison, so `value <= 0` alone lets it through
+        args = dict(capacity_bps=3e6, k=50, beta=2, comm_range_km=0.5,
+                    penetration=0.5, packet_bits=4000)
+        args[name] = value
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            max_servers(**args)
 
 
 class TestReferenceTable:
