@@ -325,6 +325,104 @@ def step(world: WorldState, config: ScenarioConfig,
     return WorldState(t + grid.dt, k_new, fields.reshape(advected.shape))
 
 
+# Lines a CSV write formats at once: a whole number of snapshots, at least one.
+_CHUNK_LINES = 8192
+# |x| * 10**(8 - X) = (|x| * _PRESCALE[i]) * _POW10[i] at i = 309 - X, with
+# float(f"1e{k}") correctly rounded; a pre-scale by 1e100 keeps 10**k finite
+# for the subnormals
+_POW10 = np.array([float(f"1e{k - 100 if k > 300 else k}") for k in range(-301, 334)])
+_PRESCALE = np.array([1e100 if k > 300 else 1.0 for k in range(-301, 334)])
+# "%04d" % i as the word of its four bytes, and its count of trailing zeros
+_DIGITS4 = sum((np.arange(10000, dtype=np.uint64) // 10 ** (3 - k) % 10 + ord("0")) << 8 * k
+               for k in range(4))
+_TRAILING0 = sum(np.arange(10000) % 10 ** k == 0 for k in range(1, 5))
+# the first k bytes of a word
+_LOW = np.array([(1 << 8 * k) - 1 for k in range(9)], np.uint64)
+# by exponent X at [X + 330]: word 0's "0." and -X - 1 zeros of a fraction
+# (bytes 1-5), word 3's "e" and exponent (exponent notation) and "\n"
+_EXPONENTS = range(-330, 331)
+_LEAD = np.array([int.from_bytes(b"\0" + b"0." + b"0" * (-e - 1), "little") if -4 <= e < 0 else 0
+                  for e in _EXPONENTS], np.uint64)
+_TAIL = np.array([int.from_bytes(b"" if -4 <= e < 9 else b"e%+03d" % e, "little") | ord("\n") << 56
+                  for e in _EXPONENTS], np.uint64)
+_POINT = np.uint64(ord(".") << 56)
+
+
+def _words(strings) -> np.ndarray:
+    """ASCII ``strings`` as rows of little-endian uint64 words, NUL-padded
+    to the longest."""
+    words = -(-max(map(len, strings), default=1) // 8)
+    return (np.array([s.encode() for s in strings], f"S{8 * words}")
+            .view("<u8").reshape(len(strings), words))
+
+
+def _mantissa(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a * 10**(8 - x): the 9-digit mantissa of ``a`` with exponent ``x``."""
+    i = 309 - x
+    return (a * _PRESCALE[i]) * _POW10[i]
+
+
+def _format_g9(v: np.ndarray, out: np.ndarray) -> None:
+    """Write ``'%.9g' % x`` and a newline for each float ``x`` of ``v`` into
+    the rows of the (len(v), 4) little-endian uint64 array ``out``, byte for
+    byte once the NUL bytes are dropped.  Its four words hold the sign,
+    the "0.000" of a small fraction and the first digit; the other integer
+    digits and the point; the fraction digits; the exponent and "\n".
+
+    With X = floor(log10|x|), y = |x| * 10**(8 - X) is the 9-digit
+    mantissa before rounding.  The powers of ten are correctly rounded, so
+    y carries at most four roundings (three, plus the pre-scale for
+    subnormals) and is within 5e-7 of its exact value: ``rint(y)`` is
+    the correctly rounded mantissa unless y lies within 1e-6 of a
+    half-integer.  Those near-ties take their digits from Python's own
+    ``'%.8e'``, the same 9-digit rounding.  X is corrected by one where y
+    falls outside [1e8 - 0.5, 1e9 - 0.5), the rounding carry included;
+    those bounds are ties themselves, so y is tested before and after.
+    ±0 and NaN/±inf are spelt out; the rest follows ``%g``: fixed notation
+    for -4 <= X < 9, otherwise d.ddde±XX with at least two exponent
+    digits, trailing zeros and a bare point stripped.
+    """
+    a = np.abs(v)
+    finite = np.isfinite(a)
+    ok = finite & (a > 0)
+    a = np.where(ok, a, 1.0)
+    x = np.floor(np.log10(a)).astype(np.int64)
+    y = _mantissa(a, x)
+    # the ends of a decade, 99999999.5 and 999999999.5, are ties too
+    tie = np.abs(y - np.floor(y) - 0.5) < 1e-6
+    fix = np.flatnonzero((y < 99999999.5) | (y >= 999999999.5))
+    x[fix] += np.where(y[fix] < 1e8, -1, 1)
+    y[fix] = _mantissa(a[fix], x[fix])
+    tie[fix] |= np.abs(y[fix] - np.floor(y[fix]) - 0.5) < 1e-6
+    m = np.rint(y).astype(np.int64)
+    for i in np.flatnonzero(tie):
+        e = "%.8e" % a[i]
+        m[i], x[i] = int(e[0] + e[2:10]), int(e[11:])
+    m[~ok] = 0
+    x[~ok] = 0
+    q, r = np.divmod(m, 10000)
+    d0, q = np.divmod(q, 10000)
+    first = d0.astype(np.uint64) + ord("0")
+    rest = _DIGITS4[q] | (_DIGITS4[r] << 32)  # digits 2-9, first in the low byte
+    nd = 9 - _TRAILING0[r] - np.where(r == 0, _TRAILING0[q], 0)  # significant digits
+    sign = np.where(np.signbit(v), np.uint64(ord("-")), np.uint64(0))
+    if not finite.all():  # "nan" and "inf": three integer "digits"
+        bad = np.flatnonzero(~finite)
+        nan = np.isnan(v[bad])
+        first[bad] = np.where(nan, ord("n"), ord("i"))
+        rest[bad] = np.where(nan, int.from_bytes(b"an", "little"), int.from_bytes(b"nf", "little"))
+        x[bad], nd[bad] = 2, 3
+        sign[bad[nan]] = 0
+    # digits 2-9 before the point: X of them in fixed notation, all of a
+    # fraction (its point is in word 0), none in exponent notation
+    before = np.where(x < 0, np.where(x >= -4, nd - 1, 0), np.where(x < 9, x, 0))
+    after = np.maximum(nd - 1 - before, 0)
+    out[:, 0] = _LEAD[x + 330] | sign | (first << 56)
+    out[:, 1] = (rest & _LOW[before]) | np.where(after > 0, _POINT, np.uint64(0))
+    out[:, 2] = (rest >> (8 * before).astype(np.uint64)) & _LOW[after]
+    out[:, 3] = _TAIL[x + 330]
+
+
 @dataclass
 class RunOutput:
     config: ScenarioConfig
@@ -346,31 +444,50 @@ class RunOutput:
 
         Each CSV holds tidy time_s,cell_index,x_km,value rows, one per
         snapshot and cell.  Times and cell centres are written as
-        ``%.6f``, field values as ``%.9g``.  Each snapshot is formatted by
-        one ``%`` over per-cell templates built once per call.
+        ``%.6f``, field values as ``%.9g``: byte for byte what Python's
+        ``'%.9g' % v`` writes.  numpy computes the 9 digits as
+        ``rint(|v| * 10**(8 - X))`` with X = floor(log10|v|) and correctly
+        rounded powers of ten; that product is within 5e-7 of exact, so the
+        rounding is exact unless it lies within 1e-6 of a half-integer.
+        Those rare near-ties take their digits from Python's own ``%``
+        (see ``_format_g9``).  Lines are built as rows of uint64 words, NUL
+        where a field is shorter than its words, a chunk of snapshots at a
+        time in buffers made once per call; dropping the NULs leaves the
+        file's bytes.
         """
         import os
 
         os.makedirs(out_dir, exist_ok=True)
         files = []
-        # ts + ts.join(cells) puts the time in front of every cell's line
-        cells = [f",{i},{c:.6f},%.9g\n" for i, c in enumerate(self.config.grid.centers)]
+        n = self.config.grid.num_cells
+        stamps = _words([f"{s.time:.6f}" for s in self.snapshots])
+        cells = _words([f",{i},{c:.6f}," for i, c in enumerate(self.config.grid.centers)])
+        wt, wc = stamps.shape[1], cells.shape[1]
+        rows = max(1, min(_CHUNK_LINES // n, len(self.snapshots)))
+        # a line per row of words: time, ",i,x,", then the value and "\n"
+        lines = np.zeros((rows, n, wt + wc + 4), "<u8")
+        lines[:, :, wt:wt + wc] = cells
+        flat = lines.reshape(rows * n, -1)
+        values = np.empty((rows, n))
 
-        def dump(name, rows):
+        def dump(name, vectors):
             path = os.path.join(out_dir, name)
-            with open(path, "w") as fh:
-                fh.write(CSV_HEADER + "\n")
-                for t, vec in rows:
-                    ts = f"{t:.6f}"
-                    fh.write((ts + ts.join(cells)) % tuple(vec.tolist()))
+            with open(path, "wb") as fh:
+                fh.write(CSV_HEADER.encode() + b"\n")
+                for t0 in range(0, len(vectors), rows):
+                    chunk = vectors[t0:t0 + rows]
+                    k = len(chunk)
+                    np.stack(chunk, out=values[:k])
+                    lines[:k, :, :wt] = stamps[t0:t0 + k, None]
+                    _format_g9(values[:k].reshape(-1), flat[:k * n, wt + wc:])
+                    fh.write(flat[:k * n].tobytes().translate(None, b"\0"))
             files.append(name)
 
-        dump("traffic_k_total.csv", [(s.time, s.k_total) for s in self.snapshots])
+        dump("traffic_k_total.csv", [s.k_total for s in self.snapshots])
         fields = [_class_fields(s.layers) for s in self.snapshots]
         for j in range(len(self.config.classes)):
             for i, f in enumerate(FIELDS):
-                dump(f"class{j}_{f}.csv",
-                     [(s.time, fs[j, i]) for s, fs in zip(self.snapshots, fields)])
+                dump(f"class{j}_{f}.csv", [fs[j, i] for fs in fields])
         g = self.config.grid
         manifest = {
             "config_sha256": self.config.digest(),

@@ -528,7 +528,14 @@ def _substeps(arr0: np.ndarray, stack: ClassStack, grid: GridSpec,
               workspace: Workspace, index: int) -> np.ndarray:
     """One class's (1, 4, N) step by 2, 4, 8, then 16 RK4 sub-steps, the
     first count whose every sub-step passes; NumericalBlowupError naming
-    the cell and the class's ``index`` in its stack if none does."""
+    the cell and the class's ``index`` in its stack if none does, or at
+    once if the class's input is not finite (the convolution would spread
+    it to every cell, and no sub-step mends it)."""
+    bad = np.flatnonzero(~np.isfinite(arr0[0]).all(axis=0))
+    if bad.size:
+        cell = int(bad[0])
+        raise NumericalBlowupError(f"SHRE step input is not finite at cell {cell}",
+                                   cell=cell, class_index=index)
     for halving in range(1, MAX_HALVINGS + 1):
         nsub = 2 ** halving
         h = grid.dt / nsub
@@ -555,8 +562,9 @@ def rk4_step(state, p, grid: GridSpec, workspace: Workspace | None = None):
 
     Every class steps at once.  A class whose step produces NaN/inf or
     densities below the -1e-9 tolerance is retried alone with 2, 4, 8,
-    then 16 internal sub-steps before giving up.  Values in (-1e-9, 0)
-    are clamped to 0; ``state`` stays unchanged.
+    then 16 internal sub-steps before giving up; one whose input holds
+    NaN/inf gives up at once, naming that input's first bad cell.  Values
+    in (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.
     """
     one = isinstance(p, ShreParams)
     stack, arr0 = (ClassStack([p]), state.fields[None]) if one else (p, state)

@@ -7,8 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ifpw import analysis, lwr, queueing, shre
+from ifpw import analysis, coupling, lwr, queueing, shre
 from ifpw.coupling import (
     FIELDS,
     ClassConfig,
@@ -244,6 +246,20 @@ class TestStep:
             with np.errstate(invalid="ignore"), pytest.raises(NumericalBlowupError):
                 step(world, cfg)
         assert len(splits) == 1
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("conv_mode", ["fft", "periodic"])
+    def test_non_finite_layer_reported_at_its_cell(self, conv_mode, value):
+        # the convolution spreads a NaN to every cell, so the bad cell is
+        # read from the step's input, not from its failed result
+        cfg = make_config(k0=300.0, penetration=20.0 / 300.0, conv_mode=conv_mode)
+        world = initialize(cfg)
+        world.layers[2, 10] = value
+        with np.errstate(invalid="ignore"), pytest.raises(NumericalBlowupError) as info:
+            step(world, cfg)
+        assert info.value.cell == 10 and info.value.class_index == 0
+        assert "SHRE step for class 0 failed at t=0.0: SHRE step input is not finite at cell 10" \
+            in str(info.value)
 
     def test_blowup_keeps_cell_and_adds_context(self):
         # a huge beta on frozen (jammed) traffic makes RK4 blow up even
@@ -583,18 +599,70 @@ def write_per_value(out, out_dir):
     return sorted(rows)
 
 
+def format_g9(values):
+    """``coupling._format_g9``'s lines for ``values``, as strings."""
+    v = np.asarray(values, dtype=float)
+    words = np.zeros((len(v), 4), "<u8")
+    coupling._format_g9(v, words)
+    return [row[row != 0].tobytes().decode() for row in words.view(np.uint8)]
+
+
+def assert_formats_as_g9(values):
+    got = format_g9(values)
+    want = ["%.9g\n" % v for v in values]
+    assert got == want, [(v, g, w) for v, g, w in zip(values, got, want) if g != w][:5]
+
+
+class TestFormatG9:
+    """The CSV writer's numpy formatter equals ``'%.9g' %`` byte for byte."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    def test_any_float(self, values):
+        assert_formats_as_g9(values)
+
+    def test_near_ties(self):
+        # (m + 0.5) * 10**e with 9-digit m: the ties of the 9-digit rounding,
+        # exact ones (small integers) and their neighbours one ulp away
+        rng = np.random.default_rng(3)
+        ms = [100000000, 123456789, 999999999, *rng.integers(10**8, 10**9, 6).tolist()]
+        ties = np.array([float(f"{m}.5e{e}") for e in range(-333, 300) for m in ms]
+                        + [m + 0.5 for m in range(10**8, 10**8 + 50)]
+                        + [10.0 * m + 5.0 for m in ms])
+        values = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf)])
+        assert_formats_as_g9(np.concatenate([values, -values]).tolist())
+
+    def test_edges(self):
+        # where %g changes notation, where rounding carries into the next
+        # decade, 3-digit exponents and the ends of the float range
+        decades = [10.0 ** e for e in range(-20, 21)] + [float(f"1e{e}") for e in range(-323, 309)]
+        carries = [float(f"9.9999999995e{e}") for e in range(-320, 300)]
+        edges = np.array(decades + carries + [
+            1e-5, 1e-4, 1e9, 1e16, 0.0001, 99999999.95, 999999999.5, 123456789.0, 120.0,
+            5e-324, 2.2250738585072014e-308, 2.225073858507201e-308])
+        values = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+                                 [1.7976931348623157e308]])
+        assert_formats_as_g9(np.concatenate([values, -values]).tolist()
+                             + [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf])
+
+
 class TestOutputFiles:
     def test_matches_per_value_formatting(self, tmp_path):
         rng = np.random.default_rng(7)
-        special = [-0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, 123456789.123, 2.5e-7]
+        # 1234567885 and 1234567895 are exact ties of the 9-digit rounding
+        special = [-0.0, 0.0, 5e-324, 1e300, -1e-300, 1.0 / 3.0, 123456789.123, 2.5e-7,
+                   1234567885.0, 1234567895.0, math.inf, math.nan]
 
         def field():
             v = rng.uniform(0.0, 300.0, 64)
             v[:len(special)] = special
             return rng.permutation(v)
 
-        snaps = [WorldState(t, field(), np.array([field() for _ in range(8)]))
-                 for t in (0.0, 0.1 + 0.2, 1.0 / 3.0, 1e5 / 7.0)]
+        # one chunk of snapshots and part of the next
+        times = [0.0, 0.1 + 0.2, 1.0 / 3.0, 1e5 / 7.0]
+        times += [2.0 * i for i in range(1, coupling._CHUNK_LINES // 64)]
+        snaps = [WorldState(t, field(), np.array([field() for _ in range(8)])) for t in times]
         cfg = make_config(classes=make_config().classes * 2)
         out = RunOutput(config=cfg, snapshots=snaps, warnings=[], kernel_mass=[])
         out.write(tmp_path / "new")
@@ -604,6 +672,26 @@ class TestOutputFiles:
         for name in names:
             assert ((tmp_path / "new" / name).read_bytes()
                     == (tmp_path / "ref" / name).read_bytes()), name
+
+    def test_write_memory_is_bounded(self, tmp_path):
+        # the incident's full call: 151 snapshots of 600 cells and 3 classes.
+        # The writer works a chunk of snapshots at a time (about 1.6 MB); one
+        # holding a file's lines at once would need over 6 MB.
+        import tracemalloc
+
+        rng = np.random.default_rng(11)
+        cfg = make_config(grid=GridSpec(dx=0.05, dt=0.5, num_cells=600),
+                          classes=make_config().classes * 3)
+        snaps = [WorldState(2.0 * i, rng.uniform(0.0, 150.0, 600),
+                            rng.uniform(0.0, 30.0, (12, 600))) for i in range(151)]
+        out = RunOutput(config=cfg, snapshots=snaps, warnings=[], kernel_mass=[])
+        tracemalloc.start()
+        try:
+            out.write(tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3e6, f"write peaked at {peak / 1e6:.2f} MB"
 
     def test_manifest_tool_version(self, tmp_path):
         import ifpw
