@@ -7,14 +7,18 @@ step of the SHRE reaction to all information classes at once on the
 post-advection densities.  A step in which no interface carries flow (a
 jammed ring or closed road, or a road whose every cell has lost its
 capacity) leaves the layers as they are: it skips (ii) and (iii), whose
-result would equal them bit for bit.  The state is two arrays: the total density
-``k_total`` (N,) and ``layers`` (4C, N), whose rows 4j .. 4j+3 hold the
-S/H/R/E densities of information class j.  They are the single source of
-truth: the traffic step advects every row, and the SHRE step reads them
-as one (C, 4, N) stack and returns the next layers.  What the steps of a
-run share (the classes' ``ShreParams`` and ``xi`` as one
-``shre.ClassStack``, the kernels' operators, the reaction's scratch)
-lives in its ``Stepper``.
+result would equal them bit for bit.  Without an incident, (i) depends on
+the density alone, so once it has returned its input bit for bit (a
+homogeneous ring, or any road at a fixed point of the cell transmission
+model) a later step given that density takes (i)'s result from the run's
+``Stepper`` instead of computing it again.  The state is two arrays: the
+total density ``k_total`` (N,) and ``layers`` (4C, N), whose rows
+4j .. 4j+3 hold the S/H/R/E densities of information class j.  They are
+the single source of truth: the traffic step advects every row, and the
+SHRE step reads them as one (C, 4, N) stack and returns the next layers.
+What the steps of a run share (the classes' ``ShreParams`` and ``xi`` as
+one ``shre.ClassStack``, the kernels' operators, the reaction's scratch,
+a stationary traffic step) lives in its ``Stepper``.
 """
 
 from __future__ import annotations
@@ -261,8 +265,13 @@ class Stepper:
     ``shre.ClassStack`` (their coefficient columns and kernel groups, so
     Erlang-C ``xi`` is evaluated once per run; ``table`` holds the table
     classes'), a ``shre.Workspace`` with the (C, 4, N) stage and
-    derivative buffers, and an open road's demand and inflow composition.
-    ``run`` builds one; ``step`` builds its own when given none."""
+    derivative buffers, an open road's demand and inflow composition, and
+    ``stationary``: the last traffic step of a road without an incident
+    whose new density equalled its input bit for bit, as ``(k, flows,
+    idle)`` (read-only arrays that no ``WorldState`` shares; ``idle`` when
+    no interface carries flow), or None.  A step given exactly that density
+    again returns a copy of ``k`` and reuses ``flows``.  ``run`` builds
+    one; ``step`` builds its own when given none."""
 
     def __init__(self, config: ScenarioConfig):
         # a table class's kernel is None here, and each step's CellKernel
@@ -274,30 +283,77 @@ class Stepper:
         # only an open road reads them; the vehicles entering it are uninformed
         self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
         self.inflow = _fresh_layers(config, 1, 1.0)[:, 0] if config.boundary == "open" else None
+        self.stationary = None
+
+
+def _same_bits(a, b: np.ndarray) -> bool:
+    """Whether ``a`` and ``b`` are float64 arrays of one shape whose values
+    have the same bits (so -0.0 differs from 0.0)."""
+    a = np.asarray(a)
+    return (a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
+
+
+def _advance_traffic(k: np.ndarray, config: ScenarioConfig, stepper: Stepper, t: float):
+    """(new k_total, interface flows, whether no interface carries flow)
+    of the cell transmission step from ``k`` at ``t`` seconds.
+
+    Without an incident the step depends on ``k`` alone, so one that
+    returns its input is kept in ``stepper.stationary``; a later ``k``
+    equal to it bit for bit reuses it.  Only a density that has passed
+    ``lwr.advance_total`` (its range and CFL checks) is kept, so NaN or
+    an out-of-range density is never reused.
+    """
+    if stepper.stationary is not None:
+        k_kept, flows, idle = stepper.stationary
+        if _same_bits(k, k_kept):
+            return k_kept.copy(), flows, idle
+    factors = (config.incident.factors(t, config.grid.num_cells)
+               if config.incident is not None else 1.0)
+    k_new, flows = lwr.advance_total(k, config.fd, config.grid, config.boundary, factors,
+                                     stepper.demand)
+    idle = not flows.any()
+    if config.incident is None and _same_bits(k, k_new):
+        k_kept = k_new.copy()
+        k_kept.flags.writeable = flows.flags.writeable = False
+        stepper.stationary = (k_kept, flows, idle)
+    return k_new, flows, idle
+
+
+def _advect(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
+            config: ScenarioConfig, stepper: Stepper) -> np.ndarray:
+    """``layers`` advected by their shares of the interface ``flows``."""
+    class_flows = lwr.split_class_flows(k_total, layers, flows, config.boundary, stepper.inflow)
+    return lwr.update_class_densities(layers, class_flows, config.grid)
 
 
 def step(world: WorldState, config: ScenarioConfig,
          stepper: Stepper | None = None) -> WorldState:
+    """``world`` advanced by one ``config.grid.dt`` step: traffic, then the
+    reaction of every class.  ``world`` is left unchanged.  A ``stepper``
+    shared by successive steps (``run`` passes its own) keeps what they
+    share, a stationary traffic step included; one built for this call
+    alone computes every layer afresh.  Either gives the same result bit
+    for bit, whatever the caller has changed in ``world`` in between."""
     if stepper is None:
         stepper = Stepper(config)
     grid = config.grid
     t = world.time
-    factors = (config.incident.factors(t, grid.num_cells)
-               if config.incident is not None else 1.0)
 
     try:
-        k_new, flows = lwr.advance_total(world.k_total, config.fd, grid,
-                                         config.boundary, factors, stepper.demand)
+        k_new, flows, idle = _advance_traffic(world.k_total, config, stepper, t)
         layers = world.layers
-        if (not flows.any() and layers.min(initial=0.0) >= 0.0
-                and layers.max(initial=0.0) < math.inf):
+        if not idle:
+            advected = _advect(world.k_total, layers, flows, config, stepper)
+        elif layers.min(initial=0.0) >= 0.0 and layers.max(initial=0.0) < math.inf:
             # no interface carries flow: every layer flow is +0, so the
             # advection would return these finite, non-negative layers bit for bit
             advected = layers
         else:
-            class_flows = lwr.split_class_flows(world.k_total, layers, flows,
-                                                config.boundary, stepper.inflow)
-            advected = lwr.update_class_densities(layers, class_flows, grid)
+            # an inf layer density times the zero flow is NaN here, quietly:
+            # the reaction then reports it at its cell
+            with np.errstate(invalid="ignore"):
+                advected = _advect(world.k_total, layers, flows, config, stepper)
     except Exception as exc:
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
@@ -550,20 +606,39 @@ def read_field_csv(path):
     """Read a field CSV back as (times, 2D value array).
 
     Returns (times_s, values) with values shaped (num_snapshots, num_cells).
+    A line that is not four comma-separated fields with a numeric time and
+    value, or a snapshot with another cell count than the first, raises
+    ConfigurationError naming the file and the line.
     """
     times = []
     data = []
+
+    def check_cells(line_no):  # the last snapshot ended at line_no
+        if len(data[-1]) != len(data[0]):
+            raise ConfigurationError(
+                f"{path}: line {line_no}: the snapshot at t={times[-1]} s ends after "
+                f"{len(data[-1])} cells, the first has {len(data[0])}")
+
     with open(path) as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ConfigurationError(f"{path}: unexpected header {header!r}")
-        for line in fh:
-            t_s, _idx, _x, val = line.rstrip("\n").split(",")
-            t = float(t_s)
+        for line_no, line in enumerate(fh, start=2):
+            text = line.rstrip("\n")
+            try:
+                t_s, _idx, _x, val = text.split(",")
+                t, v = float(t_s), float(val)
+            except ValueError:
+                raise ConfigurationError(
+                    f"{path}: line {line_no} is not {CSV_HEADER}: {text!r}") from None
             if not times or t != times[-1]:
+                if data:
+                    check_cells(line_no - 1)
                 times.append(t)
                 data.append([])
-            data[-1].append(float(val))
+            data[-1].append(v)
+    if data:
+        check_cells(line_no)
     return np.asarray(times), np.asarray(data)
 
 

@@ -424,6 +424,22 @@ class TestSpeed:
         assert code == EXIT_CONFIG
         assert "seed cell 256 is outside the run's 256 cells" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cut, message", [
+        (lambda line: line.rsplit(",", 1)[0] + "\n", "line 300 is not time_s,cell_index"),
+        (lambda line: "", "line 512: the snapshot at t=5.0 s ends after 255 cells, "
+                          "the first has 256")])
+    def test_malformed_field_csv(self, run_dir, capsys, cut, message):
+        # it used to end in a traceback: a line without its value (line 300
+        # is cell 42 of the second snapshot), or no line at all
+        path = run_dir / "class0_r.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[299] = cut(lines[299])
+        path.write_text("".join(lines))
+        code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                     "--reference", "1.0"])
+        assert code == EXIT_DOMAIN
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_small_grid(self, tmp_path, capsys):

@@ -255,7 +255,7 @@ class TestStep:
         cfg = make_config(k0=300.0, penetration=20.0 / 300.0, conv_mode=conv_mode)
         world = initialize(cfg)
         world.layers[2, 10] = value
-        with np.errstate(invalid="ignore"), pytest.raises(NumericalBlowupError) as info:
+        with pytest.raises(NumericalBlowupError) as info:  # and no RuntimeWarning
             step(world, cfg)
         assert info.value.cell == 10 and info.value.class_index == 0
         assert "SHRE step for class 0 failed at t=0.0: SHRE step input is not finite at cell 10" \
@@ -443,6 +443,72 @@ class TestStepper:
             shared, fresh = step(shared, cfg, stepper), step(fresh, cfg)
             assert shared.k_total.tobytes() == fresh.k_total.tobytes()
             assert shared.layers.tobytes() == fresh.layers.tobytes()
+
+
+class TestStationaryTraffic:
+    """Without an incident a traffic step that returned its own density is
+    kept by the run's Stepper and reused while the density stays the same."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(boundary=st.sampled_from(lwr.BOUNDARIES),
+           k0=st.sampled_from([0.0, 40.0, FD.k_crit, 150.0, FD.k_jam]),
+           kernels=st.lists(st.sampled_from(["global", "table"]), max_size=2))
+    def test_run_equals_steps_that_compute_traffic(self, boundary, k0, kernels):
+        # empty, free-flowing, critical, congested and jammed homogeneous
+        # roads; an open road takes its default demand v_f * k0
+        classes = tuple(ClassConfig(ClassParams(0.5, 11, 0.05),
+                                    KernelParams(0.292, 0.499) if kernel == "global" else None,
+                                    seeds=((32, 0.25 * k0),))
+                        for kernel in kernels)
+        cfg = make_config(boundary=boundary, k0=k0, classes=classes, horizon=5.0,
+                          snapshot_every=1.0)
+        out = run(cfg)
+        world = initialize(cfg)
+        want = [world]
+        for i in range(1, 11):
+            world = step(world, cfg)  # a Stepper of its own: traffic is computed
+            if i % 2 == 0:
+                want.append(world)
+        assert len(out.snapshots) == len(want)
+        for got, ref in zip(out.snapshots, want):
+            assert got.time == ref.time
+            assert got.k_total.tobytes() == ref.k_total.tobytes()
+            assert got.layers.tobytes() == ref.layers.tobytes()
+
+    @pytest.mark.parametrize("k0", [40.0, 300.0])
+    def test_stationary_ring_computes_one_traffic_step(self, monkeypatch, k0):
+        calls = counted(monkeypatch, lwr, "advance_total")
+        out = run(make_config(k0=k0))
+        assert out.snapshots[-1].time == 10.0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("incident", [IncidentProfile(10, 20, 0.0, 4.0, 0.5),
+                                          IncidentProfile(10, 20, 100.0, 200.0, 0.5)])
+    def test_incident_computes_every_traffic_step(self, monkeypatch, incident):
+        # the second incident starts after the horizon: the road stays
+        # homogeneous, but a step with an incident depends on its time
+        calls = counted(monkeypatch, lwr, "advance_total")
+        out = run(make_config(incident=incident))
+        assert out.snapshots[-1].time == 10.0
+        assert len(calls) == 20
+
+    @pytest.mark.parametrize("k0, value", [(40.0, 50.0), (40.0, np.nextafter(40.0, 41.0)),
+                                           (0.0, -0.0)])
+    def test_in_place_change_of_k_total(self, monkeypatch, k0, value):
+        # the density a reused step returns is the caller's to change
+        cfg = make_config(k0=k0, classes=(
+            ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                        seeds=((32, 0.25 * k0),)),))
+        stepper = Stepper(cfg)
+        calls = counted(monkeypatch, lwr, "advance_total")
+        world = step(step(initialize(cfg), cfg, stepper), cfg, stepper)
+        assert len(calls) == 1
+        world.k_total[10] = value
+        got = step(world, cfg, stepper)
+        assert len(calls) == 2  # -0.0 differs from 0.0 too
+        want = step(world, cfg, Stepper(cfg))
+        assert got.k_total.tobytes() == want.k_total.tobytes()
+        assert got.layers.tobytes() == want.layers.tobytes()
 
 
 def three_table_classes():
@@ -712,6 +778,34 @@ class TestOutputFiles:
         path = tmp_path / "wide.csv"
         path.write_text("time_s,x_0.025000,x_0.075000\n0.000000,1,2\n")
         with pytest.raises(ConfigurationError, match="unexpected header 'time_s,x_0.025000"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize("line, match", [
+        ("0.500000,8,0.425000", "line 74 is not time_s,cell_index,x_km,value: '0.500000,8"),
+        ("0.500000,8,0.425000,x", "line 74 is not"),
+        (None, "line 128: the snapshot at t=0.5 s ends after 63 cells, the first has 64"),
+    ])
+    def test_malformed_csv_rejected(self, tmp_path, line, match):
+        # a line cut short (or a value that is no number), or one dropped:
+        # line 74 holds cell 8 of the second snapshot
+        run(make_config(horizon=1.0, snapshot_every=0.5), out_dir=tmp_path)
+        path = tmp_path / "class0_r.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if line is None:
+            del lines[73]
+        else:
+            lines[73] = line + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigurationError, match=match) as info:
+            read_field_csv(path)
+        assert str(info.value).startswith(f"{path}: line ")
+
+    def test_short_last_snapshot_rejected(self, tmp_path):
+        run(make_config(horizon=1.0, snapshot_every=0.5), out_dir=tmp_path)
+        path = tmp_path / "class0_r.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:-2]))
+        with pytest.raises(ConfigurationError,
+                           match="line 191: the snapshot at t=1.0 s ends after 62 cells"):
             read_field_csv(path)
 
     def test_manifest_contents(self, tmp_path):
