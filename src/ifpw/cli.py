@@ -131,9 +131,15 @@ def cmd_calibrate(args) -> int:
 
 def _load_field(run_dir, cls, field):
     if field == "informed":
-        parts = [coupling.read_field_csv(os.path.join(run_dir, f"class{cls}_{f}.csv"))
-                 for f in ("h", "r", "e")]
+        paths = [os.path.join(run_dir, f"class{cls}_{f}.csv") for f in ("h", "r", "e")]
+        parts = [coupling.read_field_csv(path) for path in paths]
         times = parts[0][0]
+        for path, (other, _) in zip(paths, parts):
+            # summed snapshot by snapshot, so each must be at the same time
+            if not np.array_equal(other, times):
+                raise ConfigurationError(
+                    f"{path}: snapshot times {other.tolist()} differ from those of "
+                    f"{os.path.basename(paths[0])}: {times.tolist()}")
         return times, sum(p[1] for p in parts)
     path = os.path.join(run_dir, f"class{cls}_{field}.csv")
     return coupling.read_field_csv(path)
@@ -157,7 +163,7 @@ def cmd_speed(args) -> int:
     for t in (args.t1, args.t2):
         i = int(np.argmin(np.abs(times - t)))
         if abs(times[i] - t) > 1e-6:
-            return _fail(f"no snapshot at t={t}s (have {list(times)})", EXIT_CONFIG)
+            return _fail(f"no snapshot at t={t}s (have {times.tolist()})", EXIT_CONFIG)
         snaps[t] = data[i]
     dx = manifest.get("grid", {}).get("dx_km")
     if dx is None:

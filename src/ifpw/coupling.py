@@ -244,9 +244,10 @@ def initialize(config: ScenarioConfig) -> WorldState:
     layers = _fresh_layers(config, n, config.k0)
     for cc, fields in zip(config.classes, _class_fields(layers)):
         for cell, density in cc.seeds:
-            # seed the cell's S/H/R/E column in place
-            column = ClassState(fields[:, cell:cell + 1])
-            fields[:, cell:cell + 1] = shre.seed_information(column, 0, float(density)).fields
+            # move the seed from S to R in place; the config checked that it fits
+            moved = min(float(density), fields[0, cell])
+            fields[0, cell] -= moved
+            fields[2, cell] += moved
     return WorldState(0.0, np.full(n, float(config.k0)), layers)
 
 
@@ -608,7 +609,8 @@ def read_field_csv(path):
     Returns (times_s, values) with values shaped (num_snapshots, num_cells).
     A line that is not four comma-separated fields with a numeric time and
     value, or a snapshot with another cell count than the first, raises
-    ConfigurationError naming the file and the line.
+    ConfigurationError naming the file and the line; so does a file with
+    no data line.
     """
     times = []
     data = []
@@ -637,8 +639,9 @@ def read_field_csv(path):
                 times.append(t)
                 data.append([])
             data[-1].append(v)
-    if data:
-        check_cells(line_no)
+    if not data:
+        raise ConfigurationError(f"{path}: no data line after the header")
+    check_cells(line_no)
     return np.asarray(times), np.asarray(data)
 
 

@@ -14,16 +14,17 @@ state arrays, with one matrix product per tick for the receptions.  Its
 table, log P(one shot misses) per vehicle pair, is the one (N, N) array
 a run holds: it is built a block of rows at a time and turned into
 logarithms in place, so besides it a tick holds only the gather of the
-relaying vehicles' rows.  The
-scheduled transitions sit in two heaps of (time, replication, vehicle)
-events, one for H->R (a wait ends) and one for R->E (a service ends), as
-in the next-reaction method (Gibson & Bruck, J. Phys. Chem. A 104, 2000):
-a tick pops the events due by its end, relays first, so an exclusion due
-in the same tick as its relay is applied in that tick.  Each queue moves
-vehicles out of one state only (H for relays, R for exclusions) and
-checks that state before it moves them.  Every holding or relaying
-vehicle has exactly one queued event, so a replication whose state row
-holds no H or R vehicle has none left: it can no longer change and
+relaying vehicles' rows.
+
+Every holding or relaying vehicle has exactly one scheduled transition:
+H->R when its queue wait ends, R->E when its service ends.  So one
+(replications, vehicles) array of due times holds them all, inf for S
+and E vehicles, and a scalar keeps the earliest, so a tick with nothing
+due costs one comparison.  A tick with transitions due applies them by
+state mask, relays first, so an exclusion due in the same tick as its
+relay is applied in that tick; the masks choose each move's source
+state, so no illegal move can be expressed.  A replication whose due
+times are all inf holds no H or R vehicle: it can no longer change and
 leaves the batch.  The informed fractions are recorded every
 ``record_every`` ticks and at the horizon.
 
@@ -41,7 +42,6 @@ without loading it.
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 from dataclasses import dataclass, field
@@ -262,34 +262,6 @@ def _bin_edges(config: MicroConfig) -> np.ndarray:
                        config.num_bins + 1)
 
 
-def _pop_due(queue: list, t_next: float, states: np.ndarray, row_of: np.ndarray,
-             old: int, new: int) -> tuple[np.ndarray, ...]:
-    """Pop the events of ``queue`` due by ``t_next`` (there is at least
-    one) and move their vehicles from state ``old`` to ``new``, all at
-    once.  Returns their times, replications, state rows and vehicles.
-
-    RuntimeError, moving none, if a vehicle is not in state ``old``.
-    """
-    due = []
-    while queue and queue[0][0] <= t_next:
-        due.append(heapq.heappop(queue))
-    times, reps, vehicles = (np.array(a) for a in zip(*due))
-    rows = row_of[reps]
-    wrong = states[rows, vehicles] != old
-    if np.count_nonzero(wrong):
-        i = int(np.argmax(wrong))
-        raise RuntimeError(f"illegal transition {states[rows[i], vehicles[i]]}->{new} "
-                           f"for vehicle {vehicles[i]} in replication {reps[i]}")
-    states[rows, vehicles] = new
-    return times, reps, rows, vehicles
-
-
-def _push(queue: list, times: np.ndarray, reps: np.ndarray, vehicles: np.ndarray):
-    """Push one (time, replication, vehicle) event per array entry."""
-    for event in zip(times.tolist(), reps.tolist(), vehicles.tolist()):
-        heapq.heappush(queue, event)
-
-
 def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     """Advance one replication per stream, all as one (reps, N) state.
 
@@ -310,12 +282,12 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     states = np.full(service.shape, S, dtype=np.int8)
     seeds = list(config.seeds)
     states[:, seeds] = R
-    # scheduled transitions, as heaps of (time, replication, vehicle): a
-    # holding vehicle's H->R at the end of its wait, a relaying one's R->E
-    # at the end of its service
-    relays = []
-    excludes = [(service[r, v].item(), r, v) for r in range(len(rngs)) for v in seeds]
-    heapq.heapify(excludes)
+    # each vehicle's one scheduled transition: a holding vehicle's H->R at
+    # the end of its wait, a relaying one's R->E at the end of its service;
+    # inf for S and E vehicles, which have none
+    due = np.full(service.shape, np.inf)
+    due[:, seeds] = service[:, seeds]
+    next_due = float(due.min())  # the earliest due time
 
     num_ticks = _num_ticks(config)
     # records every record_every ticks, and at the horizon
@@ -324,10 +296,9 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
     rec_pos = 1
     uniforms = np.empty((len(rngs), _BLOCK_TICKS, n))  # per vehicle and tick
     # the arrays above keep only live replications (row i is replication
-    # live[i], and replication j is row row_of[j] while live); one with no
-    # holding or relaying vehicle has no event left and never changes again
+    # live[i]); one with no holding or relaying vehicle has nothing due and
+    # never changes again
     live = np.arange(len(rngs))
-    row_of = live.copy()
     ended = np.empty(states.shape, dtype=np.int8)  # final states
 
     for tick in range(num_ticks if seeds else 0):  # no relayer: nothing happens
@@ -337,26 +308,28 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
                 rng.random(out=u)
         t = tick * config.tick
         t_next = t + config.tick
-        # scheduled transitions due inside this tick; an exclusion that
-        # falls due in the same tick as its relay is applied in this tick
-        if relays and relays[0][0] <= t_next:
-            times, reps, rows, vehicles = _pop_due(relays, t_next, states, row_of, H, R)
-            _push(excludes, times + service[rows, vehicles], reps, vehicles)
-        if excludes and excludes[0][0] <= t_next:
-            _, _, rows, _ = _pop_due(excludes, t_next, states, row_of, R, E)
-            touched = states[rows]  # a row may repeat
-            done = rows[~((touched == H) | (touched == R)).any(axis=1)]
-            if done.size:  # retire these rows
+        # scheduled transitions due inside this tick, relays first: an
+        # exclusion that falls due in the same tick as its relay is applied
+        # in this tick
+        if next_due <= t_next:
+            relay = (due <= t_next) & (states == H)
+            states[relay] = R
+            due[relay] += service[relay]
+            exclude = (due <= t_next) & (states == R)
+            states[exclude] = E
+            due[exclude] = np.inf
+            first = due.min(axis=1)
+            done = first == np.inf  # nothing left to happen
+            if done.any():  # retire these rows
                 ended[live[done]] = states[done]
                 informed[live[done], rec_pos:] = np.mean(states[done] != S, axis=1)[:, None]
-                keep = np.ones(live.size, dtype=bool)
-                keep[done] = False
-                live, states, service, uniforms = (
-                    a[keep] for a in (live, states, service, uniforms))
+                keep = ~done
+                live, states, due, first, service, uniforms = (
+                    a[keep] for a in (live, states, due, first, service, uniforms))
                 rngs = [rng for rng, kept in zip(rngs, keep) if kept]
                 if not live.size:
                     break
-                row_of[live] = np.arange(live.size)
+            next_due = float(first.min())
 
         # a relayer's uniform gives its shot count, a susceptible's its reception
         u = uniforms[:, k]
@@ -374,10 +347,9 @@ def _run_batch(config: MicroConfig, streams) -> tuple[np.ndarray, dict]:
                 waits = _queue_waits(u[rows, vehicles], p_hit[rows, vehicles], xi, cp.slack)
                 held = waits > 0.0
                 states[rows, vehicles] = np.where(held, H, R)  # all were S
-                reps = live[rows]
-                _push(relays, t + waits[held], reps[held], vehicles[held])
-                relay = rows[~held], vehicles[~held]
-                _push(excludes, t + service[relay], reps[~held], relay[1])
+                times = np.where(held, t + waits, t + service[rows, vehicles])
+                due[rows, vehicles] = times
+                next_due = min(next_due, float(times.min()))
 
         if (tick + 1) % config.record_every == 0 or tick + 1 == num_ticks:
             informed[live, rec_pos] = np.mean(states != S, axis=1)

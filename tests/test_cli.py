@@ -424,17 +424,36 @@ class TestSpeed:
         assert code == EXIT_CONFIG
         assert "seed cell 256 is outside the run's 256 cells" in capsys.readouterr().err
 
+    @staticmethod
+    def damage(run_dir, field, change):
+        """Replace the lines of ``field``'s CSV with ``change(lines)``; its path."""
+        path = run_dir / f"class0_{field}.csv"
+        path.write_text("".join(change(path.read_text().splitlines(keepends=True))))
+        return path
+
+    # line 300 is cell 42 of the second snapshot; a snapshot has 256 lines,
+    # and the last one's lines start with its time, "20.000000"
     @pytest.mark.parametrize("cut, message", [
-        (lambda line: line.rsplit(",", 1)[0] + "\n", "line 300 is not time_s,cell_index"),
-        (lambda line: "", "line 512: the snapshot at t=5.0 s ends after 255 cells, "
-                          "the first has 256")])
+        (lambda d: TestSpeed.damage(
+            d, "r", lambda ls: ls[:299] + [ls[299].rsplit(",", 1)[0] + "\n"] + ls[300:]),
+         "line 300 is not time_s,cell_index"),
+        (lambda d: TestSpeed.damage(d, "r", lambda ls: ls[:299] + ls[300:]),
+         "line 512: the snapshot at t=5.0 s ends after 255 cells, the first has 256"),
+        (lambda d: TestSpeed.damage(d, "r", lambda ls: ls[:1]),
+         "no data line after the header"),
+        (lambda d: TestSpeed.damage(d, "e", lambda ls: ls[:-256]),
+         "snapshot times [0.0, 5.0, 10.0, 15.0] differ from those of class0_h.csv: "
+         "[0.0, 5.0, 10.0, 15.0, 20.0]"),
+        (lambda d: TestSpeed.damage(
+            d, "e", lambda ls: ls[:-256] + ["25" + ln[2:] for ln in ls[-256:]]),
+         "snapshot times [0.0, 5.0, 10.0, 15.0, 25.0] differ from those of class0_h.csv: "
+         "[0.0, 5.0, 10.0, 15.0, 20.0]")])
     def test_malformed_field_csv(self, run_dir, capsys, cut, message):
-        # it used to end in a traceback: a line without its value (line 300
-        # is cell 42 of the second snapshot), or no line at all
-        path = run_dir / "class0_r.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        lines[299] = cut(lines[299])
-        path.write_text("".join(lines))
+        # it used to end in a traceback: a line without its value, no line at
+        # all, a file with no data line, or an e file with a snapshot fewer
+        # than h and r; an e file whose snapshot times differ from theirs was
+        # summed with them out of step, with exit 0
+        path = cut(run_dir)
         code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
                      "--reference", "1.0"])
         assert code == EXIT_DOMAIN

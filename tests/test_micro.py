@@ -1,4 +1,3 @@
-import heapq
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +21,6 @@ from ifpw.micro import (
     _one_replication,
     _pair_probs,
     _poisson_cdf,
-    _pop_due,
     _queue_waits,
     _run_batch,
     make_positions,
@@ -224,43 +222,6 @@ class TestSimulate:
         assert len(files) == 2
 
 
-class TestTransitions:
-    """Each event queue moves vehicles out of one known state: H for
-    relays, R for exclusions."""
-
-    @staticmethod
-    def queue(*events):
-        heap = list(events)
-        heapq.heapify(heap)
-        return heap
-
-    def test_illegal_transition_raises(self):
-        # an explicit error, not an assert that python -O strips
-        states = np.array([[S, E]], dtype=np.int8)
-        row_of = np.array([0])
-        with pytest.raises(RuntimeError, match="illegal transition 0->3"):
-            _pop_due(self.queue((0.5, 0, 0)), 1.0, states, row_of, R, E)
-        with pytest.raises(RuntimeError, match="3->2 for vehicle 1 in replication 0"):
-            _pop_due(self.queue((0.5, 0, 1)), 1.0, states, row_of, H, R)
-        np.testing.assert_array_equal(states, [[S, E]])
-
-    def test_batch_moves_all_or_nothing(self):
-        # replication 2 sits in row 1 once replication 1 has left the batch
-        states = np.array([[H, H], [H, E]], dtype=np.int8)
-        row_of = np.array([0, -1, 1])
-        with pytest.raises(RuntimeError, match="vehicle 1 in replication 2"):
-            _pop_due(self.queue((0.1, 0, 0), (0.2, 2, 1)), 1.0, states, row_of, H, R)
-        np.testing.assert_array_equal(states, [[H, H], [H, E]])
-        queue = self.queue((0.3, 2, 0), (0.1, 0, 1), (0.2, 0, 0), (1.5, 0, 0))
-        times, reps, rows, vehicles = _pop_due(queue, 1.0, states, row_of, H, R)
-        np.testing.assert_array_equal(states, [[R, R], [R, E]])
-        np.testing.assert_array_equal(times, [0.1, 0.2, 0.3])
-        np.testing.assert_array_equal(reps, [0, 0, 2])
-        np.testing.assert_array_equal(rows, [0, 0, 1])
-        np.testing.assert_array_equal(vehicles, [1, 0, 0])
-        assert queue == [(1.5, 0, 0)]  # not due yet
-
-
 class TestRngStreams:
     """Replication i draws only from its own stream, spawned by index."""
 
@@ -329,7 +290,7 @@ def legal_transition(states, where, new):
 
 def dense_run_batch(config, streams):
     """Reference for ``_run_batch``: the same RNG contract and arithmetic,
-    but each tick finds its due H->R and R->E transitions by scanning
+    but every tick finds its due H->R and R->E transitions by scanning two
     (reps, N) arrays of scheduled times, checks every move against a
     table of legal transitions, and retires a row when a scan of its
     states finds no holding or relaying vehicle."""
@@ -442,8 +403,10 @@ def random_config(case):
 
 
 class TestDenseReference:
-    """The event queues give the same curves and histograms, bit for bit,
-    as scanning every vehicle's scheduled times each tick."""
+    """One due-time array, read by state mask and skipped while nothing is
+    due, gives the same curves and histograms, bit for bit, as scanning two
+    arrays of scheduled times each tick with every move checked against
+    ``LEGAL``."""
 
     @pytest.mark.parametrize("case", range(20))
     def test_matches_dense_scan(self, case):
