@@ -321,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t2", type=_time_arg, required=True, help="s")
     s.add_argument("--reference", type=_rate_arg, required=True, help="veh/km")
     s.add_argument("--field", default="informed",
-                   choices=["s", "h", "r", "e", "informed"])
+                   choices=["h", "r", "e", "informed"])
     s.add_argument("--class", dest="cls", type=_index_arg, default=0)
     s.add_argument("--seed-cell", type=_index_arg, default=None)
     s.set_defaults(func=cmd_speed)

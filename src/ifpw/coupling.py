@@ -18,7 +18,8 @@ the single source of truth: the traffic step advects every row, and the
 SHRE step reads them as one (C, 4, N) stack and returns the next layers.
 What the steps of a run share (the classes' ``ShreParams`` and ``xi`` as
 one ``shre.ClassStack``, the kernels' operators, the reaction's scratch,
-a stationary traffic step) lives in its ``Stepper``.
+a stationary traffic step) lives in its ``Stepper``; a step passes the
+table kernel it builds from its new density to ``shre.rk4_step``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from . import kernel as kern
 from . import lwr, shre
-from .errors import ConfigurationError, whole_number, whole_steps
+from .errors import ConfigurationError, NumericalBlowupError, whole_number, whole_steps
 from .kernel import KernelParams
 from .lwr import FundamentalDiagram
 from .queueing import ClassParams
@@ -264,8 +265,8 @@ def _add_context(exc: Exception, context: str):
 class Stepper:
     """What the steps of one run share: the classes' ``ShreParams`` as one
     ``shre.ClassStack`` (their coefficient columns and kernel groups, so
-    Erlang-C ``xi`` is evaluated once per run; ``table`` holds the table
-    classes'), a ``shre.Workspace`` with the (C, 4, N) stage and
+    Erlang-C ``xi`` is evaluated once per run), ``table`` (whether a step
+    builds a table CellKernel), a ``shre.Workspace`` with the (C, 4, N) stage and
     derivative buffers, an open road's demand and inflow composition, and
     ``stationary``: the last traffic step of a road without an incident
     whose new density equalled its input bit for bit, as ``(k, flows,
@@ -275,12 +276,10 @@ class Stepper:
     one; ``step`` builds its own when given none."""
 
     def __init__(self, config: ScenarioConfig):
-        # a table class's kernel is None here, and each step's CellKernel
-        params = [ShreParams(config.beta, cc.params, cc.kernel, conv_mode=config.conv_mode)
-                  for cc in config.classes]
-        self.stack = shre.ClassStack(params)
-        self.workspace = shre.Workspace(config.grid.num_cells, len(params))
-        self.table = [p for p in params if p.kernel is None]
+        self.stack = shre.ClassStack(ShreParams(config.beta, cc.params, cc.kernel, config.conv_mode)
+                                     for cc in config.classes)
+        self.workspace = shre.Workspace(config.grid.num_cells, len(config.classes))
+        self.table = any(cc.kernel is None for cc in config.classes)
         # only an open road reads them; the vehicles entering it are uninformed
         self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
         self.inflow = _fresh_layers(config, 1, 1.0)[:, 0] if config.boundary == "open" else None
@@ -356,21 +355,28 @@ def step(world: WorldState, config: ScenarioConfig,
             with np.errstate(invalid="ignore"):
                 advected = _advect(world.k_total, layers, flows, config, stepper)
     except Exception as exc:
+        if isinstance(exc, (FloatingPointError, RuntimeWarning)):
+            # an inf or NaN layer trips the advection's arithmetic under a
+            # strict error state or warning filter: report it as the reaction does
+            bad = np.argwhere(~np.isfinite(_class_fields(world.layers)).all(axis=1))
+            if bad.size:
+                j, cell = (int(i) for i in bad[0])
+                err = NumericalBlowupError(f"SHRE step input is not finite at cell {cell}",
+                                           cell=cell, class_index=j)
+                _add_context(err, f"SHRE step for class {j} failed at t={t}")
+                raise err from exc
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
     if not config.classes:  # traffic only: no class rows to react
         return WorldState(t + grid.dt, k_new, advected)
-    if stepper.table:
-        # the density-dependent kernel depends only on k_total, so all
-        # table classes of a step share it
-        a, b = kern.interp_kernel_params(k_new)
-        table = CellKernel(a, b, grid.dx)
-        for p in stepper.table:
-            p.kernel = table
+    # the density-dependent kernel depends only on k_total, so all table
+    # classes of a step share it
+    table = CellKernel(*kern.interp_kernel_params(k_new), grid.dx) if stepper.table else None
     try:
         # one RK4 step of every class; its fresh result is the next layers
-        fields = shre.rk4_step(_class_fields(advected), stepper.stack, grid, stepper.workspace)
+        fields = shre.rk4_step(_class_fields(advected), stepper.stack, grid, stepper.workspace,
+                               table)
     except Exception as exc:
         # a blow-up names its class; any failure of a one-class run is its class's
         j = getattr(exc, "class_index", None)

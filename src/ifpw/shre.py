@@ -30,12 +30,12 @@ stack of their S/H/R/E fields and a ``ClassStack``: the per-class
 coefficients as (C, 1) columns, and the classes grouped by kernel.  The
 classes of one global kernel and mode stack their fields into one
 ``matmul`` call against its Toeplitz matrix, and the table classes share
-each step's ``CellKernel`` through one ``einsum``; ``fft`` transforms
-one field at a time.  After a step one check of the whole stack passes
-every class, or a check per class finds the classes that failed; only
-these retry with sub-steps, each from its own start state.  The
-one-class ``rk4_step``, ``shre_rhs`` and ``convolve_relaying`` run the
-same code on a stack of one.
+the step's ``CellKernel``, ``rk4_step``'s ``table``, through one
+``einsum``; ``fft`` transforms one field at a time.  After a step one
+check of the whole stack passes every class, or a check per class finds
+the classes that failed; only these retry with sub-steps, each from its
+own start state.  The one-class ``rk4_step``, ``shre_rhs`` and
+``convolve_relaying`` run the same code on a stack of one.
 
 The reaction step allocates no scratch memory once warm: its buffers
 and each global kernel's Toeplitz matrix or FFT spectrum live in a
@@ -410,7 +410,7 @@ def convolve_relaying(r_field: np.ndarray, kernel, grid: GridSpec,
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class ShreParams:
     beta: float  # transmissions/second
     class_params: ClassParams
@@ -426,7 +426,7 @@ class ShreParams:
             raise ValueError(
                 f"unknown convolution mode {self.conv_mode!r}; expected one of {CONV_MODES}")
         # raises StabilityError for unstable class parameters
-        self.xi = queueing.wait_probability(self.class_params)
+        object.__setattr__(self, "xi", queueing.wait_probability(self.class_params))
 
 
 class ClassStack:
@@ -434,12 +434,11 @@ class ClassStack:
     columns of beta and mu, (C, 2, 1) columns of [xi, 1 - xi] and
     [-slack, +slack], and the kernel groups.
 
-    A group is the classes of one global kernel and mode, or of one
-    CellKernel, or of no kernel yet: the table classes, whose
-    ``ShreParams.kernel`` the caller sets to each step's CellKernel.  Each
-    group is (rows, first): its classes as a slice of the stack when they
-    are adjacent, else as an index array, and the first of them, whose
-    kernel and mode the group reads at each step.
+    A group is (rows, kernel, mode), fixed when the stack is built: its
+    classes as a slice of the stack when they are adjacent, else as an
+    index array, and the global kernel and mode they share, or their one
+    CellKernel (mode None), or None: the table classes, whose kernel is
+    the step's ``table`` given to ``rk4_step``.
     """
 
     def __init__(self, params):
@@ -456,22 +455,25 @@ class ClassStack:
             mode = p.conv_mode if isinstance(p.kernel, KernelParams) else None
             members.setdefault((p.kernel, mode), []).append(j)
         self.groups = [
-            (slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else np.array(js), js[0])
-            for js in members.values()]
+            (slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else np.array(js),
+             kernel, mode)
+            for (kernel, mode), js in members.items()]
 
 
 def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
-         workspace: Workspace):
+         workspace: Workspace, table: CellKernel | None):
     """Time derivative of the (C, 4, N) stack ``fields`` into ``out``: one
-    convolution per kernel group, then the coefficient columns."""
+    convolution per group (kernel None: ``table``), then the coefficient columns."""
     _k, _stage, phi, phi_col, tmp, beta_s = workspace.scratch(fields.a.shape[0])
-    for rows, first in stack.groups:
-        p = stack.params[first]
+    for rows, kernel, mode in stack.groups:
+        kernel = table if kernel is None else kernel
+        if kernel is None:
+            raise ValueError(f"class {rows.start if isinstance(rows, slice) else rows[0]} has the "
+                             f"table kernel, but no table CellKernel was given")
         if isinstance(rows, slice):
-            convolve_relaying(fields.r[rows], p.kernel, grid, p.conv_mode, phi[rows], workspace)
+            convolve_relaying(fields.r[rows], kernel, grid, mode, phi[rows], workspace)
         else:
-            phi[rows] = convolve_relaying(fields.r[rows], p.kernel, grid, p.conv_mode, None,
-                                          workspace)
+            phi[rows] = convolve_relaying(fields.r[rows], kernel, grid, mode, None, workspace)
     # phi = (beta * s) * conv
     np.multiply(stack.beta, fields.s, out=beta_s)
     np.multiply(beta_s, phi, out=phi)
@@ -494,20 +496,20 @@ def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec,
         workspace = Workspace(grid.num_cells)
     if out is None:
         out = np.empty_like(fields)
-    _rhs(_Rows(fields[None]), ClassStack([p]), grid, _Rows(out[None]), workspace)
+    _rhs(_Rows(fields[None]), ClassStack([p]), grid, _Rows(out[None]), workspace, None)
     return out
 
 
 def _rk4_once(arr: np.ndarray, stack: ClassStack, grid: GridSpec, dt: float,
-              workspace: Workspace) -> np.ndarray:
+              workspace: Workspace, table: CellKernel | None) -> np.ndarray:
     """arr + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) of a (C, 4, N) stack as a
     fresh array; the stages and derivatives live in ``workspace``."""
     ks, stage = workspace.scratch(arr.shape[0])[:2]
-    _rhs(_Rows(arr), stack, grid, ks[0], workspace)
+    _rhs(_Rows(arr), stack, grid, ks[0], workspace, table)
     for k_prev, k_next, scale in zip(ks, ks[1:], (0.5 * dt, 0.5 * dt, dt)):
         np.multiply(scale, k_prev.a, out=stage.a)
         np.add(arr, stage.a, out=stage.a)
-        _rhs(stage, stack, grid, k_next, workspace)
+        _rhs(stage, stack, grid, k_next, workspace, table)
     k1, k2, k3, k4 = (k.a for k in ks)
     np.multiply(2.0, k2, out=k2)
     np.add(k1, k2, out=k1)
@@ -524,8 +526,8 @@ def _passes(arr: np.ndarray, axis=None):
     return (arr.min(axis) >= NEG_TOL) & (arr.max(axis) < math.inf)
 
 
-def _substeps(arr0: np.ndarray, stack: ClassStack, grid: GridSpec,
-              workspace: Workspace, index: int) -> np.ndarray:
+def _substeps(arr0: np.ndarray, stack: ClassStack, grid: GridSpec, workspace: Workspace,
+              table: CellKernel | None, index: int) -> np.ndarray:
     """One class's (1, 4, N) step by 2, 4, 8, then 16 RK4 sub-steps, the
     first count whose every sub-step passes; NumericalBlowupError naming
     the cell and the class's ``index`` in its stack if none does, or at
@@ -541,7 +543,7 @@ def _substeps(arr0: np.ndarray, stack: ClassStack, grid: GridSpec,
         h = grid.dt / nsub
         arr = arr0
         for _ in range(nsub):
-            arr = _rk4_once(arr, stack, grid, h, workspace)
+            arr = _rk4_once(arr, stack, grid, h, workspace, table)
             if not _passes(arr):
                 break
         else:
@@ -554,11 +556,13 @@ def _substeps(arr0: np.ndarray, stack: ClassStack, grid: GridSpec,
     )
 
 
-def rk4_step(state, p, grid: GridSpec, workspace: Workspace | None = None):
+def rk4_step(state, p, grid: GridSpec, workspace: Workspace | None = None,
+             table: CellKernel | None = None):
     """Advance one coupling step ``grid.dt`` by RK4: one class (``state`` a
-    ClassState, ``p`` its ShreParams; returns a ClassState) or a stack of
-    C classes (``state`` a (C, 4, N) array, ``p`` their ClassStack;
-    returns a fresh (C, 4, N) array).
+    ClassState, ``p`` its ShreParams; returns a ClassState) or a stack of C
+    classes (``state`` a (C, 4, N) array, ``p`` their ClassStack; returns a
+    fresh (C, 4, N) array).  The classes of kernel None convolve with the
+    step's CellKernel ``table``; without one, ValueError names the first.
 
     Every class steps at once.  A class whose step produces NaN/inf or
     densities below the -1e-9 tolerance is retried alone with 2, 4, 8,
@@ -570,12 +574,12 @@ def rk4_step(state, p, grid: GridSpec, workspace: Workspace | None = None):
     stack, arr0 = (ClassStack([p]), state.fields[None]) if one else (p, state)
     if workspace is None:
         workspace = Workspace(grid.num_cells, arr0.shape[0])
-    arr = _rk4_once(arr0, stack, grid, grid.dt, workspace)
+    arr = _rk4_once(arr0, stack, grid, grid.dt, workspace, table)
     # one check of the whole stack; if it fails, one per class finds the
     # classes that retry
     for j in () if _passes(arr) else np.flatnonzero(~_passes(arr, (1, 2))):
         arr[j] = _substeps(arr0[j:j + 1], ClassStack(stack.params[j:j + 1]), grid,
-                           workspace, int(j))[0]
+                           workspace, table, int(j))[0]
     np.maximum(arr, 0.0, out=arr)
     return ClassState(arr[0]) if one else arr
 

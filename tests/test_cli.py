@@ -78,6 +78,33 @@ class TestRun:
         assert (out / "class0_s.csv").exists()
         assert "snapshots" in capsys.readouterr().out
 
+    def test_failed_run_flushes_partial_outputs(self, tmp_path, capsys):
+        # a jammed ring with a huge beta blows up at the first step
+        bad = with_values(RUN_CONFIG, (("k0_veh_per_km",), 300.0),
+                          (("market_penetration",), 20.0 / 300.0), (("beta_hz",), 1e9))
+        cfg = write_json(tmp_path, "cfg.json", bad)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        captured = capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert captured.out == ""
+        assert captured.err == f"error: run failed (partial outputs flushed): {manifest['error']}\n"
+        assert manifest["error"].startswith("SHRE step for class 0 failed at t=0.0: ")
+        assert "blew up" in manifest["error"]
+        times, values = coupling.read_field_csv(out / "class0_s.csv")
+        assert times.tolist() == [0.0] and values.shape == (1, 64)
+
+    @pytest.mark.parametrize("n_servers, warned", [(31, False), (32, True)])
+    def test_warns_of_servers_beyond_the_table(self, tmp_path, capsys, n_servers, warned):
+        # the kernel table's N_max is 31 at 40 veh/km
+        cfg = write_json(tmp_path, "cfg.json",
+                         with_values(RUN_CONFIG, (("classes", 0, "n_servers"), n_servers)))
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: total servers 32 exceed reference N_max=31 at "
+                                "density 40.0 veh/km\n" if warned else "")
+        assert "wrote 5 snapshots" in captured.out
+
     def test_unwritable_out_fails_before_the_run(self, tmp_path, capsys, monkeypatch):
         # it used to run the scenario first and then report the write as a
         # failed run with partial outputs flushed
@@ -354,6 +381,36 @@ class TestSpeed:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "c_forward" in out and "c_backward" in out
+
+    @pytest.mark.parametrize("field", ["h", "r", "e"])
+    def test_each_informed_field_reports_speeds(self, run_dir, capsys, field):
+        code = main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                     "--reference", "1.0", "--seed-cell", "128", "--field", field])
+        assert code == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" = ")[0] for line in lines] == ["c_forward", "c_backward"]
+        assert all(float(line.split()[2]) > 0 for line in lines)
+
+    def test_default_seed_cell_is_the_peak_at_t1(self, run_dir, capsys):
+        times, informed = (coupling.read_field_csv(run_dir / "class0_h.csv")[0],
+                           sum(coupling.read_field_csv(run_dir / f"class0_{f}.csv")[1]
+                               for f in "hre"))
+        peak = int(np.argmax(informed[list(times).index(5.0)]))
+        outputs = []
+        for seed_cell in ([], ["--seed-cell", str(peak)]):
+            assert main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                         "--reference", "1.0", *seed_cell]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and "c_forward" in outputs[0]
+
+    def test_susceptible_field_is_usage_error(self, run_dir, capsys):
+        # S is lowest at the seed and rises outward, so no front of S can be
+        # found by a scan for the first value below the reference
+        with pytest.raises(SystemExit) as exc:
+            main(["speed", "--run-dir", str(run_dir), "--t1", "5", "--t2", "10",
+                  "--reference", "1.0", "--field", "s"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "argument --field: invalid choice: 's'" in capsys.readouterr().err
 
     def test_equal_times_rejected(self, run_dir):
         code = main(["speed", "--run-dir", str(run_dir), "--t1", "5",

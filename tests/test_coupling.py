@@ -261,6 +261,22 @@ class TestStep:
         assert "SHRE step for class 0 failed at t=0.0: SHRE step input is not finite at cell 10" \
             in str(info.value)
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("invalid", ["warn", "raise"])
+    @pytest.mark.parametrize("row, j", [(2, 0), (6, 1)])
+    def test_non_finite_layer_on_flowing_road_reported_at_its_cell(self, value, invalid, row, j):
+        # inf minus inf in the advection used to fail the traffic layer with
+        # the suite's RuntimeWarning-as-error or numpy's FloatingPointError
+        cfg = make_config(classes=make_config().classes * 2)
+        world = initialize(cfg)
+        world.layers[row, 10] = value
+        with np.errstate(invalid=invalid), pytest.raises(NumericalBlowupError) as info:
+            step(world, cfg)
+        assert info.value.cell == 10 and info.value.class_index == j
+        assert str(info.value) == (f"SHRE step for class {j} failed at t=0.0: "
+                                   f"SHRE step input is not finite at cell 10")
+        assert isinstance(info.value.__cause__, (FloatingPointError, RuntimeWarning))
+
     def test_blowup_keeps_cell_and_adds_context(self):
         # a huge beta on frozen (jammed) traffic makes RK4 blow up even
         # with its sub-step fallback
@@ -324,6 +340,33 @@ class TestRun:
             horizon=60.0, snapshot_every=10.0)
         rows = analysis.sweep(jammed, [1, 2], [0.26], 30.0, 60.0, reference_fraction=0.1)
         assert [(row.stable, row.error) for row in rows] == [(True, None)] * 2
+
+    def test_failed_run_flushes_the_snapshots_taken(self, monkeypatch, tmp_path):
+        # a snapshot every 4 steps; the 10th reaction, from t=4.5 s, fails
+        cfg = make_config()
+        run(cfg, out_dir=tmp_path / "whole")
+        boom, calls, original = RuntimeError("boom"), [], shre.rk4_step
+
+        def failing(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 10:
+                raise boom
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(shre, "rk4_step", failing)
+        with pytest.raises(RuntimeError) as info:
+            run(cfg, out_dir=tmp_path / "cut")
+        assert info.value is boom
+        assert str(boom) == "SHRE step for class 0 failed at t=4.5: boom"
+        manifest = json.loads((tmp_path / "cut" / "manifest.json").read_text())
+        whole = json.loads((tmp_path / "whole" / "manifest.json").read_text())
+        assert manifest["error"] == str(boom) and whole["error"] is None
+        assert manifest["snapshot_times_s"] == [0.0, 2.0, 4.0]
+        # each CSV is the header and the whole run's first three snapshots
+        assert manifest["files"] == whole["files"] and len(whole["files"]) == 5
+        for name in whole["files"]:
+            lines = (tmp_path / "whole" / name).read_text().splitlines(keepends=True)
+            assert (tmp_path / "cut" / name).read_text() == "".join(lines[:1 + 3 * 64])
 
     def test_zero_horizon_single_snapshot(self):
         out = run(make_config(horizon=0.0))
@@ -581,9 +624,9 @@ class TestClassIndependence:
         retried = []
         substeps = shre._substeps
 
-        def spy(arr0, stack, grid, workspace, index):
+        def spy(arr0, stack, grid, workspace, table, index):
             retried.append(index)
-            return substeps(arr0, stack, grid, workspace, index)
+            return substeps(arr0, stack, grid, workspace, table, index)
 
         monkeypatch.setattr(shre, "_substeps", spy)
         classes = (ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.1),

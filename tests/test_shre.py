@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -456,8 +457,8 @@ class TestRetryGuard:
         calls = []
         once = shre._rk4_once
 
-        def spoiled(arr, stack, grid, dt, workspace):
-            out = once(arr, stack, grid, dt, workspace)
+        def spoiled(arr, stack, grid, dt, workspace, table):
+            out = once(arr, stack, grid, dt, workspace, table)
             calls.append(dt)
             if workspaces is not None:
                 workspaces.append(workspace)
@@ -474,7 +475,7 @@ class TestRetryGuard:
         once, ws = shre._rk4_once, shre.Workspace(16)
         want = state.fields[None]
         for _ in range(2):
-            want = once(want, shre.ClassStack([self.P]), self.GRID, self.GRID.dt / 2, ws)
+            want = once(want, shre.ClassStack([self.P]), self.GRID, self.GRID.dt / 2, ws, None)
         workspaces = []
         calls = self.inject(monkeypatch, bad, times=1, workspaces=workspaces)
         out = rk4_step(state, self.P, self.GRID)
@@ -808,6 +809,29 @@ class TestWorkspaceStep:
                 assert_bitwise(f, st.fields)
         assert 2 in retried
 
+    @pytest.mark.parametrize("mode", ["fft", "direct"])
+    def test_table_classes_convolve_with_the_given_table(self, mode):
+        # a class of kernel None reads the step's CellKernel, passed to
+        # rk4_step, the same bits as a class built with that kernel
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
+        params, fields = self.mixed_stack(96, grid.dx, mode, ClassParams(0.5, 11, 0.05))
+        cell = params[1].kernel
+        table = [params[0], dataclasses.replace(params[1], kernel=None), params[2]]
+        stack = shre.ClassStack(table)
+        assert [(kernel, m) for _rows, kernel, m in stack.groups] == [(KP, mode), (None, None)]
+        with pytest.raises(ValueError, match="class 1 has the table kernel, but no table "
+                                             "CellKernel was given"):
+            rk4_step(fields, stack, grid)
+        with pytest.raises(ValueError, match="class 0 has the table kernel"):
+            shre_rhs(fields[1], table[1], grid)
+        for _ in range(3):
+            got = rk4_step(fields, stack, grid, table=cell)
+            fields = rk4_step(fields, shre.ClassStack(params), grid)
+            assert_bitwise(got, fields)
+        # nothing a ClassStack holds changes after it is built
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table[1].kernel = cell
+
     @pytest.mark.parametrize("mode", ["fft", "periodic", "direct"])
     def test_warm_stacked_step_allocates_one_result(self, mode):
         # three classes in two kernel groups: the stacked product's and the
@@ -820,7 +844,7 @@ class TestWorkspaceStep:
         params, fields = self.mixed_stack(n, grid.dx, mode, ClassParams(0.5, 11, 0.05))
         params, fields = [params[0], params[2], params[1]], fields[[0, 2, 1]]
         stack, ws = shre.ClassStack(params), shre.Workspace(n, 3)
-        assert [rows for rows, _first in stack.groups] == [slice(0, 2), slice(2, 3)]
+        assert [rows for rows, _kernel, _mode in stack.groups] == [slice(0, 2), slice(2, 3)]
         for _ in range(3):
             fields = rk4_step(fields, stack, grid, ws)
         tracemalloc.start()
