@@ -230,10 +230,14 @@ def _sweep_point(args):
     if not cp.stable:
         return SweepRow(n_servers=n, mu=mu, stable=False)
     cfg = coupling.config_with_class_override(base_cfg, n_servers=n, mu=mu)
+    sigma = cfg.sigma
+    known = dict(n_servers=n, mu=mu, stable=True)
     try:
+        # the config alone sets these, so a failed run or measurement keeps them
+        known["mean_wait"] = queueing.mean_waiting_time(cp)
+        g = known["gamma"] = gamma(cfg.beta, cfg.kernel_mass()[0], sigma, mu)
+        known["alpha_star"] = asymptotic_spread(g)
         out = coupling.run(cfg)
-        sigma = cfg.sigma
-        g = gamma(cfg.beta, out.kernel_mass[0], sigma, mu)
         snap1 = out.snapshots[cfg.snapshot_index(t1, "t1")]
         snap2 = out.snapshots[cfg.snapshot_index(t2, "t2")]
         seed_cell = cfg.classes[0].seeds[0][0]
@@ -243,12 +247,10 @@ def _sweep_point(args):
                                       reference * sigma, seed_cell, cfg.grid.dx)
         spread = measured_spread(out.snapshots[-1].classes[0].s,
                                  np.full(cfg.grid.num_cells, sigma))
-        return SweepRow(n_servers=n, mu=mu, stable=True, gamma=g,
-                        alpha_star=asymptotic_spread(g), spread=spread,
-                        c_forward=speeds.c_forward, c_backward=speeds.c_backward,
-                        mean_wait=queueing.mean_waiting_time(cp))
+        return SweepRow(**known, spread=spread, c_forward=speeds.c_forward,
+                        c_backward=speeds.c_backward)
     except Exception as exc:  # record per-point failures, keep sweeping
-        return SweepRow(n_servers=n, mu=mu, stable=True, error=str(exc))
+        return SweepRow(**known, error=str(exc))
 
 
 def sweep(base_cfg, n_values, mu_values, t1: float, t2: float,

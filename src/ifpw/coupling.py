@@ -189,18 +189,26 @@ class ScenarioConfig:
                                      f"every {self.snapshot_every} s and at {self.horizon} s")
         return math.ceil(i / every)  # the horizon may end off the cadence
 
+    def kernel_mass(self) -> list[float]:
+        """Each class's kernel mass b at the ambient density k0: its global
+        kernel's, or the table's interpolated at k0."""
+        return [cc.kernel.b if cc.kernel is not None
+                else float(kern.interp_kernel_params([self.k0])[1][0])
+                for cc in self.classes]
+
     def warnings(self) -> list[str]:
-        out = []
-        total_servers = sum(c.params.n_servers for c in self.classes)
         try:
             n_max = kern.lookup_reference(self.k0).n_max
-            if total_servers > n_max:
-                out.append(
-                    f"total servers {total_servers} exceed reference N_max={n_max} "
-                    f"at density {self.k0} veh/km")
-        except ValueError:
-            pass  # density outside the tabulated range; nothing to check
-        return out
+        except ValueError as exc:  # k0 off the table: no N_max to check against
+            if all(cc.kernel is not None for cc in self.classes):
+                return []
+            return [f"ambient {exc}: table-kernel classes use the kernel of the "
+                    "table's nearest end row"]
+        total_servers = sum(c.params.n_servers for c in self.classes)
+        if total_servers > n_max:
+            return [f"total servers {total_servers} exceed reference N_max={n_max} "
+                    f"at density {self.k0} veh/km"]
+        return []
 
     def digest(self) -> str:
         """SHA-256 of the parsed config: keys the parser ignores, the
@@ -581,15 +589,13 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     started = _time.time()
     stepper = Stepper(config)
     world = initialize(config)
-    kmass = [cc.kernel.b if cc.kernel is not None
-             else float(kern.interp_kernel_params([config.k0])[1][0])
-             for cc in config.classes]
 
     def snap(w: WorldState) -> WorldState:
         return WorldState(w.time, w.k_total.copy(), w.layers.copy())
 
     out = RunOutput(config=config, snapshots=[snap(world)],
-                    warnings=config.warnings(), kernel_mass=kmass, started=started)
+                    warnings=config.warnings(), kernel_mass=config.kernel_mass(),
+                    started=started)
     n_steps = round(config.horizon / config.grid.dt)
     every = round(config.snapshot_every / config.grid.dt)
     try:

@@ -7,8 +7,13 @@ by distance ``|x - y|`` (km) is
 
 with decay scale ``a`` (km) and total mass ``b`` (integral of K over the
 line).  A reference table of calibrated (a, b) pairs and the transmission
-capacity N_max per traffic density ships as a CSV data file; calibration
-from raw distance/success-rate samples is a least-squares fit.  K is
+capacity N_max per traffic density ships as a CSV data file beside this
+module.  Its first use reads and parses the file in one pass into one
+(4, R) float array of (density, a, b, n_max) columns, by increasing
+density, which ``_TABLE_CACHE`` holds; resetting that to None makes the
+next use read the file again.  The row lookup, the row list and the
+per-cell (a, b) interpolation all read that array.  Calibration from raw
+distance/success-rate samples is a least-squares fit.  K is
 linear in b, so the fit eliminates b in closed form and searches the
 one-dimensional profile in a (variable projection); it needs numpy only.
 """
@@ -17,8 +22,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
-from importlib import resources
 
 import numpy as np
 
@@ -41,6 +46,8 @@ SQRT_PI = math.sqrt(math.pi)
 A_MIN, B_MIN = 1e-6, 1e-6  # lower bounds of a fitted kernel
 GRID_STEP = math.log(500.0) / 39  # log-a spacing of the fit's grid, 40 points on [0.01, 5] km
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section ratio
+_TABLE_PATH = os.path.join(os.path.dirname(__file__), "data", "kernel_reference.csv")
+_TABLE_COLUMNS = ("density_veh_per_km", "a", "b", "n_max")  # header names, in array order
 
 
 @dataclass(frozen=True)
@@ -183,44 +190,49 @@ def max_servers(capacity_bps: float, k: float, beta: float, comm_range_km: float
     return int(capacity_bps // (2 * k * beta * comm_range_km * penetration * packet_bits))
 
 
-def load_reference_table() -> list[DensityReferenceRow]:
-    """Load the bundled density reference table."""
-    text = resources.files("ifpw.data").joinpath("kernel_reference.csv").read_text()
-    rows = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(DensityReferenceRow(
-            density=float(rec["density_veh_per_km"]),
-            a=float(rec["a"]),
-            b=float(rec["b"]),
-            n_max=int(rec["n_max"]),
-        ))
-    rows.sort(key=lambda r: r.density)
-    if any(r2.density <= r1.density for r1, r2 in zip(rows, rows[1:])):
+def _read_table(path) -> np.ndarray:
+    """(4, R) float array of a reference table's (density, a, b, n_max)
+    columns, rows by increasing density; a missing or unparsable column,
+    or a density that does not rise, raises ValueError."""
+    with open(path) as fh:
+        header, *records = [line.split(",") for line in fh.read().splitlines() if line]
+    try:
+        d, a, b, n = (header.index(name) for name in _TABLE_COLUMNS)
+        rows = sorted((float(r[d]), float(r[a]), float(r[b]), int(r[n])) for r in records)
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"reference table {path}: {exc}") from None
+    if not all(r1[0] < r2[0] for r1, r2 in zip(rows, rows[1:])):  # also rejects NaN
         raise ValueError("reference table densities must be strictly increasing")
-    return rows
+    return np.array(list(zip(*rows)), dtype=float)
 
 
-# the table's rows and its (density, a, b) columns, built once per load
-_TABLE_CACHE: tuple[list[DensityReferenceRow], np.ndarray] | None = None
+# the bundled table's columns, parsed on the first use after each reset
+_TABLE_CACHE: np.ndarray | None = None
 
 
-def _table() -> tuple[list[DensityReferenceRow], np.ndarray]:
+def _table() -> np.ndarray:
     global _TABLE_CACHE
     if _TABLE_CACHE is None:
-        rows = load_reference_table()
-        _TABLE_CACHE = rows, np.array([[r.density for r in rows], [r.a for r in rows],
-                                       [r.b for r in rows]])
+        _TABLE_CACHE = _read_table(_TABLE_PATH)
+        _TABLE_CACHE.flags.writeable = False  # shared by every caller
     return _TABLE_CACHE
+
+
+def load_reference_table() -> list[DensityReferenceRow]:
+    """The bundled density reference table, by increasing density."""
+    return [DensityReferenceRow(d, a, b, int(n)) for d, a, b, n in _table().T.tolist()]
 
 
 def lookup_reference(k: float) -> DensityReferenceRow:
     """Nearest tabulated reference row (a, b, n_max) at traffic density k
-    (veh/km); ``interp_kernel_params`` interpolates a and b instead."""
-    rows = _table()[0]
-    lo, hi = rows[0].density, rows[-1].density
+    (veh/km), the lower of two equally near; ``interp_kernel_params``
+    interpolates a and b instead."""
+    dens, a, b, n_max = _table()
+    lo, hi = float(dens[0]), float(dens[-1])
     if not lo <= k <= hi:
         raise ValueError(f"density {k} outside tabulated range [{lo}, {hi}]")
-    return min(rows, key=lambda r: abs(r.density - k))
+    i = int(np.argmin(np.abs(dens - k)))
+    return DensityReferenceRow(float(dens[i]), float(a[i]), float(b[i]), int(n_max[i]))
 
 
 def interp_kernel_params(k_values):
@@ -229,7 +241,7 @@ def interp_kernel_params(k_values):
     Densities are clamped to the tabulated range before interpolation, so
     jammed cells use the highest-density row.
     """
-    dens, a, b = _table()[1]
+    dens, a, b, _n_max = _table()
     kc = np.clip(np.asarray(k_values, dtype=float), dens[0], dens[-1])
     return np.interp(kc, dens, a), np.interp(kc, dens, b)
 

@@ -249,6 +249,9 @@ def point_row(cfg, t1, t2, reference):
     cp = cc.params
     out = coupling.run(cfg)
     sigma = cfg.sigma
+    g = gamma(cfg.beta, cc.kernel.b, sigma, cp.mu)
+    known = dict(stable=True, gamma=g, alpha_star=asymptotic_spread(g),
+                 mean_wait=queueing.mean_waiting_time(cp))
     try:
         first, second = out.snapshot_at(t1), out.snapshot_at(t2)
         speeds = estimate_wave_speeds(sigma - first.classes[0].s, sigma - second.classes[0].s,
@@ -256,12 +259,10 @@ def point_row(cfg, t1, t2, reference):
                                       cc.seeds[0][0], cfg.grid.dx)
         spread = measured_spread(out.snapshots[-1].classes[0].s,
                                  np.full(cfg.grid.num_cells, sigma))
-    except FrontNotFoundError as exc:
-        return SweepRow(cp.n_servers, cp.mu, stable=True, error=str(exc))
-    g = gamma(cfg.beta, cc.kernel.b, sigma, cp.mu)
-    return SweepRow(cp.n_servers, cp.mu, stable=True, gamma=g, alpha_star=asymptotic_spread(g),
-                    spread=spread, c_forward=speeds.c_forward, c_backward=speeds.c_backward,
-                    mean_wait=queueing.mean_waiting_time(cp))
+    except FrontNotFoundError as exc:  # gamma, alpha* and the wait follow from the config
+        return SweepRow(cp.n_servers, cp.mu, error=str(exc), **known)
+    return SweepRow(cp.n_servers, cp.mu, spread=spread, c_forward=speeds.c_forward,
+                    c_backward=speeds.c_backward, **known)
 
 
 def with_point(cfg, n, mu):
@@ -289,6 +290,20 @@ class TestSweep:
         assert "n_servers must be a positive integer, got 0" in rows[1].error
         assert "service rate must be finite and positive" in rows[2].error
         assert rows[3].error  # both bad: the first check's message
+
+    def test_failed_point_keeps_its_config_values(self):
+        # criterion 06's 512-cell jammed ring at mu 0.4: gamma = 0.998 < 1, so
+        # no wave forms and the plateau measurement fails
+        cc = ClassConfig(ClassParams(0.15, 1, 0.2), KernelParams(0.292, 0.499),
+                         seeds=((256, 5.0),))
+        cfg = replace(jammed_ring(), grid=GridSpec(0.05, 0.5, 512), classes=(cc,),
+                      horizon=420.0)
+        (row,) = sweep(cfg, [1], [0.4], 30.0, 60.0, reference_fraction=0.1)
+        assert row.error == "informed region only 1 cells wide; no plateau to measure"
+        assert row.stable and row.gamma == pytest.approx(0.998, rel=1e-12)
+        assert row.alpha_star is None  # gamma <= 1: no IFPW
+        assert row.mean_wait == queueing.mean_waiting_time(ClassParams(0.15, 1, 0.4))
+        assert (row.spread, row.c_forward, row.c_backward) == (None, None, None)
 
     @pytest.mark.parametrize("t1, t2, match", [
         (30.0, 30.0, "are the same snapshot"),

@@ -138,6 +138,19 @@ class TestInitialize:
         w = make_config(classes=(cc,)).warnings()
         assert len(w) == 1 and "N_max" in w[0]
 
+    @pytest.mark.parametrize("k0", [5.0, 300.0])
+    def test_table_kernel_off_the_table_warns(self, k0):
+        # the table spans 10-100 veh/km; a table-kernel class beyond it takes
+        # the kernel of the end row, while global-kernel classes alone use none
+        table = ClassConfig(ClassParams(0.5, 11, 0.05), seeds=((16, 1.0),))
+        fixed = ClassConfig(ClassParams(0.5, 11, 0.05), KernelParams(0.292, 0.499),
+                            seeds=((32, 1.0),))
+        w = make_config(k0=k0, classes=(table,)).warnings()
+        assert w == [f"ambient density {k0} outside tabulated range [10.0, 100.0]: "
+                     "table-kernel classes use the kernel of the table's nearest end row"]
+        assert make_config(k0=k0, classes=(fixed, table)).warnings() == w
+        assert make_config(k0=k0, classes=(fixed,)).warnings() == []
+
 
 class TestStep:
     def test_conserves_total_vehicles(self):

@@ -1,12 +1,16 @@
+import csv
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 
+from ifpw import kernel
 from ifpw.errors import CalibrationError, ConvergenceError, DegenerateDataError
 from ifpw.kernel import (
     SQRT_PI,
     CalibrationSample,
+    DensityReferenceRow,
     KernelParams,
     calibrate,
     interp_kernel_params,
@@ -250,6 +254,80 @@ class TestReferenceTable:
         assert a[0] == pytest.approx(lookup_reference(10).a)
         assert a[1] == pytest.approx(0.292)
         assert b[2] == pytest.approx(lookup_reference(100).b)
+
+    def test_equally_near_rows_give_the_lower(self):
+        assert lookup_reference(45).density == 40.0
+        assert lookup_reference(45.000001).density == 50.0
+
+
+def csv_rows(text):
+    """A table's rows as csv.DictReader parses them, by increasing density."""
+    return sorted((DensityReferenceRow(float(r["density_veh_per_km"]), float(r["a"]),
+                                       float(r["b"]), int(r["n_max"]))
+                   for r in csv.DictReader(text.splitlines())), key=lambda r: r.density)
+
+
+class TestTableLoader:
+    @pytest.fixture
+    def table_file(self, tmp_path, monkeypatch):
+        """Point the loader at a table file of the test's own, cache empty."""
+        path = tmp_path / "table.csv"
+        monkeypatch.setattr(kernel, "_TABLE_PATH", str(path))
+        monkeypatch.setattr(kernel, "_TABLE_CACHE", None)
+        return path
+
+    def test_bundled_rows_equal_a_csv_parse(self, monkeypatch):
+        monkeypatch.setattr(kernel, "_TABLE_CACHE", None)
+        text = resources.files("ifpw.data").joinpath("kernel_reference.csv").read_text()
+        want = csv_rows(text)
+        assert len(want) == 10
+        got = load_reference_table()
+        # float.hex tells apart any two floats that differ in a bit
+        hexed = lambda rows: [(r.density.hex(), r.a.hex(), r.b.hex(), r.n_max) for r in rows]
+        assert hexed(got) == hexed(want)
+        assert all(type(r.n_max) is int for r in got)
+        columns = kernel._table()
+        assert columns.shape == (4, 10) and columns.flags.c_contiguous
+        assert columns.tolist() == [[getattr(r, f) for r in want]
+                                    for f in ("density", "a", "b", "n_max")]
+
+    def test_columns_map_by_header_name_and_rows_sort(self, table_file):
+        table_file.write_text("n_max,b,density_veh_per_km,a\n12,0.243,100,0.153\n"
+                              "\n125,0.621,10,0.362\n31,0.499,40,0.292\n")
+        assert load_reference_table() == csv_rows(table_file.read_text())
+        assert lookup_reference(38.0) == DensityReferenceRow(40.0, 0.292, 0.499, 31)
+
+    @pytest.mark.parametrize("text, match", [
+        ("density_veh_per_km,a,b\n10,0.362,0.621\n", "'n_max' is not in list"),
+        ("density_veh_per_km,a,b,n_max\n10,0.362,0.621\n", "list index out of range"),
+        ("density_veh_per_km,a,b,n_max\n10,0.362,0.621,12.5\n", "invalid literal for int"),
+        ("density_veh_per_km,a,b,n_max\n10,0.362,0.621,125\n10,0.351,0.576,62\n",
+         "strictly increasing"),
+        ("density_veh_per_km,a,b,n_max\nnan,0.362,0.621,125\n20,0.351,0.576,62\n",
+         "strictly increasing"),
+    ])
+    def test_malformed_table_rejected(self, table_file, text, match):
+        table_file.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            load_reference_table()
+        assert kernel._TABLE_CACHE is None
+
+    def test_reset_cache_reads_the_file_again(self, table_file):
+        def at_20(a, b):
+            table_file.write_text("density_veh_per_km,a,b,n_max\n10,0.362,0.621,125\n"
+                                  f"20,{a},{b},62\n")
+
+        def interp_20():
+            (a,), (b,) = interp_kernel_params([20.0])
+            return a, b
+
+        at_20(0.351, 0.576)
+        assert interp_20() == (0.351, 0.576)
+        at_20(0.3, 0.5)
+        assert interp_20() == (0.351, 0.576)  # the cached columns
+        kernel._TABLE_CACHE = None
+        assert interp_20() == (0.3, 0.5)
+        assert lookup_reference(20.0) == DensityReferenceRow(20.0, 0.3, 0.5, 62)
 
 
 class TestSampleFile:
