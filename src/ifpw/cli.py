@@ -74,6 +74,11 @@ def cmd_run(args) -> int:
     except (ConfigurationError, ValueError) as exc:
         return _fail(str(exc), EXIT_CONFIG)
     try:
+        # every run reads the bundled kernel table: read it before writing anything
+        kernel.load_reference_table()
+    except (OSError, ValueError) as exc:
+        return _fail(f"cannot read the kernel table: {exc}", EXIT_DOMAIN)
+    try:
         os.makedirs(args.out, exist_ok=True)
         out = coupling.run(cfg, out_dir=args.out)
     except OSError as exc:

@@ -12,10 +12,11 @@ the density alone, so once it has returned its input bit for bit (a
 homogeneous ring, or any road at a fixed point of the cell transmission
 model) a later step given that density takes (i)'s result from the run's
 ``Stepper`` instead of computing it again.  The state is two arrays: the
-total density ``k_total`` (N,) and ``layers`` (4C, N), whose rows
-4j .. 4j+3 hold the S/H/R/E densities of information class j.  They are
-the single source of truth: the traffic step advects every row, and the
-SHRE step reads them as one (C, 4, N) stack and returns the next layers.
+total density ``k_total`` (N,) and ``layers``, the (C, 4, N) stack whose
+``layers[j]`` holds the S/H/R/E densities of information class j.  They
+are the single source of truth: the traffic step advects the stack as
+lwr's (4C, N) layers, and the SHRE step reacts it and returns the next
+stack.
 What the steps of a run share (the classes' ``ShreParams`` and ``xi`` as
 one ``shre.ClassStack``, the kernels' operators, the reaction's scratch,
 a stationary traffic step) lives in its ``Stepper``; a step passes the
@@ -220,18 +221,12 @@ class ScenarioConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-# The row layout of WorldState.layers is written only in these two functions.
 def _fresh_layers(config: ScenarioConfig, num_cells: int, density: float) -> np.ndarray:
     """Layers of ``density`` veh/km of uninformed traffic: each class's
     equipped share in its S row."""
-    layers = np.zeros((4 * len(config.classes), num_cells))
-    _class_fields(layers)[:, 0] = config.penetration * density
+    layers = np.zeros((len(config.classes), 4, num_cells))
+    layers[:, 0] = config.penetration * density
     return layers
-
-
-def _class_fields(layers: np.ndarray) -> np.ndarray:
-    """(C, 4, N) view of ``layers``."""
-    return layers.reshape(-1, 4, layers.shape[1])
 
 
 @dataclass
@@ -240,18 +235,18 @@ class WorldState:
 
     time: float
     k_total: np.ndarray  # (N,) veh/km
-    layers: np.ndarray  # (4C, N) S/H/R/E of each class, veh/km
+    layers: np.ndarray  # (C, 4, N) S/H/R/E of each class, veh/km
 
     @property
     def classes(self) -> list[ClassState]:
         """Views (sharing ``layers``) of each class's S/H/R/E layers."""
-        return [ClassState(f) for f in _class_fields(self.layers)]
+        return [ClassState(f) for f in self.layers]
 
 
 def initialize(config: ScenarioConfig) -> WorldState:
     n = config.grid.num_cells
     layers = _fresh_layers(config, n, config.k0)
-    for cc, fields in zip(config.classes, _class_fields(layers)):
+    for cc, fields in zip(config.classes, layers):
         for cell, density in cc.seeds:
             # move the seed from S to R in place; the config checked that it fits
             moved = min(float(density), fields[0, cell])
@@ -290,7 +285,7 @@ class Stepper:
         self.table = any(cc.kernel is None for cc in config.classes)
         # only an open road reads them; the vehicles entering it are uninformed
         self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
-        self.inflow = _fresh_layers(config, 1, 1.0)[:, 0] if config.boundary == "open" else None
+        self.inflow = _fresh_layers(config, 1, 1.0).ravel() if config.boundary == "open" else None
         self.stationary = None
 
 
@@ -330,9 +325,11 @@ def _advance_traffic(k: np.ndarray, config: ScenarioConfig, stepper: Stepper, t:
 
 def _advect(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
             config: ScenarioConfig, stepper: Stepper) -> np.ndarray:
-    """``layers`` advected by their shares of the interface ``flows``."""
-    class_flows = lwr.split_class_flows(k_total, layers, flows, config.boundary, stepper.inflow)
-    return lwr.update_class_densities(layers, class_flows, config.grid)
+    """The (C, 4, N) ``layers`` advected by their shares of the interface
+    ``flows``; lwr advects them as (4C, N) rows."""
+    rows = layers.reshape(-1, layers.shape[-1])
+    class_flows = lwr.split_class_flows(k_total, rows, flows, config.boundary, stepper.inflow)
+    return lwr.update_class_densities(rows, class_flows, config.grid).reshape(layers.shape)
 
 
 def step(world: WorldState, config: ScenarioConfig,
@@ -351,22 +348,17 @@ def step(world: WorldState, config: ScenarioConfig,
     try:
         k_new, flows, idle = _advance_traffic(world.k_total, config, stepper, t)
         layers = world.layers
-        if not idle:
-            advected = _advect(world.k_total, layers, flows, config, stepper)
-        elif layers.min(initial=0.0) >= 0.0 and layers.max(initial=0.0) < math.inf:
+        if idle and layers.min(initial=0.0) >= 0.0 and layers.max(initial=0.0) < math.inf:
             # no interface carries flow: every layer flow is +0, so the
             # advection would return these finite, non-negative layers bit for bit
             advected = layers
         else:
-            # an inf layer density times the zero flow is NaN here, quietly:
-            # the reaction then reports it at its cell
-            with np.errstate(invalid="ignore"):
-                advected = _advect(world.k_total, layers, flows, config, stepper)
+            advected = _advect(world.k_total, layers, flows, config, stepper)
     except Exception as exc:
         if isinstance(exc, (FloatingPointError, RuntimeWarning)):
             # an inf or NaN layer trips the advection's arithmetic under a
             # strict error state or warning filter: report it as the reaction does
-            bad = np.argwhere(~np.isfinite(_class_fields(world.layers)).all(axis=1))
+            bad = np.argwhere(~np.isfinite(world.layers).all(axis=1))
             if bad.size:
                 j, cell = (int(i) for i in bad[0])
                 err = NumericalBlowupError(f"SHRE step input is not finite at cell {cell}",
@@ -383,8 +375,7 @@ def step(world: WorldState, config: ScenarioConfig,
     table = CellKernel(*kern.interp_kernel_params(k_new), grid.dx) if stepper.table else None
     try:
         # one RK4 step of every class; its fresh result is the next layers
-        fields = shre.rk4_step(_class_fields(advected), stepper.stack, grid, stepper.workspace,
-                               table)
+        fields = shre.rk4_step(advected, stepper.stack, grid, stepper.workspace, table)
     except Exception as exc:
         # a blow-up names its class; any failure of a one-class run is its class's
         j = getattr(exc, "class_index", None)
@@ -393,7 +384,7 @@ def step(world: WorldState, config: ScenarioConfig,
         _add_context(exc, f"SHRE step failed at t={t}" if j is None
                      else f"SHRE step for class {j} failed at t={t}")
         raise
-    return WorldState(t + grid.dt, k_new, fields.reshape(advected.shape))
+    return WorldState(t + grid.dt, k_new, fields)
 
 
 # Lines a CSV write formats at once: a whole number of snapshots, at least one.
@@ -499,7 +490,6 @@ class RunOutput:
     config: ScenarioConfig
     snapshots: list  # WorldState copies
     warnings: list
-    kernel_mass: list  # effective b per class at the ambient density
     error: str | None = None
     started: float = 0.0
     finished: float = 0.0
@@ -555,10 +545,9 @@ class RunOutput:
             files.append(name)
 
         dump("traffic_k_total.csv", [s.k_total for s in self.snapshots])
-        fields = [_class_fields(s.layers) for s in self.snapshots]
         for j in range(len(self.config.classes)):
             for i, f in enumerate(FIELDS):
-                dump(f"class{j}_{f}.csv", [fs[j, i] for fs in fields])
+                dump(f"class{j}_{f}.csv", [s.layers[j, i] for s in self.snapshots])
         g = self.config.grid
         manifest = {
             "config_sha256": self.config.digest(),
@@ -593,8 +582,7 @@ def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     def snap(w: WorldState) -> WorldState:
         return WorldState(w.time, w.k_total.copy(), w.layers.copy())
 
-    out = RunOutput(config=config, snapshots=[snap(world)],
-                    warnings=config.warnings(), kernel_mass=config.kernel_mass(),
+    out = RunOutput(config=config, snapshots=[snap(world)], warnings=config.warnings(),
                     started=started)
     n_steps = round(config.horizon / config.grid.dt)
     every = round(config.snapshot_every / config.grid.dt)

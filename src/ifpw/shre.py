@@ -27,11 +27,12 @@ RK4 with automatic sub-step halving on blow-up.
 
 All classes of a run step together.  The reaction reads the (C, 4, N)
 stack of their S/H/R/E fields and a ``ClassStack``: the per-class
-coefficients as (C, 1) columns, and the classes grouped by kernel.  The
-classes of one global kernel and mode stack their fields into one
-``matmul`` call against its Toeplitz matrix, and the table classes share
-the step's ``CellKernel``, ``rk4_step``'s ``table``, through one
-``einsum``; ``fft`` transforms one field at a time.  After a step one
+coefficients as (C, 1) columns, and the stack cut into groups, each a
+slice of adjacent classes of one kernel.  The classes of a group of one
+global kernel and mode convolve their fields in one ``matmul`` call
+against its Toeplitz matrix, and a group of table classes shares the
+step's ``CellKernel``, ``rk4_step``'s ``table``, through one ``einsum``;
+``fft`` transforms one field at a time.  After a step one
 check of the whole stack passes every class, or a check per class finds
 the classes that failed; only these retry with sub-steps, each from its
 own start state.  The one-class ``rk4_step``, ``shre_rhs`` and
@@ -434,11 +435,12 @@ class ClassStack:
     columns of beta and mu, (C, 2, 1) columns of [xi, 1 - xi] and
     [-slack, +slack], and the kernel groups.
 
-    A group is (rows, kernel, mode), fixed when the stack is built: its
-    classes as a slice of the stack when they are adjacent, else as an
-    index array, and the global kernel and mode they share, or their one
-    CellKernel (mode None), or None: the table classes, whose kernel is
-    the step's ``table`` given to ``rk4_step``.
+    A group is (rows, kernel, mode), fixed when the stack is built: a
+    slice of the stack, the longest run of adjacent classes with one
+    kernel and mode, and the global kernel and mode they share, or their
+    one CellKernel (mode None), or None: the table classes, whose kernel
+    is the step's ``table`` given to ``rk4_step``.  Classes of one kernel
+    that are not adjacent are separate groups.
     """
 
     def __init__(self, params):
@@ -450,14 +452,13 @@ class ClassStack:
                            dtype=float).reshape(-1, 2, 1)
         self.slack = np.array([(-cp.slack, cp.slack) for cp in cps],
                               dtype=float).reshape(-1, 2, 1)
-        members: dict[tuple, list[int]] = {}
+        self.groups = []
         for j, p in enumerate(self.params):
-            mode = p.conv_mode if isinstance(p.kernel, KernelParams) else None
-            members.setdefault((p.kernel, mode), []).append(j)
-        self.groups = [
-            (slice(js[0], js[-1] + 1) if js[-1] - js[0] == len(js) - 1 else np.array(js),
-             kernel, mode)
-            for (kernel, mode), js in members.items()]
+            key = (p.kernel, p.conv_mode if isinstance(p.kernel, KernelParams) else None)
+            if self.groups and self.groups[-1][1:] == key:
+                self.groups[-1] = (slice(self.groups[-1][0].start, j + 1), *key)
+            else:
+                self.groups.append((slice(j, j + 1), *key))
 
 
 def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
@@ -468,12 +469,9 @@ def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
     for rows, kernel, mode in stack.groups:
         kernel = table if kernel is None else kernel
         if kernel is None:
-            raise ValueError(f"class {rows.start if isinstance(rows, slice) else rows[0]} has the "
-                             f"table kernel, but no table CellKernel was given")
-        if isinstance(rows, slice):
-            convolve_relaying(fields.r[rows], kernel, grid, mode, phi[rows], workspace)
-        else:
-            phi[rows] = convolve_relaying(fields.r[rows], kernel, grid, mode, None, workspace)
+            raise ValueError(f"class {rows.start} has the table kernel, but no table "
+                             f"CellKernel was given")
+        convolve_relaying(fields.r[rows], kernel, grid, mode, phi[rows], workspace)
     # phi = (beta * s) * conv
     np.multiply(stack.beta, fields.s, out=beta_s)
     np.multiply(beta_s, phi, out=phi)

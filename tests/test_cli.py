@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ifpw import analysis, coupling, micro
+from ifpw import analysis, coupling, kernel, micro
 from ifpw.cli import EXIT_CONFIG, EXIT_DOMAIN, EXIT_OK, build_parser, main
 
 RUN_CONFIG = {
@@ -117,6 +117,36 @@ class TestRun:
         assert main(["run", "--config", cfg, "--out", out]) == EXIT_DOMAIN
         err = capsys.readouterr().err
         assert f"error: cannot write {out}: " in err and "Not a directory" in err
+
+    @pytest.mark.parametrize("text, reason", [
+        (None, "[Errno 2] No such file or directory: '{path}'"),
+        ("density_veh_per_km,a,b\n10,0.362,0.621\n",
+         "reference table {path}: 'n_max' is not in list"),
+    ])
+    def test_unreadable_kernel_table_named(self, tmp_path, capsys, monkeypatch, text, reason):
+        # every run reads the bundled kernel table, a global-kernel run too; a
+        # missing one was reported as a write of the output directory, and a
+        # malformed one let a global-kernel run skip its N_max check
+        path = tmp_path / "kernel_reference.csv"
+        if text is not None:
+            path.write_text(text)
+        monkeypatch.setattr(kernel, "_TABLE_PATH", str(path))
+        monkeypatch.setattr(kernel, "_TABLE_CACHE", None)
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == ("error: cannot read the kernel table: "
+                                           + reason.format(path=path) + "\n")
+        assert not out.exists()
+
+    def test_unwritable_file_in_out_is_a_write_failure(self, tmp_path, capsys):
+        # the directory is made, but a directory takes the path of a CSV
+        cfg = write_json(tmp_path, "cfg.json", RUN_CONFIG)
+        out = tmp_path / "out"
+        (out / "class0_s.csv").mkdir(parents=True)
+        assert main(["run", "--config", cfg, "--out", str(out)]) == EXIT_DOMAIN
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and "class0_s.csv" in err
 
     def test_malformed_json_reports_location(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -795,8 +795,9 @@ class TestWorkspaceStep:
         # the third class's steps fail the sign check and take sub-steps
         params, fields = self.mixed_stack(96, grid.dx, mode, ClassParams(0.5, 4, 0.2))
         stack, ws = shre.ClassStack(params), shre.Workspace(96, 3)
-        # the global classes are one group, rows 0 and 2 of the stack
-        assert len(stack.groups) == 2 and list(stack.groups[0][0]) == [0, 2]
+        # the global classes are not adjacent: each class is a group
+        assert [rows for rows, _kernel, _mode in stack.groups] == [
+            slice(0, 1), slice(1, 2), slice(2, 3)]
         retried = []
         substeps = shre._substeps
         monkeypatch.setattr(shre, "_substeps",
@@ -818,7 +819,8 @@ class TestWorkspaceStep:
         cell = params[1].kernel
         table = [params[0], dataclasses.replace(params[1], kernel=None), params[2]]
         stack = shre.ClassStack(table)
-        assert [(kernel, m) for _rows, kernel, m in stack.groups] == [(KP, mode), (None, None)]
+        assert stack.groups == [(slice(0, 1), KP, mode), (slice(1, 2), None, None),
+                                (slice(2, 3), KP, mode)]
         with pytest.raises(ValueError, match="class 1 has the table kernel, but no table "
                                              "CellKernel was given"):
             rk4_step(fields, stack, grid)
@@ -839,8 +841,7 @@ class TestWorkspaceStep:
         n = 2048
         grid = GridSpec(dx=0.05, dt=0.5, num_cells=n)
         # these classes pass the sign check, so the step takes no sub-step;
-        # the global classes are made adjacent, a slice of the stack (the
-        # rows of a scattered group are gathered into a temporary)
+        # the global classes are made adjacent, one group of two rows
         params, fields = self.mixed_stack(n, grid.dx, mode, ClassParams(0.5, 11, 0.05))
         params, fields = [params[0], params[2], params[1]], fields[[0, 2, 1]]
         stack, ws = shre.ClassStack(params), shre.Workspace(n, 3)
