@@ -241,11 +241,11 @@ def _sweep_point(args):
         snap1 = out.snapshots[cfg.snapshot_index(t1, "t1")]
         snap2 = out.snapshots[cfg.snapshot_index(t2, "t2")]
         seed_cell = cfg.classes[0].seeds[0][0]
-        informed1 = sigma - snap1.classes[0].s
-        informed2 = sigma - snap2.classes[0].s
+        informed1 = sigma - snap1.layers[0, 0]
+        informed2 = sigma - snap2.layers[0, 0]
         speeds = estimate_wave_speeds(informed1, informed2, snap1.time, snap2.time,
                                       reference * sigma, seed_cell, cfg.grid.dx)
-        spread = measured_spread(out.snapshots[-1].classes[0].s,
+        spread = measured_spread(out.snapshots[-1].layers[0, 0],
                                  np.full(cfg.grid.num_cells, sigma))
         return SweepRow(**known, spread=spread, c_forward=speeds.c_forward,
                         c_backward=speeds.c_backward)

@@ -201,6 +201,7 @@ class ScenarioConfig:
         try:
             n_max = kern.lookup_reference(self.k0).n_max
         except ValueError as exc:  # k0 off the table: no N_max to check against
+            kern.load_reference_table()  # unless the table is malformed: its error names it
             if all(cc.kernel is not None for cc in self.classes):
                 return []
             return [f"ambient {exc}: table-kernel classes use the kernel of the "
@@ -268,8 +269,8 @@ def _add_context(exc: Exception, context: str):
 class Stepper:
     """What the steps of one run share: the classes' ``ShreParams`` as one
     ``shre.ClassStack`` (their coefficient columns and kernel groups, so
-    Erlang-C ``xi`` is evaluated once per run), ``table`` (whether a step
-    builds a table CellKernel), a ``shre.Workspace`` with the (C, 4, N) stage and
+    Erlang-C ``xi`` is evaluated once per run, and its ``table``: whether a
+    step builds a table CellKernel), a ``shre.Workspace`` with the (C, 4, N) stage and
     derivative buffers, an open road's demand and inflow composition, and
     ``stationary``: the last traffic step of a road without an incident
     whose new density equalled its input bit for bit, as ``(k, flows,
@@ -282,7 +283,6 @@ class Stepper:
         self.stack = shre.ClassStack(ShreParams(config.beta, cc.params, cc.kernel, config.conv_mode)
                                      for cc in config.classes)
         self.workspace = shre.Workspace(config.grid.num_cells, len(config.classes))
-        self.table = any(cc.kernel is None for cc in config.classes)
         # only an open road reads them; the vehicles entering it are uninformed
         self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
         self.inflow = _fresh_layers(config, 1, 1.0).ravel() if config.boundary == "open" else None
@@ -365,6 +365,17 @@ def step(world: WorldState, config: ScenarioConfig,
                                            cell=cell, class_index=j)
                 _add_context(err, f"SHRE step for class {j} failed at t={t}")
                 raise err from exc
+        else:
+            # a layer below the tolerance fails the advection's sign check,
+            # which knows only lwr's flat rows: name its class, field and cell
+            bad = np.argwhere(world.layers < shre.NEG_TOL)
+            if bad.size:
+                j, f, cell = (int(i) for i in bad[0])
+                err = NumericalBlowupError(
+                    f"class {j} {FIELDS[f].upper()} density is negative in cell {cell}: "
+                    f"{world.layers[j, f, cell]:.3e}", cell=cell, class_index=j)
+                _add_context(err, f"traffic layer failed at t={t}")
+                raise err from exc
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
@@ -372,7 +383,8 @@ def step(world: WorldState, config: ScenarioConfig,
         return WorldState(t + grid.dt, k_new, advected)
     # the density-dependent kernel depends only on k_total, so all table
     # classes of a step share it
-    table = CellKernel(*kern.interp_kernel_params(k_new), grid.dx) if stepper.table else None
+    table = (CellKernel(*kern.interp_kernel_params(k_new), grid.dx)
+             if stepper.stack.table is not None else None)
     try:
         # one RK4 step of every class; its fresh result is the next layers
         fields = shre.rk4_step(advected, stepper.stack, grid, stepper.workspace, table)

@@ -35,8 +35,8 @@ step's ``CellKernel``, ``rk4_step``'s ``table``, through one ``einsum``;
 ``fft`` transforms one field at a time.  After a step one
 check of the whole stack passes every class, or a check per class finds
 the classes that failed; only these retry with sub-steps, each from its
-own start state.  The one-class ``rk4_step``, ``shre_rhs`` and
-``convolve_relaying`` run the same code on a stack of one.
+own start state.  ``rk4_step`` is the reaction's one entry; it and
+``convolve_relaying`` run a single class as a stack of one.
 
 The reaction step allocates no scratch memory once warm: its buffers
 and each global kernel's Toeplitz matrix or FFT spectrum live in a
@@ -48,8 +48,8 @@ written with the same IEEE operations in the same order as the plain
 array expressions, so neither a workspace nor the stack a class steps
 in decides a result: each class gets the bits it gets alone.  No array
 a public function returns is one of these buffers or a view into them:
-``rk4_step``, ``shre_rhs`` and ``convolve_relaying`` hand back fresh
-arrays unless the caller passes ``out``.
+``rk4_step`` and ``convolve_relaying`` hand back fresh arrays unless the
+caller passes ``out``.
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ __all__ = [
     "CellKernel",
     "Workspace",
     "convolve_relaying",
-    "shre_rhs",
     "rk4_step",
     "seed_information",
 ]
@@ -125,9 +124,6 @@ class ClassState:
         fields = np.zeros((4, num_cells))
         fields[0] = sigma
         return cls(fields)
-
-    def copy(self) -> "ClassState":
-        return ClassState(self.fields.copy())
 
     @property
     def total(self) -> np.ndarray:
@@ -433,14 +429,15 @@ class ShreParams:
 class ClassStack:
     """The ``ShreParams`` of C classes as one reaction reads them: (C, 1)
     columns of beta and mu, (C, 2, 1) columns of [xi, 1 - xi] and
-    [-slack, +slack], and the kernel groups.
+    [-slack, +slack], the kernel groups and ``table``.
 
     A group is (rows, kernel, mode), fixed when the stack is built: a
     slice of the stack, the longest run of adjacent classes with one
     kernel and mode, and the global kernel and mode they share, or their
     one CellKernel (mode None), or None: the table classes, whose kernel
     is the step's ``table`` given to ``rk4_step``.  Classes of one kernel
-    that are not adjacent are separate groups.
+    that are not adjacent are separate groups.  ``table`` is the index of
+    the first table class, or None: whether a step needs a table kernel.
     """
 
     def __init__(self, params):
@@ -459,6 +456,7 @@ class ClassStack:
                 self.groups[-1] = (slice(self.groups[-1][0].start, j + 1), *key)
             else:
                 self.groups.append((slice(j, j + 1), *key))
+        self.table = next((j for j, p in enumerate(self.params) if p.kernel is None), None)
 
 
 def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
@@ -467,11 +465,8 @@ def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
     convolution per group (kernel None: ``table``), then the coefficient columns."""
     _k, _stage, phi, phi_col, tmp, beta_s = workspace.scratch(fields.a.shape[0])
     for rows, kernel, mode in stack.groups:
-        kernel = table if kernel is None else kernel
-        if kernel is None:
-            raise ValueError(f"class {rows.start} has the table kernel, but no table "
-                             f"CellKernel was given")
-        convolve_relaying(fields.r[rows], kernel, grid, mode, phi[rows], workspace)
+        convolve_relaying(fields.r[rows], table if kernel is None else kernel, grid, mode,
+                          phi[rows], workspace)
     # phi = (beta * s) * conv
     np.multiply(stack.beta, fields.s, out=beta_s)
     np.multiply(beta_s, phi, out=phi)
@@ -483,19 +478,6 @@ def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
     # dR -= mu * r, dE = mu * r
     np.multiply(stack.mu, fields.r, out=out.e)
     np.subtract(out.r, out.e, out=out.r)
-
-
-def shre_rhs(fields: np.ndarray, p: ShreParams, grid: GridSpec,
-             out: np.ndarray | None = None,
-             workspace: Workspace | None = None) -> np.ndarray:
-    """Time derivative of the (4, N) S/H/R/E fields (sums to zero per cell),
-    written to ``out`` (which must not overlap ``fields``) or a fresh array."""
-    if workspace is None:
-        workspace = Workspace(grid.num_cells)
-    if out is None:
-        out = np.empty_like(fields)
-    _rhs(_Rows(fields[None]), ClassStack([p]), grid, _Rows(out[None]), workspace, None)
-    return out
 
 
 def _rk4_once(arr: np.ndarray, stack: ClassStack, grid: GridSpec, dt: float,
@@ -560,16 +542,22 @@ def rk4_step(state, p, grid: GridSpec, workspace: Workspace | None = None,
     ClassState, ``p`` its ShreParams; returns a ClassState) or a stack of C
     classes (``state`` a (C, 4, N) array, ``p`` their ClassStack; returns a
     fresh (C, 4, N) array).  The classes of kernel None convolve with the
-    step's CellKernel ``table``; without one, ValueError names the first.
+    step's CellKernel ``table``; without one, ValueError names the first
+    before any convolution runs.
 
     Every class steps at once.  A class whose step produces NaN/inf or
-    densities below the -1e-9 tolerance is retried alone with 2, 4, 8,
-    then 16 internal sub-steps before giving up; one whose input holds
-    NaN/inf gives up at once, naming that input's first bad cell.  Values
-    in (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.
+    densities below the -1e-9 tolerance is retried alone with 2, 4, 8, then
+    16 internal sub-steps before giving up; one whose input holds NaN/inf
+    gives up at once, naming that input's first bad cell.  Values in
+    (-1e-9, 0) are clamped to 0; ``state`` stays unchanged.  A call without
+    a ``workspace`` makes one and rebuilds every kernel operator, so a
+    caller stepping by hand passes one ``Workspace`` to all.
     """
     one = isinstance(p, ShreParams)
     stack, arr0 = (ClassStack([p]), state.fields[None]) if one else (p, state)
+    if table is None and stack.table is not None:
+        raise ValueError(f"class {stack.table} has the table kernel, but no table "
+                         f"CellKernel was given")
     if workspace is None:
         workspace = Workspace(grid.num_cells, arr0.shape[0])
     arr = _rk4_once(arr0, stack, grid, grid.dt, workspace, table)
@@ -591,7 +579,7 @@ def seed_information(state: ClassState, cell_index: int,
         raise ValueError(
             f"seed {relaying_density} exceeds susceptible density "
             f"{state.s[cell_index]} in cell {cell_index}")
-    out = state.copy()
+    out = ClassState(state.fields.copy())
     moved = min(relaying_density, out.s[cell_index])
     out.s[cell_index] -= moved
     out.r[cell_index] += moved

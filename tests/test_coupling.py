@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifpw import analysis, coupling, lwr, queueing, shre
+from ifpw import analysis, coupling, kernel, lwr, queueing, shre
 from ifpw.coupling import (
     FIELDS,
     ClassConfig,
@@ -151,6 +152,27 @@ class TestInitialize:
         assert make_config(k0=k0, classes=(fixed, table)).warnings() == w
         assert make_config(k0=k0, classes=(fixed,)).warnings() == []
 
+    @pytest.mark.parametrize("kp", [KernelParams(0.292, 0.499), None], ids=["global", "table"])
+    def test_malformed_kernel_table_raises(self, tmp_path, monkeypatch, kp):
+        # only an ambient density off a readable table warns: a table without
+        # its n_max column used to skip the N_max check (global) or read as
+        # off the table (table); now it fails the run before its first step
+        with open(kernel._TABLE_PATH) as fh:
+            rows = [line.split(",")[:3] for line in fh.read().splitlines()]
+        path = tmp_path / "kernel_reference.csv"
+        path.write_text("".join(",".join(row) + "\n" for row in rows))
+        monkeypatch.setattr(kernel, "_TABLE_PATH", str(path))
+        monkeypatch.setattr(kernel, "_TABLE_CACHE", None)
+        cfg = make_config(classes=(ClassConfig(ClassParams(0.5, 40, 0.05), kp,
+                                               seeds=((32, 1.0),)),))
+        reason = re.escape(f"reference table {path}: 'n_max' is not in list")
+        with pytest.raises(ValueError, match=reason):
+            cfg.warnings()
+        steps = counted(monkeypatch, coupling, "step")
+        with pytest.raises(ValueError, match=reason):
+            run(cfg)
+        assert steps == []
+
 
 class TestStep:
     def test_conserves_total_vehicles(self):
@@ -252,13 +274,28 @@ class TestStep:
             world.layers[0, 2, 10] = 0.0
             assert fields.tobytes() == world.layers.tobytes()
         elif value == -1e-6:
-            with pytest.raises(ValueError, match="traffic layer failed at t=0.0: "
-                                                 "layer 2 density went negative in cell 10"):
+            with pytest.raises(NumericalBlowupError,
+                               match="traffic layer failed at t=0.0: "
+                                     "class 0 R density is negative in cell 10"):
                 step(world, cfg)
         else:
             with np.errstate(invalid="ignore"), pytest.raises(NumericalBlowupError):
                 step(world, cfg)
         assert len(splits) == 1
+
+    @pytest.mark.parametrize("k0", [300.0, 40.0], ids=["jammed", "flowing"])
+    def test_negative_layer_named_by_class_field_and_cell(self, k0):
+        # lwr advects the stack as flat (4C, N) rows and reports class 1's R
+        # as its row 6; the step names the class, the field and the cell
+        cfg = make_config(k0=k0, penetration=20.0 / k0, classes=make_config().classes * 2)
+        world = initialize(cfg)
+        world.layers[1, 2, 10] = -1e-6
+        with pytest.raises(NumericalBlowupError) as info:
+            step(world, cfg)
+        assert info.value.cell == 10 and info.value.class_index == 1
+        assert str(info.value) == ("traffic layer failed at t=0.0: "
+                                   "class 1 R density is negative in cell 10: -1.000e-06")
+        assert isinstance(info.value.__cause__, ValueError)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("conv_mode", ["fft", "periodic"])

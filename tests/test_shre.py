@@ -24,7 +24,6 @@ from ifpw.shre import (
     convolve_relaying,
     rk4_step,
     seed_information,
-    shre_rhs,
 )
 
 GRID = GridSpec(dx=0.015, dt=0.5, num_cells=256)
@@ -283,10 +282,21 @@ class TestConvolution:
 PARAMS = ShreParams(2.0, ClassParams(0.5, 11, 0.05), KP)
 
 
+def rhs(fields, p, grid, workspace=None):
+    """The reaction's time derivative of one class's (4, N) ``fields``, the
+    right-hand side of ``shre._rhs`` on a stack of one, as a fresh array."""
+    if workspace is None:
+        workspace = shre.Workspace(grid.num_cells)
+    out = np.empty_like(fields)
+    shre._rhs(shre._Rows(fields[None]), shre.ClassStack([p]), grid, shre._Rows(out[None]),
+              workspace, None)
+    return out
+
+
 class TestRhs:
     def test_all_quiet(self):
         state = ClassState.all_susceptible(20.0, GRID.num_cells)
-        d = ClassState(shre_rhs(state.fields, PARAMS, GRID))
+        d = ClassState(rhs(state.fields, PARAMS, GRID))
         for f in (d.s, d.h, d.r, d.e):
             np.testing.assert_array_equal(f, 0.0)
 
@@ -294,7 +304,7 @@ class TestRhs:
         z = np.zeros(GRID.num_cells)
         r = np.full(GRID.num_cells, 4.0)
         state = ClassState(np.array([z, z, r, z]))
-        d = ClassState(shre_rhs(state.fields, PARAMS, GRID))
+        d = ClassState(rhs(state.fields, PARAMS, GRID))
         np.testing.assert_allclose(d.e, 0.05 * 4.0)
         np.testing.assert_allclose(d.r, -0.05 * 4.0)
         np.testing.assert_array_equal(d.s, 0.0)
@@ -303,7 +313,7 @@ class TestRhs:
     def test_sums_to_zero(self):
         rng = np.random.default_rng(8)
         state = ClassState(rng.uniform(0, 5, (4, GRID.num_cells)))
-        d = ClassState(shre_rhs(state.fields, PARAMS, GRID))
+        d = ClassState(rhs(state.fields, PARAMS, GRID))
         np.testing.assert_allclose(d.s + d.h + d.r + d.e, 0.0, atol=1e-12)
 
     def test_vanishing_queue_matches_three_compartment_model(self):
@@ -603,7 +613,7 @@ class TestWorkspaceStep:
         cur = seeded_state(96)
         for _ in range(40):
             ref, _cell = reference_rk4_step(cur.fields, p, grid, grid.dt)
-            assert_bitwise(shre_rhs(cur.fields, p, grid), reference_rhs(cur.fields, p, grid))
+            assert_bitwise(rhs(cur.fields, p, grid), reference_rhs(cur.fields, p, grid))
             assert_bitwise(convolve_relaying(cur.r, kernel, grid, mode),
                            reference_convolution(cur.r, kernel, grid, mode))
             cur = rk4_step(cur, p, grid)
@@ -640,7 +650,6 @@ class TestWorkspaceStep:
         p_cell = ShreParams(2.0, ClassParams(0.5, 2, 1.0), cell)
         ws = shre.Workspace(96)
         results = [rk4_step(state, p, grid, ws).fields,
-                   shre_rhs(state.fields, p, grid, workspace=ws),
                    convolve_relaying(state.r, KP, grid, workspace=ws),
                    convolve_relaying(state.r, KP, grid, mode="periodic", workspace=ws),
                    convolve_relaying(state.r, KP, grid, mode="direct", workspace=ws),
@@ -685,8 +694,8 @@ class TestWorkspaceStep:
         for _ in range(10):
             assert_bitwise(convolve_relaying(given.r, kernel, grid, mode, workspace=ws),
                            convolve_relaying(given.r, kernel, grid, mode))
-            assert_bitwise(shre_rhs(given.fields, p, grid, workspace=ws),
-                           shre_rhs(given.fields, p, grid))
+            assert_bitwise(rhs(given.fields, p, grid, workspace=ws),
+                           rhs(given.fields, p, grid))
             given, omitted = rk4_step(given, p, grid, ws), rk4_step(omitted, p, grid)
             assert_bitwise(given.fields, omitted.fields)
 
@@ -811,7 +820,7 @@ class TestWorkspaceStep:
         assert 2 in retried
 
     @pytest.mark.parametrize("mode", ["fft", "direct"])
-    def test_table_classes_convolve_with_the_given_table(self, mode):
+    def test_table_classes_convolve_with_the_given_table(self, mode, monkeypatch):
         # a class of kernel None reads the step's CellKernel, passed to
         # rk4_step, the same bits as a class built with that kernel
         grid = GridSpec(dx=0.05, dt=0.5, num_cells=96)
@@ -821,11 +830,18 @@ class TestWorkspaceStep:
         stack = shre.ClassStack(table)
         assert stack.groups == [(slice(0, 1), KP, mode), (slice(1, 2), None, None),
                                 (slice(2, 3), KP, mode)]
+        assert stack.table == 1 and shre.ClassStack(params).table is None
+        # the guard raises at the step's entry, before any convolution runs
+        calls = []
+        conv = shre.convolve_relaying
+        monkeypatch.setattr(shre, "convolve_relaying",
+                            lambda *a, **kw: calls.append(1) or conv(*a, **kw))
         with pytest.raises(ValueError, match="class 1 has the table kernel, but no table "
                                              "CellKernel was given"):
             rk4_step(fields, stack, grid)
         with pytest.raises(ValueError, match="class 0 has the table kernel"):
-            shre_rhs(fields[1], table[1], grid)
+            rk4_step(ClassState(fields[1]), table[1], grid)
+        assert len(calls) == 0
         for _ in range(3):
             got = rk4_step(fields, stack, grid, table=cell)
             fields = rk4_step(fields, shre.ClassStack(params), grid)
