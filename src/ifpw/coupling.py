@@ -232,7 +232,7 @@ def _fresh_layers(config: ScenarioConfig, num_cells: int, density: float) -> np.
 
 @dataclass
 class WorldState:
-    """The state at one time; ``run`` keeps copies of it as snapshots."""
+    """The state at one time; ``run``'s snapshots are those ``step`` returns."""
 
     time: float
     k_total: np.ndarray  # (N,) veh/km
@@ -334,48 +334,38 @@ def _advect(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
 
 def step(world: WorldState, config: ScenarioConfig,
          stepper: Stepper | None = None) -> WorldState:
-    """``world`` advanced by one ``config.grid.dt`` step: traffic, then the
-    reaction of every class.  ``world`` is left unchanged.  A ``stepper``
-    shared by successive steps (``run`` passes its own) keeps what they
-    share, a stationary traffic step included; one built for this call
-    alone computes every layer afresh.  Either gives the same result bit
-    for bit, whatever the caller has changed in ``world`` in between."""
+    """``world`` advanced by one ``config.grid.dt`` step, to ``world.time +
+    dt``: traffic, then the reaction of every class.  Before either runs,
+    ValueError names a ``k_total`` or ``layers`` not of shape (N,) and (C, 4,
+    N), and NumericalBlowupError the class, field and cell of a layer density
+    that is not finite or is below ``shre.NEG_TOL``.  The result shares no
+    memory with ``world`` (left unchanged) or with an earlier result, bar a
+    traffic-only run's empty layers.  A ``stepper`` shared by successive
+    steps (``run`` passes its own) keeps what they share; one built for this
+    call alone computes every layer afresh.  Either gives the same result
+    bit for bit, whatever the caller has changed in ``world`` in between."""
     if stepper is None:
         stepper = Stepper(config)
     grid = config.grid
     t = world.time
+    layers = world.layers
+    shape = (len(config.classes), 4, grid.num_cells)
+    if np.shape(world.k_total) != shape[2:] or np.shape(layers) != shape:
+        raise ValueError(f"step input at t={t}: k_total {np.shape(world.k_total)} and layers "
+                         f"{np.shape(layers)} do not fit the scenario's {shape[2:]} and {shape}")
+    low = layers.min(initial=0.0)
+    if not (low >= shre.NEG_TOL and layers.max(initial=0.0) < math.inf):  # NaN fails both
+        j, f, cell = np.argwhere(~((layers >= shre.NEG_TOL) & (layers < math.inf)))[0].tolist()
+        raise NumericalBlowupError(f"step input at t={t}: class {j} {FIELDS[f].upper()} density "
+                                   f"is {layers[j, f, cell]:.3e} in cell {cell}",
+                                   cell=cell, class_index=j)
 
     try:
         k_new, flows, idle = _advance_traffic(world.k_total, config, stepper, t)
-        layers = world.layers
-        if idle and layers.min(initial=0.0) >= 0.0 and layers.max(initial=0.0) < math.inf:
-            # no interface carries flow: every layer flow is +0, so the
-            # advection would return these finite, non-negative layers bit for bit
-            advected = layers
-        else:
-            advected = _advect(world.k_total, layers, flows, config, stepper)
+        # idle: every layer flow is +0, so advection returns non-negative layers as they are
+        advected = (layers if idle and low >= 0.0
+                    else _advect(world.k_total, layers, flows, config, stepper))
     except Exception as exc:
-        if isinstance(exc, (FloatingPointError, RuntimeWarning)):
-            # an inf or NaN layer trips the advection's arithmetic under a
-            # strict error state or warning filter: report it as the reaction does
-            bad = np.argwhere(~np.isfinite(world.layers).all(axis=1))
-            if bad.size:
-                j, cell = (int(i) for i in bad[0])
-                err = NumericalBlowupError(f"SHRE step input is not finite at cell {cell}",
-                                           cell=cell, class_index=j)
-                _add_context(err, f"SHRE step for class {j} failed at t={t}")
-                raise err from exc
-        else:
-            # a layer below the tolerance fails the advection's sign check,
-            # which knows only lwr's flat rows: name its class, field and cell
-            bad = np.argwhere(world.layers < shre.NEG_TOL)
-            if bad.size:
-                j, f, cell = (int(i) for i in bad[0])
-                err = NumericalBlowupError(
-                    f"class {j} {FIELDS[f].upper()} density is negative in cell {cell}: "
-                    f"{world.layers[j, f, cell]:.3e}", cell=cell, class_index=j)
-                _add_context(err, f"traffic layer failed at t={t}")
-                raise err from exc
         _add_context(exc, f"traffic layer failed at t={t}")
         raise
 
@@ -500,7 +490,7 @@ def _format_g9(v: np.ndarray, out: np.ndarray) -> None:
 @dataclass
 class RunOutput:
     config: ScenarioConfig
-    snapshots: list  # WorldState copies
+    snapshots: list  # WorldState
     warnings: list
     error: str | None = None
     started: float = 0.0
@@ -583,26 +573,24 @@ class RunOutput:
 def run(config: ScenarioConfig, out_dir=None) -> RunOutput:
     """Run a scenario to its horizon, recording snapshots at the cadence.
 
-    Deterministic for identical configs.  On a mid-run numerical failure
-    with ``out_dir`` set, the partial snapshot series is flushed and the
-    error recorded in the manifest before the exception propagates.
+    Step i's state is stamped ``i * dt`` seconds, not a sum of i steps that
+    drifts.  Deterministic for identical configs.  On a mid-run numerical
+    failure with ``out_dir`` set, the partial snapshot series is flushed
+    and the error recorded in the manifest before the exception propagates.
     """
     started = _time.time()
     stepper = Stepper(config)
     world = initialize(config)
-
-    def snap(w: WorldState) -> WorldState:
-        return WorldState(w.time, w.k_total.copy(), w.layers.copy())
-
-    out = RunOutput(config=config, snapshots=[snap(world)], warnings=config.warnings(),
+    out = RunOutput(config=config, snapshots=[world], warnings=config.warnings(),
                     started=started)
     n_steps = round(config.horizon / config.grid.dt)
     every = round(config.snapshot_every / config.grid.dt)
     try:
         for i in range(1, n_steps + 1):
             world = step(world, config, stepper)
+            world.time = i * config.grid.dt
             if i % every == 0 or i == n_steps:
-                out.snapshots.append(snap(world))
+                out.snapshots.append(world)
     except Exception as exc:
         out.error = str(exc)
         out.finished = _time.time()
@@ -619,10 +607,11 @@ def read_field_csv(path):
     """Read a field CSV back as (times, 2D value array).
 
     Returns (times_s, values) with values shaped (num_snapshots, num_cells).
-    A line that is not four comma-separated fields with a numeric time and
-    value, or a snapshot with another cell count than the first, raises
-    ConfigurationError naming the file and the line; so does a file with
-    no data line.
+    A line that is not four comma-separated fields with a numeric time,
+    cell index and value, a line whose cell index is not its position in
+    its snapshot, or a snapshot with another cell count than the first,
+    raises ConfigurationError naming the file and the line; so does a file
+    with no data line.
     """
     times = []
     data = []
@@ -640,8 +629,8 @@ def read_field_csv(path):
         for line_no, line in enumerate(fh, start=2):
             text = line.rstrip("\n")
             try:
-                t_s, _idx, _x, val = text.split(",")
-                t, v = float(t_s), float(val)
+                t_s, idx, _x, val = text.split(",")
+                t, i, v = float(t_s), int(idx), float(val)
             except ValueError:
                 raise ConfigurationError(
                     f"{path}: line {line_no} is not {CSV_HEADER}: {text!r}") from None
@@ -650,6 +639,9 @@ def read_field_csv(path):
                     check_cells(line_no - 1)
                 times.append(t)
                 data.append([])
+            if i != len(data[-1]):
+                raise ConfigurationError(
+                    f"{path}: line {line_no}: cell_index is {i}, expected {len(data[-1])}")
             data[-1].append(v)
     if not data:
         raise ConfigurationError(f"{path}: no data line after the header")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .shre import GridSpec
+from .shre import NEG_TOL, GridSpec
 
 __all__ = [
     "FundamentalDiagram",
@@ -185,7 +185,7 @@ def update_class_densities(layers: np.ndarray, class_flows: np.ndarray,
     """Advance every layer by its own conservation law; returns the new layers."""
     dt_h = grid.dt / 3600.0
     layers = layers + (dt_h / grid.dx) * (class_flows[:, :-1] - class_flows[:, 1:])
-    if layers.min(initial=0.0) < -1e-9:  # initial: a traffic-only run has no layers
+    if layers.min(initial=0.0) < NEG_TOL:  # initial: a traffic-only run has no layers
         row, cell = np.unravel_index(np.argmin(layers), layers.shape)
         raise ValueError(f"layer {row} density went negative in cell {cell}: "
                          f"{layers[row, cell]:.3e}")

@@ -525,7 +525,7 @@ class TestSpeed:
             d, "r", lambda ls: ls[:299] + [ls[299].rsplit(",", 1)[0] + "\n"] + ls[300:]),
          "line 300 is not time_s,cell_index"),
         (lambda d: TestSpeed.damage(d, "r", lambda ls: ls[:299] + ls[300:]),
-         "line 512: the snapshot at t=5.0 s ends after 255 cells, the first has 256"),
+         "line 300: cell_index is 43, expected 42"),
         (lambda d: TestSpeed.damage(d, "r", lambda ls: ls[:1]),
          "no data line after the header"),
         (lambda d: TestSpeed.damage(d, "e", lambda ls: ls[:-256]),

@@ -261,7 +261,8 @@ class TestStep:
     @pytest.mark.parametrize("value", [-1e-12, -1e-6, math.nan, math.inf])
     def test_standstill_with_bad_layer_takes_general_path(self, monkeypatch, value):
         # a hand-built state: the skip is exact only for finite, non-negative
-        # layers, so any other keeps the advection's clamp or error
+        # layers, so a density within rounding below 0 keeps the advection's
+        # clamp, and any other bad layer is rejected before a layer runs
         cfg = make_config(k0=300.0, penetration=20.0 / 300.0)
         world = initialize(cfg)
         world.layers[0, 2, 10] = value
@@ -273,38 +274,32 @@ class TestStep:
             assert fields[0, 2, 10] == 0.0 and not np.signbit(fields[0, 2, 10])
             world.layers[0, 2, 10] = 0.0
             assert fields.tobytes() == world.layers.tobytes()
-        elif value == -1e-6:
-            with pytest.raises(NumericalBlowupError,
-                               match="traffic layer failed at t=0.0: "
-                                     "class 0 R density is negative in cell 10"):
-                step(world, cfg)
+            assert len(splits) == 1
         else:
-            with np.errstate(invalid="ignore"), pytest.raises(NumericalBlowupError):
+            with pytest.raises(NumericalBlowupError,
+                               match=re.escape(f"step input at t=0.0: class 0 R density is "
+                                               f"{value:.3e} in cell 10")):
                 step(world, cfg)
-        assert len(splits) == 1
+            assert len(splits) == 0 and reacted == []
 
     @pytest.mark.parametrize("k0", [300.0, 40.0], ids=["jammed", "flowing"])
     def test_negative_layer_named_by_class_field_and_cell(self, k0):
-        # lwr advects the stack as flat (4C, N) rows and reports class 1's R
-        # as its row 6; the step names the class, the field and the cell
+        # lwr advects the stack as flat (4C, N) rows, where class 1's R is
+        # row 6; the step's input check names the class, the field and the cell
         cfg = make_config(k0=k0, penetration=20.0 / k0, classes=make_config().classes * 2)
         world = initialize(cfg)
         world.layers[1, 2, 10] = -1e-6
         with pytest.raises(NumericalBlowupError) as info:
             step(world, cfg)
         assert info.value.cell == 10 and info.value.class_index == 1
-        assert str(info.value) == ("traffic layer failed at t=0.0: "
-                                   "class 1 R density is negative in cell 10: -1.000e-06")
-        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value) == "step input at t=0.0: class 1 R density is -1.000e-06 in cell 10"
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("conv_mode", ["fft", "periodic"])
     def test_non_finite_layer_reported_at_its_cell(self, conv_mode, value):
-        # the convolution spreads a NaN to every cell, so the bad cell is
-        # read from the step's input, not from its failed result; on this
-        # standstill an inf layer trips the advection, under the suite's
-        # RuntimeWarning-as-error or numpy's FloatingPointError, as on a
-        # flowing road
+        # the convolution would spread a NaN to every cell, and an inf layer
+        # trips the advection's arithmetic; the step's input check names the
+        # bad cell before either runs, whatever numpy's error state
         cfg = make_config(k0=300.0, penetration=20.0 / 300.0, conv_mode=conv_mode)
         world = initialize(cfg)
         world.layers[0, 2, 10] = value
@@ -312,8 +307,8 @@ class TestStep:
             with np.errstate(invalid=invalid), pytest.raises(NumericalBlowupError) as info:
                 step(world, cfg)
             assert info.value.cell == 10 and info.value.class_index == 0
-            assert str(info.value) == ("SHRE step for class 0 failed at t=0.0: "
-                                       "SHRE step input is not finite at cell 10")
+            assert str(info.value) == (f"step input at t=0.0: class 0 R density is "
+                                       f"{value} in cell 10")
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
     @pytest.mark.parametrize("invalid", ["warn", "raise"])
@@ -327,9 +322,54 @@ class TestStep:
         with np.errstate(invalid=invalid), pytest.raises(NumericalBlowupError) as info:
             step(world, cfg)
         assert info.value.cell == 10 and info.value.class_index == j
-        assert str(info.value) == (f"SHRE step for class {j} failed at t=0.0: "
-                                   f"SHRE step input is not finite at cell 10")
-        assert isinstance(info.value.__cause__, (FloatingPointError, RuntimeWarning))
+        assert str(info.value) == (f"step input at t=0.0: class {j} R density is "
+                                   f"{value} in cell 10")
+
+    @pytest.mark.parametrize("k_cells, layers_shape", [
+        (64, (8, 64)),  # the flat (4C, N) rows lwr advects
+        (64, (1, 4, 64)),
+        (64, (3, 4, 64)),
+        (32, (2, 4, 64)),
+    ], ids=["flat-rows", "class-too-few", "class-too-many", "short-k_total"])
+    def test_misshaped_state_rejected_before_any_layer(self, monkeypatch, k_cells, layers_shape):
+        # they used to fail inside a layer with a message about its workspace
+        # or numpy's broadcasting
+        cfg = make_config(classes=make_config().classes * 2)
+        world = WorldState(0.0, np.full(k_cells, 40.0), np.zeros(layers_shape))
+        advanced = counted(monkeypatch, lwr, "advance_total")
+        reacted = counted(monkeypatch, shre, "rk4_step")
+        with pytest.raises(ValueError) as info:
+            step(world, cfg)
+        assert str(info.value) == (f"step input at t=0.0: k_total ({k_cells},) and layers "
+                                   f"{layers_shape} do not fit the scenario's (64,) and "
+                                   f"(2, 4, 64)")
+        assert advanced == [] and reacted == []
+
+    @pytest.mark.parametrize("case", ["flowing", "jammed", "incident", "traffic-only"])
+    def test_result_shares_no_memory(self, case):
+        # run keeps each state a step returns as its snapshot: on every path
+        # (the first step of a flowing ring and the stationary reuse after
+        # it, the standstill skip, an open road with table classes, a road
+        # without classes) a result shares no memory with its input or with
+        # an earlier result
+        cfg = {
+            "flowing": make_config(),
+            "jammed": make_config(k0=300.0, penetration=20.0 / 300.0),
+            "incident": make_config(boundary="open", classes=three_table_classes(),
+                                    incident=IncidentProfile(20, 30, 0.0, 2.0, 0.3)),
+            "traffic-only": make_config(classes=(), boundary="open", demand=1800.0),
+        }[case]
+        stepper = Stepper(cfg)
+        states = [initialize(cfg)]
+        for _ in range(4):
+            states.append(step(states[-1], cfg, stepper))
+        arrays = [a for w in states for a in (w.k_total, w.layers)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        if case == "flowing":  # the homogeneous ring's traffic step is reused
+            assert stepper.stationary is not None
+        elif case == "jammed":
+            assert stepper.stationary[2]  # idle
 
     def test_blowup_keeps_cell_and_adds_context(self):
         # a huge beta on frozen (jammed) traffic makes RK4 blow up even
@@ -440,6 +480,25 @@ class TestRun:
             np.testing.assert_array_equal(sa.classes[0].s, sb.classes[0].s)
             np.testing.assert_array_equal(sa.classes[0].r, sb.classes[0].r)
 
+    def test_step_times_do_not_drift(self, monkeypatch):
+        # 0.1 s steps summed drift: the incident acted on 9 steps, from
+        # t=1.0999999999999999, and the snapshots read 0.9999999999999999 s
+        cfg = make_config(grid=GridSpec(dx=0.05, dt=0.1, num_cells=64), boundary="open",
+                          incident=IncidentProfile(20, 30, 1.0, 2.0, 0.3),
+                          horizon=3.0, snapshot_every=1.0)
+        active, factors = [], IncidentProfile.factors
+
+        def recorded(self, t, num_cells):
+            f = factors(self, t, num_cells)
+            if (f < 1).any():
+                active.append(t)
+            return f
+
+        monkeypatch.setattr(IncidentProfile, "factors", recorded)
+        out = run(cfg)
+        assert len(active) == 10 and active[0] == 1.0
+        assert [s.time for s in out.snapshots] == [0.0, 1.0, 2.0, 3.0]
+
     def test_snapshot_at_picks_nearest(self):
         out = run(make_config())
         assert out.snapshot_at(3.9).time == 4.0
@@ -452,8 +511,10 @@ class TestRun:
     def test_snapshots_are_world_state_copies(self):
         out = run(make_config(horizon=1.0, snapshot_every=0.5))
         assert all(type(s) is WorldState for s in out.snapshots)
-        first, last = out.snapshots[0], out.snapshots[-1]
-        assert not np.shares_memory(first.layers, last.layers)
+        arrays = [a for s in out.snapshots for a in (s.k_total, s.layers)]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays)
+                       for b in arrays[i + 1:])
+        last = out.snapshots[-1]
         assert np.shares_memory(last.classes[0].fields, last.layers)
         np.testing.assert_array_equal(last.classes[0].fields, last.layers[0])
 
@@ -883,18 +944,22 @@ class TestOutputFiles:
     @pytest.mark.parametrize("line, match", [
         ("0.500000,8,0.425000", "line 74 is not time_s,cell_index,x_km,value: '0.500000,8"),
         ("0.500000,8,0.425000,x", "line 74 is not"),
-        (None, "line 128: the snapshot at t=0.5 s ends after 63 cells, the first has 64"),
+        (None, "line 74: cell_index is 9, expected 8"),
+        ("0.500000,9,0.475000,1\n0.500000,8,0.425000,1", "line 74: cell_index is 9, expected 8"),
+        ("0.500000,0,0.025000,1", "line 74: cell_index is 0, expected 8"),
     ])
     def test_malformed_csv_rejected(self, tmp_path, line, match):
-        # a line cut short (or a value that is no number), or one dropped:
-        # line 74 holds cell 8 of the second snapshot
+        # a line cut short (or a value that is no number), one dropped, two
+        # swapped, or one repeating cell 0: line 74 holds cell 8 of the
+        # second snapshot
         run(make_config(horizon=1.0, snapshot_every=0.5), out_dir=tmp_path)
         path = tmp_path / "class0_r.csv"
         lines = path.read_text().splitlines(keepends=True)
         if line is None:
             del lines[73]
         else:
-            lines[73] = line + "\n"
+            new = [text + "\n" for text in line.split("\n")]
+            lines[73:73 + len(new)] = new
         path.write_text("".join(lines))
         with pytest.raises(ConfigurationError, match=match) as info:
             read_field_csv(path)
