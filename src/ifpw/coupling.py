@@ -19,8 +19,11 @@ lwr's (4C, N) layers, and the SHRE step reacts it and returns the next
 stack.
 What the steps of a run share (the classes' ``ShreParams`` and ``xi`` as
 one ``shre.ClassStack``, the kernels' operators, the reaction's scratch,
-a stationary traffic step) lives in its ``Stepper``; a step passes the
-table kernel it builds from its new density to ``shre.rk4_step``.
+the advection's class flows and advected layers, a stationary traffic
+step) lives in its ``Stepper``; a step passes the table kernel it builds
+from its new density to ``shre.rk4_step``.  So a warm step allocates no
+(C, 4, N) array but the layers of the state it returns; the traffic
+step's (N,) arrays and a table kernel's band are built each step.
 """
 
 from __future__ import annotations
@@ -267,25 +270,32 @@ def _add_context(exc: Exception, context: str):
 
 
 class Stepper:
-    """What the steps of one run share: the classes' ``ShreParams`` as one
-    ``shre.ClassStack`` (their coefficient columns and kernel groups, so
-    Erlang-C ``xi`` is evaluated once per run, and its ``table``: whether a
-    step builds a table CellKernel), a ``shre.Workspace`` with the (C, 4, N) stage and
-    derivative buffers, an open road's demand and inflow composition, and
-    ``stationary``: the last traffic step of a road without an incident
+    """What the steps of one run of ``config`` share: the config itself, the
+    classes' ``ShreParams`` as one ``shre.ClassStack`` (their coefficient
+    columns and kernel groups, so Erlang-C ``xi`` is evaluated once per
+    run, and its ``table``: whether a step builds a table CellKernel), a
+    ``shre.Workspace`` with the (C, 4, N) stage and derivative buffers,
+    ``advection``: the advection's buffers, the (4C, N+1) class flows and
+    the (4C, N) advected layers, made on the first step whose traffic
+    flows (None before), an open road's demand and inflow composition,
+    and ``stationary``: the last traffic step of a road without an incident
     whose new density equalled its input bit for bit, as ``(k, flows,
     idle)`` (read-only arrays that no ``WorldState`` shares; ``idle`` when
     no interface carries flow), or None.  A step given exactly that density
     again returns a copy of ``k`` and reuses ``flows``.  ``run`` builds
-    one; ``step`` builds its own when given none."""
+    one; ``step`` builds its own when given none.  No array a step returns
+    is one of these buffers, bar a traffic-only run's empty layers; one
+    stepper serves one thread at a time."""
 
     def __init__(self, config: ScenarioConfig):
+        self.config = config
         self.stack = shre.ClassStack(ShreParams(config.beta, cc.params, cc.kernel, config.conv_mode)
                                      for cc in config.classes)
         self.workspace = shre.Workspace(config.grid.num_cells, len(config.classes))
         # only an open road reads them; the vehicles entering it are uninformed
         self.demand = config.fd.v_f * config.k0 if config.demand is None else config.demand
         self.inflow = _fresh_layers(config, 1, 1.0).ravel() if config.boundary == "open" else None
+        self.advection = None
         self.stationary = None
 
 
@@ -326,26 +336,38 @@ def _advance_traffic(k: np.ndarray, config: ScenarioConfig, stepper: Stepper, t:
 def _advect(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
             config: ScenarioConfig, stepper: Stepper) -> np.ndarray:
     """The (C, 4, N) ``layers`` advected by their shares of the interface
-    ``flows``; lwr advects them as (4C, N) rows."""
+    ``flows``, as a view of ``stepper.advection``'s layers; lwr advects them
+    as (4C, N) rows into the stepper's buffers."""
     rows = layers.reshape(-1, layers.shape[-1])
-    class_flows = lwr.split_class_flows(k_total, rows, flows, config.boundary, stepper.inflow)
-    return lwr.update_class_densities(rows, class_flows, config.grid).reshape(layers.shape)
+    if stepper.advection is None:
+        stepper.advection = (np.empty((rows.shape[0], rows.shape[1] + 1)),
+                             np.empty(rows.shape))
+    class_flows, advected = stepper.advection
+    lwr.split_class_flows(k_total, rows, flows, config.boundary, stepper.inflow, class_flows)
+    return lwr.update_class_densities(rows, class_flows, config.grid,
+                                      advected).reshape(layers.shape)
 
 
 def step(world: WorldState, config: ScenarioConfig,
          stepper: Stepper | None = None) -> WorldState:
     """``world`` advanced by one ``config.grid.dt`` step, to ``world.time +
     dt``: traffic, then the reaction of every class.  Before either runs,
-    ValueError names a ``k_total`` or ``layers`` not of shape (N,) and (C, 4,
+    ValueError names a ``stepper`` built for a config that is not equal to
+    ``config``, or a ``k_total`` or ``layers`` not of shape (N,) and (C, 4,
     N), and NumericalBlowupError the class, field and cell of a layer density
     that is not finite or is below ``shre.NEG_TOL``.  The result shares no
     memory with ``world`` (left unchanged) or with an earlier result, bar a
     traffic-only run's empty layers.  A ``stepper`` shared by successive
-    steps (``run`` passes its own) keeps what they share; one built for this
-    call alone computes every layer afresh.  Either gives the same result
-    bit for bit, whatever the caller has changed in ``world`` in between."""
+    steps (``run`` passes its own) keeps what they share, the advection's
+    and the reaction's buffers among it, so a warm step allocates only the
+    state it returns, besides the traffic step's (N,) arrays and a table
+    kernel's band; one built for this call alone computes every layer
+    afresh.  Either gives the same result bit for bit, whatever the caller
+    has changed in ``world`` in between."""
     if stepper is None:
         stepper = Stepper(config)
+    elif stepper.config is not config and stepper.config != config:
+        raise ValueError(f"step at t={world.time}: the stepper was built for another config")
     grid = config.grid
     t = world.time
     layers = world.layers

@@ -10,7 +10,10 @@ once.  A capacity factor field models incidents by scaling q_max in both
 the sending and receiving functions.
 
 A traffic step checks the density against [0, k_jam] once: both flows of
-every interface come from that one checked copy.
+every interface come from that one checked copy.  The advection's two
+functions write into an ``out`` buffer a caller passes (``coupling`` keeps
+one per run), with the same IEEE operations in the same order as into the
+fresh array they make without one.
 
 Units: densities veh/km, flows veh/h, speeds km/h, dt in seconds
 (converted internally).
@@ -147,8 +150,24 @@ def advance_total(k_total: np.ndarray, fd: FundamentalDiagram, grid: GridSpec,
     return np.minimum(k_new, fd.k_jam, out=k_new), q
 
 
+def _out(out, shape: tuple, *inputs) -> np.ndarray:
+    """``out`` checked as the result buffer of ``shape``, or a fresh array
+    if it is None; ValueError if it is not a float64 array of that shape,
+    or if it shares memory with one of ``inputs``, which the result would
+    overwrite before they are read."""
+    if out is None:
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == shape):
+        raise ValueError(f"out must be a float64 array of shape {shape}, got "
+                         f"{getattr(out, 'dtype', type(out).__name__)} {np.shape(out)}")
+    if any(np.may_share_memory(out, a) for a in inputs):
+        raise ValueError("out shares memory with an input")
+    return out
+
+
 def split_class_flows(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray,
-                      boundary: str, inflow_fractions: np.ndarray | None = None) -> np.ndarray:
+                      boundary: str, inflow_fractions: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Split each interface flow by the upstream cell's layer composition.
 
     Returns the (L, num_cells+1) flows q_z = (k_z / k_total) * q of the
@@ -158,10 +177,12 @@ def split_class_flows(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray
     small ``k`` gets, split by its own composition.  Fresh vehicles entering
     an 'open' road carry the (L,) composition ``inflow_fractions`` (default:
     none of them is assigned to any layer), not that of the first cell.
+    The flows are written to ``out`` if given (``_out`` checks it), else to
+    a fresh array.
     """
     occupied = k_total > 0.0
     # in place: (L, N) temporaries past glibc's trim threshold fault every step
-    out = np.empty((len(layers), k_total.size + 1))
+    out = _out(out, (len(layers), k_total.size + 1), k_total, layers, flows)
     frac = out[:, 1:]
     if occupied.all():
         np.divide(layers, k_total, out=frac)
@@ -181,12 +202,17 @@ def split_class_flows(k_total: np.ndarray, layers: np.ndarray, flows: np.ndarray
 
 
 def update_class_densities(layers: np.ndarray, class_flows: np.ndarray,
-                           grid: GridSpec) -> np.ndarray:
-    """Advance every layer by its own conservation law; returns the new layers."""
+                           grid: GridSpec, out: np.ndarray | None = None) -> np.ndarray:
+    """Advance every layer by its own conservation law; returns the new
+    layers, ``layers + (dt_h / dx) * (q[:, :-1] - q[:, 1:])`` computed in
+    ``out`` if given (``_out`` checks it), else in a fresh array."""
     dt_h = grid.dt / 3600.0
-    layers = layers + (dt_h / grid.dx) * (class_flows[:, :-1] - class_flows[:, 1:])
-    if layers.min(initial=0.0) < NEG_TOL:  # initial: a traffic-only run has no layers
-        row, cell = np.unravel_index(np.argmin(layers), layers.shape)
+    out = _out(out, np.shape(layers), layers, class_flows)
+    np.subtract(class_flows[:, :-1], class_flows[:, 1:], out=out)
+    np.multiply(dt_h / grid.dx, out, out=out)
+    np.add(layers, out, out=out)
+    if out.min(initial=0.0) < NEG_TOL:  # initial: a traffic-only run has no layers
+        row, cell = np.unravel_index(np.argmin(out), out.shape)
         raise ValueError(f"layer {row} density went negative in cell {cell}: "
-                         f"{layers[row, cell]:.3e}")
-    return np.maximum(layers, 0.0, out=layers)
+                         f"{out[row, cell]:.3e}")
+    return np.maximum(out, 0.0, out=out)

@@ -40,10 +40,14 @@ own start state.  ``rk4_step`` is the reaction's one entry; it and
 
 The reaction step allocates no scratch memory once warm: its buffers
 and each global kernel's Toeplitz matrix or FFT spectrum live in a
-``Workspace`` for the grid and stack size, which ``coupling.run`` makes
-once and hands down every reaction call of the run as the optional
-``workspace`` argument.  A function given none makes its own, so no two
-threads share one unless a caller hands them the same.  The buffers are
+``Workspace``.  An RK4 step keeps two derivatives there, not four: the
+running sum, which starts as k1, and the latest derivative, which builds
+the next stage and is then doubled and added to the sum, so the sum is
+still ``((k1 + 2 k2) + 2 k3) + k4``.  A workspace is made for the grid
+and stack size; ``coupling.run`` makes one and hands it down every
+reaction call of the run as the optional ``workspace`` argument.  A
+function given none makes its own, so no two threads share one unless a
+caller hands them the same.  The buffers are
 written with the same IEEE operations in the same order as the plain
 array expressions, so neither a workspace nor the stack a class steps
 in decides a result: each class gets the bits it gets alone.  No array
@@ -250,20 +254,21 @@ class _Rows:
 
 class Workspace:
     """Scratch arrays and kernel operators of the reaction step for a stack
-    of up to ``classes`` classes on an n-cell grid: the RK4 stage state
-    and derivatives, Phi, a temporary, each global kernel's Toeplitz
-    matrix or FFT spectrum with the buffers of its product, and a
-    zero-margined window buffer per band half-width of the table kernel.
-    A stack of fewer classes uses the leading slots of the scratch.  The
-    buffers of a product or window are kept per number of stacked rows.
-    Each is made on first use and kept for the workspace's life, which
-    ``coupling.run`` makes the run's.  One workspace serves one thread at
-    a time.
+    of up to ``classes`` classes on an n-cell grid: the RK4 stage state,
+    two derivative buffers (the running sum ``k1 + 2 k2 + 2 k3 + k4``,
+    which starts as k1, and the latest derivative), Phi, a temporary,
+    each global kernel's Toeplitz matrix or FFT spectrum with the buffers
+    of its product, and a zero-margined window buffer per band half-width
+    of the table kernel.  A stack of fewer classes uses the leading slots
+    of the scratch.  The buffers of a product or window are kept per
+    number of stacked rows.  Each is made on first use and kept for the
+    workspace's life, which ``coupling.run`` makes the run's.  One
+    workspace serves one thread at a time.
     """
 
     def __init__(self, n: int, classes: int = 1):
         self.n = n
-        self.k = np.empty((4, classes, 4, n))  # the four RK4 derivatives
+        self.k = np.empty((2, classes, 4, n))  # the RK4 running sum and latest derivative
         self.stage = np.empty((classes, 4, n))
         self.phi = np.empty((classes, n))
         self.tmp = np.empty((classes, 2, n))
@@ -275,9 +280,9 @@ class Workspace:
 
     def scratch(self, c: int) -> tuple:
         """(derivatives, stage, phi, phi column, tmp, its first row) of a
-        stack of c classes: the four derivatives and the stage as
-        ``_Rows``, Phi as (c, N) and (c, 1, N) views and tmp as (c, 2, N)
-        and (c, N) views of the leading slots."""
+        stack of c classes: the pair of the running sum and the latest
+        derivative and the stage as ``_Rows``, Phi as (c, N) and (c, 1, N)
+        views and tmp as (c, 2, N) and (c, N) views of the leading slots."""
         views = self._scratch.get(c)
         if views is None:
             if c > self.stage.shape[0]:
@@ -483,21 +488,21 @@ def _rhs(fields: _Rows, stack: ClassStack, grid: GridSpec, out: _Rows,
 def _rk4_once(arr: np.ndarray, stack: ClassStack, grid: GridSpec, dt: float,
               workspace: Workspace, table: CellKernel | None) -> np.ndarray:
     """arr + (dt/6) * (((k1 + 2 k2) + 2 k3) + k4) of a (C, 4, N) stack as a
-    fresh array; the stages and derivatives live in ``workspace``."""
-    ks, stage = workspace.scratch(arr.shape[0])[:2]
-    _rhs(_Rows(arr), stack, grid, ks[0], workspace, table)
-    for k_prev, k_next, scale in zip(ks, ks[1:], (0.5 * dt, 0.5 * dt, dt)):
-        np.multiply(scale, k_prev.a, out=stage.a)
+    fresh array.  The stage and two derivative buffers live in
+    ``workspace``: the running sum, which starts as k1, and the latest
+    derivative, which builds the next stage before it is doubled and added."""
+    (total, k), stage = workspace.scratch(arr.shape[0])[:2]
+    _rhs(_Rows(arr), stack, grid, total, workspace, table)
+    for latest, scale in ((total, 0.5 * dt), (k, 0.5 * dt), (k, dt)):
+        np.multiply(scale, latest.a, out=stage.a)
         np.add(arr, stage.a, out=stage.a)
-        _rhs(stage, stack, grid, k_next, workspace, table)
-    k1, k2, k3, k4 = (k.a for k in ks)
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k1)
-    np.multiply(2.0, k3, out=k3)
-    np.add(k1, k3, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(dt / 6.0, k1, out=k1)
-    return arr + k1
+        if latest is k:  # k2 or k3, no longer read: the sum takes 2 k
+            np.multiply(2.0, k.a, out=k.a)
+            np.add(total.a, k.a, out=total.a)
+        _rhs(stage, stack, grid, k, workspace, table)
+    np.add(total.a, k.a, out=total.a)
+    np.multiply(dt / 6.0, total.a, out=total.a)
+    return arr + total.a
 
 
 def _passes(arr: np.ndarray, axis=None):

@@ -4,6 +4,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -371,6 +372,30 @@ class TestStep:
         elif case == "jammed":
             assert stepper.stationary[2]  # idle
 
+    @pytest.mark.parametrize("case", ["ring", "open-incident"])
+    def test_warm_step_allocates_only_its_result(self, case):
+        # the advection writes into the stepper's buffers and RK4 keeps two
+        # derivatives in its workspace, so a warm step's only large
+        # allocation is the state it returns (a table kernel's band is
+        # built each step by design: global kernels only)
+        grid = GridSpec(dx=0.05, dt=0.5, num_cells=4096)
+        cfg = make_config(grid=grid, classes=make_config().classes * 2, **{
+            "ring": {},
+            "open-incident": dict(boundary="open",
+                                  incident=IncidentProfile(2000, 2010, 0.0, 100.0, 0.3)),
+        }[case])
+        stepper, world = Stepper(cfg), initialize(cfg)
+        for _ in range(2):
+            world = step(world, cfg, stepper)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            world = step(world, cfg, stepper)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (world.k_total.nbytes + world.layers.nbytes)
+
     def test_blowup_keeps_cell_and_adds_context(self):
         # a huge beta on frozen (jammed) traffic makes RK4 blow up even
         # with its sub-step fallback
@@ -591,6 +616,22 @@ class TestStepper:
         world = step(initialize(cfg), cfg)
         assert world.classes[1].informed.max() > 0
         assert made == [(64, 2)]
+
+    def test_stepper_of_another_config_rejected(self, monkeypatch):
+        # a mu 0.5 config stepped through a stepper of mu 0.05 used to react
+        # with the stepper's classes and raise nothing
+        cfg = make_config()
+        other = config_with_class_override(cfg, 11, 0.5)
+        world = initialize(other)
+        advanced = counted(monkeypatch, lwr, "advance_total")
+        reacted = counted(monkeypatch, shre, "rk4_step")
+        with pytest.raises(ValueError, match=re.escape(
+                "step at t=0.0: the stepper was built for another config")):
+            step(world, other, Stepper(cfg))
+        assert advanced == [] and reacted == []
+        # a stepper of an equal config, built apart, is accepted
+        got = step(world, other, Stepper(config_with_class_override(cfg, 11, 0.5)))
+        assert got.layers.tobytes() == step(world, other).layers.tobytes()
 
     def test_steps_with_one_stepper_equal_steps_without(self):
         cfg = make_config(classes=make_config().classes + three_table_classes(),
@@ -904,7 +945,6 @@ class TestOutputFiles:
         # the incident's full call: 151 snapshots of 600 cells and 3 classes.
         # The writer works a chunk of snapshots at a time (about 1.6 MB); one
         # holding a file's lines at once would need over 6 MB.
-        import tracemalloc
 
         rng = np.random.default_rng(11)
         cfg = make_config(grid=GridSpec(dx=0.05, dt=0.5, num_cells=600),

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -286,6 +288,61 @@ class TestBroadcastMatchesPerLayer:
             new = update_class_densities(layers, class_q, grid)
             assert new.tobytes() == update_per_layer(layers, want_q, grid).tobytes()
             k, layers = k_new, new
+
+
+class TestOut:
+    """The split and the update write into a given ``out`` and return it."""
+
+    @pytest.mark.parametrize("boundary", ["periodic", "closed", "open"])
+    def test_out_gets_the_allocating_bits(self, boundary):
+        grid = GridSpec(dx=0.05, dt=1.0, num_cells=60)
+        rng = np.random.default_rng(12)
+        k = rng.uniform(0, 290, 60)
+        k[20:26] = 0.0  # empty cells take the zero-share branch
+        layers = rng.dirichlet(np.ones(5), 60).T * k
+        inflow = np.array([0.3, 0.7, 0.0, 0.0, 0.0])
+        class_flows, advected = np.full((5, 61), np.nan), np.full((5, 60), np.nan)
+        for _ in range(20):
+            k_new, q = advance_total(k, FD, grid, boundary, demand=2000.0)
+            want_q = split_class_flows(k, layers, q, boundary, inflow)
+            assert split_class_flows(k, layers, q, boundary, inflow, out=class_flows) is class_flows
+            assert class_flows.tobytes() == want_q.tobytes()
+            want = update_class_densities(layers, want_q, grid)
+            assert update_class_densities(layers, class_flows, grid, out=advected) is advected
+            assert advected.tobytes() == want.tobytes()
+            k, layers = k_new, advected.copy()
+
+    @pytest.mark.parametrize("which", ["split", "update"])
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "list", "layers", "flows"])
+    def test_bad_out_rejected(self, which, bad):
+        # an out that overlaps an input would overwrite it before it is read
+        grid = GridSpec(dx=0.05, dt=1.0, num_cells=10)
+        k, rows = make_state(np.full(10, 20.0), TestClassSplit.SHARES)
+        outer = np.zeros((3, 11))  # its last 10 columns are the layers
+        layers = outer[:, 1:]
+        layers[...] = rows
+        flows = np.zeros((3, 11))  # its first row is the interface flows
+        q = flows[0]
+        q[...] = 1800.0
+        class_q = split_class_flows(k, layers, q, "periodic")
+        shape = (3, 11) if which == "split" else (3, 10)
+        out = {
+            "shape": np.empty((3, 12)),
+            "dtype": np.empty(shape, np.float32),
+            "list": np.zeros(shape).tolist(),
+            "layers": outer if which == "split" else layers,
+            "flows": flows if which == "split" else class_q[:, 1:],
+        }[bad]
+        kept = [a.copy() for a in (layers, class_q, flows)]
+        match = ("out shares memory with an input" if bad in ("layers", "flows")
+                 else re.escape(f"out must be a float64 array of shape {shape}"))
+        with pytest.raises(ValueError, match=match):
+            if which == "split":
+                split_class_flows(k, layers, q, "periodic", out=out)
+            else:
+                update_class_densities(layers, class_q, grid, out=out)
+        for was, now in zip(kept, (layers, class_q, flows)):
+            assert was.tobytes() == now.tobytes()
 
 
 class TestIncident:
